@@ -139,12 +139,17 @@ def cmd_reduce(args) -> int:
         raise UsageError(f"{','.join(map(str, seq))} is not a solution mod {n}")
     whitelist = None
     if args.right:
-        whitelist = [_parse_seq(args.right)]
+        right = normalize_seq(_parse_seq(args.right), n)
+        if len(right) < 3 or solution_sign(right, n) is None:
+            raise UsageError(f"--right {','.join(map(str, right))} is not a "
+                             f"solution of size >= 3 mod {n}")
+        whitelist = [right]
     w = find_decomposition(seq, n, whitelist)
     if w is None:
-        payload = {"modulus": n, "seq": list(seq), "irreducible": is_irreducible(seq, n)}
-        _emit(args, payload, ["irreducible" if payload["irreducible"]
-                              else "no splitting (size 2 is never split)"])
+        irreducible = whitelist is None or is_irreducible(seq, n)
+        payload = {"modulus": n, "seq": list(seq), "irreducible": irreducible}
+        _emit(args, payload, ["irreducible" if irreducible
+                              else "no splitting has its right part in the given class"])
         return 0
     payload = {
         "modulus": n,

@@ -24,7 +24,6 @@ from .solutions import (
     Seq,
     canonicalize,
     find_decomposition,
-    is_irreducible,
     is_reversal_symmetric,
     Witness,
 )
@@ -227,8 +226,9 @@ class ClassificationReport:
 
 
 def _irreducible_alphabet(n_mod: int, size: int) -> tuple[int, ...]:
-    # Entries +/-1 make any solution of size >= 4 reducible, and entry 0 any
-    # of size >= 5, so those letters cannot occur in an irreducible one.
+    # Irreducible means no window of length 1..n-3 has continuant +/-1: the
+    # letters +/-1 are such windows of length 1 (banned from size 4), and a 0
+    # starts one of length 2, K(0, x) = -1 (banned from size 5).
     one, minus = 1 % n_mod, (n_mod - 1) % n_mod
     if size == 3:
         return tuple(sorted({one, minus}))
@@ -257,11 +257,11 @@ def classify(config: SearchConfig) -> ClassificationReport:
         irreducible = []
         witnesses = {}
         for rep in classes:
-            if size == 2 or not is_irreducible(rep, n_mod):
-                if config.keep_witnesses and size >= 3:
-                    witnesses[rep] = find_decomposition(rep, n_mod)
-            else:
+            w = find_decomposition(rep, n_mod) if size >= 3 else None
+            if size >= 3 and w is None:
                 irreducible.append(rep)
+            elif w is not None and config.keep_witnesses:
+                witnesses[rep] = w
         cyclic = sum(1 if is_reversal_symmetric(rep) else 2 for rep in irreducible)
         if config.irreducible_only:
             total = reducible = None
@@ -373,6 +373,8 @@ def evidence_scan(n_mod: int, n_max: int | None = None,
         raise ValueError("evidence scan needs a modulus >= 2")
     if n_max is None:
         n_max = n_mod + 3
+    if n_max < 3:
+        raise ValueError(f"n_max must be >= 3, got {n_max}")
     report = classify(SearchConfig(
         modulus=n_mod, sizes=tuple(range(3, n_max + 1)), irreducible_only=True,
         work_limit=work_limit, allow_large=allow_large))

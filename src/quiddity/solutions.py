@@ -11,16 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .modmat import (
-    IDENTITY,
-    Mat,
-    check_modulus,
-    generator,
-    generator_product,
-    mat_mul,
-    pm_identity_sign,
-    residue,
-)
+from .modmat import check_modulus, generator_product, pm_identity_sign, residue
 
 Seq = tuple[int, ...]
 
@@ -209,75 +200,66 @@ class Witness:
 
 
 def find_decomposition(seq, n: int, right_whitelist=None) -> Witness | None:
-    """First splitting of seq into two solution parts of size >= 3, or None.
+    """First splitting of the solution seq into two solutions of size >= 3, or None.
 
-    Scan order is fixed: dihedral image index, then left size m ascending,
-    then the right part's first and last junction entries ascending, so the
-    returned witness is reproducible.  For each image c and split m the left
-    part is (x, c2, ..., c_{m-1}, y) with x, y free; writing P for the
-    product of the middle factors, the left part solves exactly when
-    eps*P[0][0] == -1 for some sign eps, and then x, y are forced by P's
-    off-diagonal entries (the determinant makes the remaining entry match
-    automatically).  That replaces the N^2 junction scan with at most two
-    candidates per split, each checked against the right part directly.
+    Scan order is fixed: rotation index, then left size m ascending, so the
+    returned witness is reproducible.  For each rotation c and split m the
+    left part is (x, c2, ..., c_{m-1}, y) with x, y free; writing P for the
+    product of the middle factors, whose P[0][0] is the continuant of the
+    window c2..c_{m-1}, the left part solves exactly when eps*P[0][0] == -1
+    for a sign eps, and then x, y are forced by P's off-diagonal entries.
+    The right part needs no check: if c = a (+) b and both c and a solve, so
+    does b.  So a solution of size n is reducible exactly when some cyclic
+    window of length 1..n-3 has continuant +/-1.  Reflected images need no
+    scan either: reversing a split of one gives a split of a rotation.
 
     ``right_whitelist``, when given, restricts the right part to the listed
-    equivalence classes (compared after canonicalization).
+    equivalence classes.
 
-    Integer mode is rejected: the junction entries range over all of Z.
+    Raises ValueError on a non-solution, which the criterion needs, and in
+    integer mode, where the junction entries range over all of Z.
     """
     check_modulus(n)
     if n == 0:
         raise ValueError("decomposition search is modular-only; integer-mode "
                          "irreducibles are a known finite family")
     seq = normalize_seq(seq, n)
+    sign = solution_sign(seq, n)
+    if sign is None:
+        raise ValueError(f"{seq} is not a solution mod {n}")
     size = len(seq)
     if size < 3:
         raise ValueError("decomposition needs size >= 3")
 
-    whitelist = None
+    allowed = None
     if right_whitelist is not None:
-        whitelist = {canonicalize(normalize_seq(w, n)) for w in right_whitelist}
+        allowed = {img for w in right_whitelist
+                   for img in dihedral_images(normalize_seq(w, n))}
 
-    minus_one = residue(-1, n)
-    signs = (1,) if minus_one == 1 else (1, -1)
-
-    seen: set[Seq] = set()
-    for idx, c in enumerate(dihedral_images(seq)):
-        if c in seen:
-            continue
-        seen.add(c)
-        # suffix[j] = product of the factors for c_j, ..., c_n (1-based), so
-        # the right part's middle product for split m is suffix[m+1]
-        suffix: list[Mat] = [IDENTITY] * (size + 2)
-        for j in range(size, 0, -1):
-            suffix[j] = mat_mul(suffix[j + 1], generator(c[j - 1], n), n)
-        mid = IDENTITY  # product for c_2, ..., c_{m-1}; empty at m = 2
+    minus_one = n - 1
+    for idx in range(size):
+        c = seq[idx:] + seq[:idx]
+        if idx and c == seq:
+            break  # seq has period idx, so the later rotations repeat
+        # P for the window c_2, ..., c_{m-1}; empty at m = 2
+        p11, p12, p21, p22 = 1, 0, 0, 1
         for m in range(3, size):
-            mid = mat_mul(generator(c[m - 2], n), mid, n)
-            p11, p12, p21, _ = mid
-            candidates = []
-            for eps in signs:
-                if (eps * p11 - minus_one) % n:
-                    continue
-                x = eps * p12 % n
-                y = -eps * p21 % n
-                v_first = (c[m - 1] - y) % n
-                v_last = (c[0] - x) % n
-                candidates.append((v_first, v_last, x, y, eps))
-            candidates.sort(key=lambda t: (t[0], t[1]))
-            for v_first, v_last, x, y, eps in candidates:
-                tail = mat_mul(
-                    mat_mul(generator(v_last, n), suffix[m + 1], n),
-                    generator(v_first, n), n)
-                right_sign = pm_identity_sign(tail, n)
-                if right_sign is None:
-                    continue
-                right = (v_first,) + c[m:] + (v_last,)
-                if whitelist is not None and canonicalize(right) not in whitelist:
-                    continue
-                left = (x,) + c[1:m - 1] + (y,)
-                return Witness(left, right, eps, right_sign, idx)
+            a = c[m - 2]
+            p11, p12, p21, p22 = (a * p11 - p21) % n, (a * p12 - p22) % n, p11, p12
+            if p11 == minus_one:
+                eps = 1
+            elif p11 == 1:
+                eps = -1
+            else:
+                continue
+            x = eps * p12 % n
+            y = -eps * p21 % n
+            right = ((c[m - 1] - y) % n,) + c[m:] + ((c[0] - x) % n,)
+            if allowed is not None and right not in allowed:
+                continue
+            left = (x,) + c[1:m - 1] + (y,)
+            # sign(left) * sign(right) == -sign(seq); mod 2 every sign reads +1
+            return Witness(left, right, eps, -sign * eps if n > 2 else 1, idx)
     return None
 
 
@@ -299,32 +281,18 @@ def integer_mode_irreducible(seq) -> bool:
     return False
 
 
-def is_irreducible(seq, n: int, full_scan: bool = False) -> bool:
-    """Decide irreducibility of a solution.
+def is_irreducible(seq, n: int) -> bool:
+    """Decide irreducibility of a solution: size >= 3 and no splitting witness.
 
-    (0, 0) is not counted as irreducible; size-3 solutions always are.  By
-    default two containment criteria short-circuit the search (a solution of
-    size >= 4 containing +/-1 splits off a sign triple, one of size >= 5
-    containing 0 splits off a (x, 0, -x, 0) part); ``full_scan`` forces the
-    witness scan instead, which the tests check against the shortcuts.
+    (0, 0) is not counted as irreducible.  Raises ValueError on a non-solution.
     """
     check_modulus(n)
     if n == 0:
         return integer_mode_irreducible(seq)
     seq = normalize_seq(seq, n)
-    if solution_sign(seq, n) is None:
-        raise ValueError(f"{seq} is not a solution mod {n}")
-    size = len(seq)
-    if size < 3:
+    if len(seq) < 3:
+        as_solution(seq, n)  # raises on a non-solution
         return False
-    if size == 3:
-        return True
-    if not full_scan:
-        one, minus = residue(1, n), residue(-1, n)
-        if any(a == one or a == minus for a in seq):
-            return False
-        if size >= 5 and 0 in seq:
-            return False
     return find_decomposition(seq, n) is None
 
 

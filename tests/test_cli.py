@@ -74,6 +74,30 @@ def test_reduce_rejects_non_solution(capsys):
     assert code == 2
 
 
+def test_reduce_right_class_without_split(capsys):
+    code, out, _ = run(capsys, "reduce", "--modulus", "9", "3,3,3,3,3,3",
+                       "--right", "1,1,1")
+    assert code == 0
+    assert "no splitting has its right part in the given class" in out
+    code, out, _ = run(capsys, "reduce", "--modulus", "9", "3,3,3,3,3,3",
+                       "--right", "1,1,1", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"modulus": 9, "seq": [3] * 6, "irreducible": False}
+
+
+def test_reduce_right_class_must_be_a_solution(capsys):
+    code, out, err = run(capsys, "reduce", "--modulus", "9", "3,3,3,3,3,3",
+                         "--right", "1,2")
+    assert code == 2
+    assert out == "" and "--right" in err
+
+
+def test_reduce_irreducible_json(capsys):
+    code, out, _ = run(capsys, "reduce", "--modulus", "5", "2,2,2,2,2", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"modulus": 5, "seq": [2] * 5, "irreducible": True}
+
+
 def test_enumerate_json_round_trip(capsys):
     code, out, _ = run(capsys, "enumerate", "--modulus", "4", "--size", "4",
                        "--format", "json")
@@ -200,6 +224,12 @@ def test_evidence(capsys):
     payload = json.loads(out)
     assert payload["max_irreducible_size"] == 6
     assert "evidence" in payload["note"]
+
+
+def test_evidence_bound_below_three(capsys):
+    code, out, err = run(capsys, "evidence", "--modulus", "5", "--n-max", "2")
+    assert code == 2
+    assert out == "" and "n_max" in err
 
 
 def test_unknown_flag_rejected(capsys):

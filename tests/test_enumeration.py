@@ -184,3 +184,8 @@ def test_evidence_default_bound():
     rep = evidence_scan(4)
     assert rep.n_max == 7
     assert rep.max_irreducible_size == 4
+
+
+def test_evidence_rejects_bound_below_three():
+    with pytest.raises(ValueError, match="n_max"):
+        evidence_scan(5, 2)

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quiddity.dissections import _attachable_classes
 from quiddity.enumeration import enumerate_solutions
+from quiddity.modmat import IDENTITY, check_modulus, generator, mat_mul, pm_identity_sign, residue
 from quiddity.solutions import (
+    Witness,
     apply_dihedral,
     as_solution,
     canonicalize,
@@ -265,6 +268,105 @@ def test_decomposition_rejections():
         find_decomposition((1, 1, 1), 0)
 
 
+def test_decomposition_rejects_non_solution():
+    with pytest.raises(ValueError):
+        find_decomposition((1, 2, 1), 5)
+
+
+def _reference_decomposition(seq, n, right_whitelist=None):
+    # the earlier split scan, kept as an oracle: all 2n dihedral images, two
+    # sign candidates per split, the right part checked by matrix products
+    # and whitelisted parts compared after canonicalization
+    check_modulus(n)
+    if n == 0:
+        raise ValueError("decomposition search is modular-only; integer-mode "
+                         "irreducibles are a known finite family")
+    seq = normalize_seq(seq, n)
+    size = len(seq)
+    if size < 3:
+        raise ValueError("decomposition needs size >= 3")
+
+    whitelist = None
+    if right_whitelist is not None:
+        whitelist = {canonicalize(normalize_seq(w, n)) for w in right_whitelist}
+
+    minus_one = residue(-1, n)
+    signs = (1,) if minus_one == 1 else (1, -1)
+
+    seen = set()
+    for idx, c in enumerate(dihedral_images(seq)):
+        if c in seen:
+            continue
+        seen.add(c)
+        # suffix[j] = product of the factors for c_j, ..., c_n (1-based), so
+        # the right part's middle product for split m is suffix[m+1]
+        suffix = [IDENTITY] * (size + 2)
+        for j in range(size, 0, -1):
+            suffix[j] = mat_mul(suffix[j + 1], generator(c[j - 1], n), n)
+        mid = IDENTITY  # product for c_2, ..., c_{m-1}; empty at m = 2
+        for m in range(3, size):
+            mid = mat_mul(generator(c[m - 2], n), mid, n)
+            p11, p12, p21, _ = mid
+            candidates = []
+            for eps in signs:
+                if (eps * p11 - minus_one) % n:
+                    continue
+                x = eps * p12 % n
+                y = -eps * p21 % n
+                v_first = (c[m - 1] - y) % n
+                v_last = (c[0] - x) % n
+                candidates.append((v_first, v_last, x, y, eps))
+            candidates.sort(key=lambda t: (t[0], t[1]))
+            for v_first, v_last, x, y, eps in candidates:
+                tail = mat_mul(
+                    mat_mul(generator(v_last, n), suffix[m + 1], n),
+                    generator(v_first, n), n)
+                right_sign = pm_identity_sign(tail, n)
+                if right_sign is None:
+                    continue
+                right = (v_first,) + c[m:] + (v_last,)
+                if whitelist is not None and canonicalize(right) not in whitelist:
+                    continue
+                left = (x,) + c[1:m - 1] + (y,)
+                return Witness(left, right, eps, right_sign, idx)
+    return None
+
+
+def _fields(w):
+    if w is None:
+        return None
+    return (w.left, w.right, w.left_sign, w.right_sign, w.transform)
+
+
+def _agrees_with_reference(seq, n_mod, whitelist=None):
+    got = _fields(find_decomposition(seq, n_mod, whitelist))
+    assert got == _fields(_reference_decomposition(seq, n_mod, whitelist)), (n_mod, seq)
+
+
+def test_decomposition_matches_reference_on_classes():
+    for n_mod in range(2, 9):
+        for size in range(3, 9):
+            for rep in {canonicalize(s) for s in enumerate_solutions(n_mod, size)}:
+                _agrees_with_reference(rep, n_mod)
+
+
+def test_decomposition_matches_reference_on_tuples():
+    for n_mod in range(2, 6):
+        for size in range(3, 8):
+            for seq in enumerate_solutions(n_mod, size):
+                _agrees_with_reference(seq, n_mod)
+
+
+def test_decomposition_matches_reference_with_whitelists():
+    for n_mod in (2, 3, 4):
+        whitelist = _attachable_classes(n_mod)
+        for size in range(3, 8):
+            for seq in enumerate_solutions(n_mod, size):
+                _agrees_with_reference(seq, n_mod, whitelist)
+    _agrees_with_reference((3,) * 15, 10, [(8, 3, 3, 3, 8)])
+    _agrees_with_reference((3,) * 6, 9, [(1, 1, 1)])
+
+
 def test_is_irreducible_examples():
     assert is_irreducible((1, 1, 1), 7)
     assert not is_irreducible((0, 0), 7)
@@ -275,7 +377,7 @@ def test_is_irreducible_examples():
 
 def test_reducibility_criteria_exhaustive():
     # full sweep N <= 6, n <= 8: the containment criteria, the size-4
-    # equivalence, and agreement between the shortcut path and the scan
+    # equivalence, and agreement between is_irreducible and the scan
     for n_mod in range(2, 7):
         one, minus = 1 % n_mod, (n_mod - 1) % n_mod
         for size in range(3, 9):
@@ -283,7 +385,6 @@ def test_reducibility_criteria_exhaustive():
             for rep in sorted(classes):
                 witness = find_decomposition(rep, n_mod)
                 assert is_irreducible(rep, n_mod) == (witness is None)
-                assert is_irreducible(rep, n_mod, full_scan=True) == (witness is None)
                 if size >= 4 and any(a in (one, minus) for a in rep):
                     assert witness is not None, (n_mod, rep)
                 if size >= 5 and 0 in rep:
