@@ -2,7 +2,8 @@
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success or a
 passing verification, 1 a verification mismatch, 2 usage errors (including
-searches over the work budget without --allow-large).
+searches over the work budget without --allow-large), 3 an internal failure
+(a recursion-depth overflow or a builder's "this is a bug" error).
 """
 
 from __future__ import annotations
@@ -458,6 +459,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # RecursionError included; exit 1 would read as a verification mismatch
+        print(f"error: {args.command} failed internally: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -28,7 +28,9 @@ from .solutions import (
     Witness,
 )
 
-DEFAULT_WORK_LIMIT = 4_000_000  # prefix probes per size; ~seconds of CPU
+# Per size: prefix probes for the full search, counted before it starts;
+# search nodes for the irreducible-only DFS, counted as they are visited.
+DEFAULT_WORK_LIMIT = 4_000_000
 
 
 class WorkLimitExceeded(RuntimeError):
@@ -71,10 +73,10 @@ def _group_tables(n: int):
     return elements, step, tails
 
 
-def _check_work(count: int, work_limit: int, allow_large: bool):
+def _check_work(count: int, unit: str, work_limit: int, allow_large: bool):
     if count > work_limit and not allow_large:
         raise WorkLimitExceeded(
-            f"search needs {count} prefix probes, over the budget of {work_limit}; "
+            f"search needs at least {count} {unit}, over the budget of {work_limit}; "
             "pass the large-search override to run it anyway")
 
 
@@ -101,7 +103,7 @@ def enumerate_solutions(n_mod: int, size: int, alphabet=None,
         alphabet = tuple(sorted({a % n_mod for a in alphabet}))
         if not alphabet:
             return []
-    _check_work(len(alphabet) ** (size - 2), work_limit, allow_large)
+    _check_work(len(alphabet) ** (size - 2), "prefix probes", work_limit, allow_large)
 
     _, step, tails = _group_tables(n_mod)
     allowed = None
@@ -225,42 +227,93 @@ class ClassificationReport:
         return {rep for s in self.sizes for rep in s.irreducible}
 
 
-def _irreducible_alphabet(n_mod: int, size: int) -> tuple[int, ...]:
-    # Irreducible means no window of length 1..n-3 has continuant +/-1: the
-    # letters +/-1 are such windows of length 1 (banned from size 4), and a 0
-    # starts one of length 2, K(0, x) = -1 (banned from size 5).
-    one, minus = 1 % n_mod, (n_mod - 1) % n_mod
-    if size == 3:
-        return tuple(sorted({one, minus}))
-    banned = {one, minus} if size == 4 else {0, one, minus}
-    return tuple(a for a in range(n_mod) if a not in banned)
+def _irreducible_candidates(config: SearchConfig, size: int) -> list[Seq]:
+    """Sorted canonical classes of the leaves of the pruned irreducible-only DFS.
+
+    Every irreducible class has a rotation that starts at its least entry,
+    and no cyclic window of that rotation has continuant +/-1.  The DFS
+    builds exactly such rotations: every later letter, the two tail letters
+    solved from the group table included, is >= a_1, and a prefix is cut as
+    soon as a window of length 1..size-3 ending at its last letter has
+    continuant +/-1.  Windows that wrap around or hold a tail letter are not
+    seen here, so the classes cover every irreducible class and may include
+    reducible ones; the caller's ``find_decomposition`` check removes those.
+
+    ``work_limit`` counts the prefixes the DFS tries, pruned ones included.
+    Sharding splits the surviving prefixes of depth max(shard_depth, 1)
+    round-robin on their DFS rank.
+    """
+    if size < 3:
+        return []
+    n_mod = config.modulus
+    _, step, tails = _group_tables(n_mod)
+    depth_max = size - 2
+    longest = size - 3
+    split = min(max(config.shard_depth, 1), depth_max)
+    sharded = config.shard_count > 1
+    plus_minus_one = {1 % n_mod, n_mod - 1}
+    classes: set[Seq] = set()
+    path: list[int] = []
+    visited = rank = 0
+
+    def dfs(g: int, windows: list[tuple[int, int]]):
+        # windows: first column (p11, p21) of the product of each window of
+        # length 1..longest that ends at the last letter, shortest first
+        nonlocal visited, rank
+        depth = len(path)
+        if sharded and depth == split:
+            rank += 1
+            if (rank - 1) % config.shard_count != config.shard_index:
+                return
+        low = path[0] if path else 0
+        if depth == depth_max:
+            for u, v in tails[g]:
+                if u >= low and v >= low:
+                    classes.add(canonicalize(tuple(path) + (u, v)))
+            return
+        for a in range(low, n_mod):
+            visited += 1
+            if visited > config.work_limit:
+                _check_work(visited, "search nodes", config.work_limit, config.allow_large)
+            grown = [(a, 1)] + [((a * p11 - p21) % n_mod, p11) for p11, p21 in windows]
+            del grown[longest:]
+            if any(p11 in plus_minus_one for p11, _ in grown):
+                continue
+            path.append(a)
+            dfs(step[a][g], grown)
+            path.pop()
+
+    dfs(0, [])
+    return sorted(classes)
 
 
 def classify(config: SearchConfig) -> ClassificationReport:
     """Canonical solution classes per size, each tested for irreducibility.
 
-    With ``irreducible_only`` the per-size alphabet drops letters that force
-    reducibility, so reducible classes are neither listed nor counted.
+    With ``irreducible_only`` a DFS pruned on window continuants replaces the
+    full enumeration (see ``_irreducible_candidates``), so reducible classes
+    are neither listed, counted nor given witnesses, and ``work_limit``
+    counts search nodes.
     """
     t0 = time.perf_counter()
     n_mod = config.modulus
     size_reports = []
     for size in sorted(config.sizes):
-        alphabet = None
-        if config.irreducible_only and size >= 3:
-            alphabet = _irreducible_alphabet(n_mod, size)
-        tuples = enumerate_solutions(
-            n_mod, size, alphabet,
-            config.shard_depth, config.shard_index, config.shard_count,
-            config.work_limit, config.allow_large)
-        classes = sorted({canonicalize(s) for s in tuples})
+        if config.irreducible_only:
+            classes = _irreducible_candidates(config, size)
+        else:
+            tuples = enumerate_solutions(
+                n_mod, size, None,
+                config.shard_depth, config.shard_index, config.shard_count,
+                config.work_limit, config.allow_large)
+            classes = sorted({canonicalize(s) for s in tuples})
         irreducible = []
         witnesses = {}
         for rep in classes:
             w = find_decomposition(rep, n_mod) if size >= 3 else None
             if size >= 3 and w is None:
                 irreducible.append(rep)
-            elif w is not None and config.keep_witnesses:
+            elif w is not None and config.keep_witnesses and not config.irreducible_only:
                 witnesses[rep] = w
         cyclic = sum(1 if is_reversal_symmetric(rep) else 2 for rep in irreducible)
         if config.irreducible_only:

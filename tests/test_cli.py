@@ -1,8 +1,12 @@
 import json
+from functools import partial
 
 import pytest
 
+from quiddity import cli
 from quiddity.cli import main
+from quiddity.enumeration import SearchConfig
+from quiddity.solutions import oplus
 
 
 def run(capsys, *argv):
@@ -148,6 +152,17 @@ def test_classify_jobs(capsys):
     assert seq_out == par_out
 
 
+def test_classify_irreducible_only_work_guard(capsys, monkeypatch):
+    # the pruned DFS for N = 8, n = 11 tries 600 prefixes; a budget of 599
+    # stops it, as the 4M default stops a search too large to run in a test
+    monkeypatch.setattr(cli, "SearchConfig", partial(SearchConfig, work_limit=599))
+    code, out, err = run(capsys, "classify", "--modulus", "8", "--size", "11",
+                         "--irreducible-only")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "budget" in err
+
+
 def test_verify_pass(capsys):
     for n in ("2", "3", "4"):
         code, out, _ = run(capsys, "verify", "--modulus", n)
@@ -233,10 +248,46 @@ def test_evidence(capsys):
     assert "evidence" in payload["note"]
 
 
+def test_evidence_modulus_nine_within_budget(capsys):
+    # the counts match the unpruned search run with --allow-large
+    code, out, err = run(capsys, "evidence", "--modulus", "9", "--format", "json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["n_max"] == 12
+    assert payload["irreducible_classes_per_size"] == {
+        "3": 2, "4": 6, "5": 4, "6": 24, "7": 34, "8": 42, "9": 42,
+        "10": 27, "11": 24, "12": 24}
+    assert payload["max_irreducible_size"] == 12
+
+
 def test_evidence_bound_below_three(capsys):
     code, out, err = run(capsys, "evidence", "--modulus", "5", "--n-max", "2")
     assert code == 2
     assert out == "" and "n_max" in err
+
+
+def test_internal_failure_exit_code(capsys):
+    # a 1,200-gon overflows the recursive triangulation builder
+    seq = (1, 1, 1)
+    while len(seq) < 1200:
+        seq = oplus(seq, (1, 1, 1), 3)
+    code, out, err = run(capsys, "triangulate", "--modulus", "3", ",".join(map(str, seq)))
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: triangulate ") and "RecursionError" in err
+    assert "Traceback" not in err
+
+
+def test_builder_bug_exit_code(capsys, monkeypatch):
+    def broken(seq, n_mod):
+        raise RuntimeError("no attachable split; this is a bug")
+
+    monkeypatch.setattr(cli, "build_dissection", broken)
+    code, out, err = run(capsys, "dissect", "--modulus", "3", "1,1,1")
+    assert code == 3
+    assert out == ""
+    assert err == "error: dissect failed internally: RuntimeError: no attachable split; this is a bug\n"
 
 
 def test_unknown_flag_rejected(capsys):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +16,37 @@ from quiddity.enumeration import (
     reference_classes,
     verify_expected,
 )
-from quiddity.solutions import canonicalize, dihedral_images, negate, size2_solutions, size3_solutions, size4_solutions
+from quiddity.solutions import (
+    canonicalize,
+    dihedral_images,
+    find_decomposition,
+    negate,
+    size2_solutions,
+    size3_solutions,
+    size4_solutions,
+)
+
+
+def _irreducible_alphabet(n_mod: int, size: int) -> tuple[int, ...]:
+    # Irreducible means no window of length 1..n-3 has continuant +/-1: the
+    # letters +/-1 are such windows of length 1 (banned from size 4), and a 0
+    # starts one of length 2, K(0, x) = -1 (banned from size 5).
+    one, minus = 1 % n_mod, (n_mod - 1) % n_mod
+    if size == 3:
+        return tuple(sorted({one, minus}))
+    banned = {one, minus} if size == 4 else {0, one, minus}
+    return tuple(a for a in range(n_mod) if a not in banned)
+
+
+def _reference_irreducible(n_mod: int, size: int) -> list:
+    """The irreducible-only classify path before the pruned DFS, as an oracle.
+
+    Every solution over the banned-letter alphabet, canonicalized, then
+    each class tested with ``find_decomposition``.
+    """
+    tuples = enumerate_solutions(n_mod, size, _irreducible_alphabet(n_mod, size))
+    classes = sorted({canonicalize(s) for s in tuples})
+    return [rep for rep in classes if find_decomposition(rep, n_mod) is None]
 
 
 def test_tail_solving_matches_naive():
@@ -98,6 +129,43 @@ def test_sharded_classify_merges_to_full():
         assert merged.get(s.size, set()) == set(s.irreducible)
 
 
+@pytest.mark.parametrize("n_mod", range(2, 11))
+def test_pruned_irreducible_search_matches_reference(n_mod):
+    # every size the oracle reaches inside the default work budget
+    sizes = tuple(range(3, 11 if n_mod <= 8 else 10))
+    report = classify(SearchConfig(n_mod, sizes, irreducible_only=True))
+    for s in report.sizes:
+        assert s.irreducible == _reference_irreducible(n_mod, s.size), (n_mod, s.size)
+
+
+@pytest.mark.parametrize("n_mod, sizes", [(8, (9, 10, 11)), (9, (9, 10, 11, 12))])
+@pytest.mark.parametrize("shard_count", (2, 3))
+def test_sharded_irreducible_merges_to_serial(n_mod, sizes, shard_count):
+    # N = 8 has no irreducibles at these sizes; N = 9 has some at each
+    serial = classify(SearchConfig(n_mod, sizes, irreducible_only=True))
+    for depth in range(4):
+        shards = [classify(SearchConfig(n_mod, sizes, irreducible_only=True,
+                                        shard_depth=depth, shard_index=i,
+                                        shard_count=shard_count))
+                  for i in range(shard_count)]
+        merged = merge_class_sets(shards)
+        for s in serial.sizes:
+            assert sorted(merged.get(s.size, set())) == s.irreducible, (depth, s.size)
+        if serial.irreducible_classes():
+            assert all(sh.irreducible_classes() < serial.irreducible_classes()
+                       for sh in shards), depth
+
+
+def test_irreducible_work_counts_search_nodes():
+    # the pruned DFS for N = 8, n = 11 tries exactly 600 prefixes
+    nodes = 600
+    config = SearchConfig(8, (11,), irreducible_only=True, work_limit=nodes)
+    assert classify(config).sizes[0].irreducible == []
+    with pytest.raises(WorkLimitExceeded, match="search nodes"):
+        classify(replace(config, work_limit=nodes - 1))
+    assert classify(replace(config, work_limit=nodes - 1, allow_large=True)).sizes[0].irreducible == []
+
+
 def test_classification_deterministic():
     config = SearchConfig(modulus=5, sizes=(3, 4, 5, 6))
     a = classify(config).to_json(with_timing=False)
@@ -137,6 +205,10 @@ def test_classify_witness_retention():
     assert size5.reducible_count > 0
     assert len(size5.witnesses) == size5.reducible_count
     assert all(w is not None for w in size5.witnesses.values())
+    # irreducible-only mode lists no reducible class, so it keeps no witness
+    report = classify(SearchConfig(modulus=6, sizes=(5, 6), irreducible_only=True,
+                                   keep_witnesses=True))
+    assert all(not s.witnesses for s in report.sizes)
 
 
 def test_reference_data_loads():
