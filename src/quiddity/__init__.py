@@ -44,6 +44,7 @@ from .enumeration import (
     VerifyReport,
     WorkLimitExceeded,
     classify,
+    count_classes,
     enumerate_naive,
     enumerate_solutions,
     evidence_scan,

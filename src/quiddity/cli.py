@@ -14,6 +14,7 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 from . import enumeration, monomial
 from .dissections import (
@@ -30,7 +31,6 @@ from .solutions import (
     canonicalize,
     find_decomposition,
     is_irreducible,
-    is_reversal_symmetric,
     normalize_seq,
     oplus,
     solution_sign,
@@ -182,35 +182,22 @@ def cmd_enumerate(args) -> int:
 
 
 def _classify_report(args, n: int):
-    sizes = _parse_sizes(args)
     config = SearchConfig(
-        modulus=n, sizes=sizes,
+        modulus=n, sizes=_parse_sizes(args),
         irreducible_only=args.irreducible_only,
         shard_depth=args.shard_depth, shard_index=args.shard_index,
         shard_count=args.shard_count,
-        keep_witnesses=getattr(args, "witnesses", False),
+        keep_witnesses=args.witnesses,
         allow_large=args.allow_large)
-    jobs = getattr(args, "jobs", 1)
-    if jobs > 1 and config.shard_count == 1:
-        if not args.irreducible_only:
-            raise UsageError("--jobs merges irreducible class sets only; add "
-                             "--irreducible-only (or shard explicitly and merge "
-                             "full reports yourself)")
-        config = SearchConfig(
-            modulus=n, sizes=sizes, irreducible_only=args.irreducible_only,
-            shard_depth=max(args.shard_depth, 1), shard_index=0, shard_count=jobs,
-            keep_witnesses=getattr(args, "witnesses", False),
-            allow_large=args.allow_large)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(enumeration.run_shard, [config] * jobs, range(jobs)))
-        merged = enumeration.merge_class_sets(reports)
-        sizes_reports = []
-        for size in sorted(sizes):
-            irr = sorted(merged.get(size, set()))
-            cyclic = sum(1 if is_reversal_symmetric(rep) else 2 for rep in irr)
-            sizes_reports.append(enumeration.SizeReport(size, None, irr, None, cyclic))
-        return enumeration.ClassificationReport(n, sizes_reports,
-                                                sum(r.elapsed_s for r in reports))
+    if args.jobs > 1 and config.shard_count == 1:
+        if config.keep_witnesses and not config.irreducible_only:
+            raise UsageError("--jobs cannot merge --witnesses: witnesses need every "
+                             "class in one process; drop --jobs or --witnesses")
+        config = replace(config, shard_depth=max(args.shard_depth, 1), shard_count=args.jobs)
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            reports = list(pool.map(enumeration.run_shard, [config] * args.jobs,
+                                    range(args.jobs)))
+        return enumeration.merge_shards(config, reports)
     return enumeration.classify(config)
 
 

@@ -73,6 +73,51 @@ def _group_tables(n: int):
     return elements, step, tails
 
 
+@lru_cache(maxsize=None)
+def _dihedral_tables(n: int):
+    """Tables for ``count_classes``, indexed like ``_group_tables``' elements.
+
+    Returns (plus_minus, orders, mirror): the indices of +Id and -Id, the
+    order of each element modulo +/-Id (least k >= 1 with g^k = +/-Id), and
+    ``mirror[a][p]``, the index of generator(a) * elements[p] * generator(a)
+    for every element p fixed by tau (see ``count_classes``).
+    """
+    elements, step, _ = _group_tables(n)
+    index = {g: i for i, g in enumerate(elements)}
+    plus_minus = frozenset(index[(x, 0, 0, x)] for x in (1 % n, n - 1))
+    orders = []
+    for g in elements:
+        k, m = 1, g
+        while pm_identity_sign(m, n) is None:
+            k, m = k + 1, mat_mul(m, g, n)
+        orders.append(k)
+    # tau(G(a) p) = p G(a) when tau(p) = p, so G(a) p G(a) = G(a) tau(G(a) p)
+    tau = [index[(a, -c % n, -b % n, d)] for a, b, c, d in elements]
+    mirror = [[row[tau[row[p]]] for p in range(len(elements))] for row in step]
+    return plus_minus, tuple(orders), mirror
+
+
+def _advance(counts: list[int], rows) -> list[int]:
+    """One DP step: move every count at p to row[p], for each row."""
+    out = [0] * len(counts)
+    for row in rows:
+        for p, c in enumerate(counts):
+            if c:
+                out[row[p]] += c
+    return out
+
+
+def _totient(m: int) -> int:
+    out, p = m, 2
+    while p * p <= m:
+        if m % p == 0:
+            out -= out // p
+            while m % p == 0:
+                m //= p
+        p += 1
+    return out - out // m if m > 1 else out
+
+
 def _check_work(count: int, unit: str, work_limit: int, allow_large: bool):
     if count > work_limit and not allow_large:
         raise WorkLimitExceeded(
@@ -146,6 +191,70 @@ def enumerate_solutions(n_mod: int, size: int, alphabet=None,
             path.clear()
     out.sort()
     return out
+
+
+def count_classes(n_mod: int, size: int, work_limit: int = DEFAULT_WORK_LIMIT,
+                  allow_large: bool = False) -> int:
+    """Number of dihedral classes of size-``size`` solutions mod ``n_mod``.
+
+    Counts without listing, by the Cauchy-Frobenius lemma: the class count
+    is the number of solution words fixed by an element of the dihedral
+    group D_size, averaged over its 2 * size elements.  ``walk[g]`` counts
+    the words of the current length whose product is element g of
+    ``_group_tables``, grown one letter per step.
+
+    * Rotations: the rotations by k with gcd(k, size) = d, phi(size/d) of
+      them, fix exactly the words u^(size/d) with |u| = d, and
+      M(u^(size/d)) = M(u)^(size/d) is +/-Id iff the order of M(u) modulo
+      +/-Id divides size/d.
+    * Reflections: tau(X) = D X^T D with D = diag(1, -1) reverses products
+      and fixes every generator, so M(reverse u) = tau(M(u)).  A rotation of
+      a solution is a solution (its product is a conjugate), so each
+      reflection may be counted at the rotation of its fixed words that is a
+      palindrome: (w, c, reverse w) for the size reflections of odd size;
+      for even size, (e, w, c, reverse w) for size/2 of them and
+      (w, reverse w) for the other size/2.  Palindrome products are grown
+      from the middle, p -> G(a) p G(a), through ``_dihedral_tables``.
+
+    ``work_limit`` bounds the DP table steps, counted before it starts.
+    """
+    check_modulus(n_mod)
+    if n_mod < 2:
+        raise ValueError("counting needs a modulus >= 2")
+    if size < 2:
+        raise ValueError("solutions exist only for size >= 2")
+    elements, step, _ = _group_tables(n_mod)
+    # size walk steps, plus (size - 1) // 2 odd and, for even size, size // 2
+    # even palindrome steps
+    steps = size + (size - 1) // 2 + (size // 2 if size % 2 == 0 else 0)
+    _check_work(steps * len(elements) * n_mod, "table steps", work_limit, allow_large)
+    plus_minus, orders, mirror = _dihedral_tables(n_mod)
+
+    fixed = 0
+    walk = [1] + [0] * (len(elements) - 1)
+    for d in range(1, size + 1):
+        walk = _advance(walk, step)
+        if size % d == 0:
+            m = size // d
+            fixed += _totient(m) * sum(c for g, c in enumerate(walk) if c and m % orders[g] == 0)
+
+    odd = _advance([1] + [0] * (len(elements) - 1), step)  # length-1 palindromes
+    for _ in range((size - 1) // 2):
+        odd = _advance(odd, mirror)
+    if size % 2:
+        fixed += size * sum(odd[t] for t in plus_minus)
+    else:
+        even = [1] + [0] * (len(elements) - 1)
+        for _ in range(size // 2):
+            even = _advance(even, mirror)
+        # (e, palindrome p) solves iff G(e) p does: the two are conjugate
+        with_end = sum(c * sum(row[p] in plus_minus for row in step)
+                       for p, c in enumerate(odd) if c)
+        fixed += size // 2 * (sum(even[t] for t in plus_minus) + with_end)
+    count, rest = divmod(fixed, 2 * size)
+    if rest:
+        raise RuntimeError(f"Burnside sum {fixed} is not a multiple of {2 * size}; this is a bug")
+    return count
 
 
 def enumerate_naive(n_mod: int, size: int) -> list[Seq]:
@@ -287,41 +396,54 @@ def _irreducible_candidates(config: SearchConfig, size: int) -> list[Seq]:
     return sorted(classes)
 
 
+def _size_report(size: int, irreducible: list[Seq], total: int | None,
+                 witnesses: dict[Seq, Witness] | None = None) -> SizeReport:
+    cyclic = sum(1 if is_reversal_symmetric(rep) else 2 for rep in irreducible)
+    reducible = None if total is None else total - len(irreducible)
+    return SizeReport(size, total, irreducible, reducible, cyclic, witnesses or {})
+
+
 def classify(config: SearchConfig) -> ClassificationReport:
     """Canonical solution classes per size, each tested for irreducibility.
 
-    With ``irreducible_only`` a DFS pruned on window continuants replaces the
-    full enumeration (see ``_irreducible_candidates``), so reducible classes
-    are neither listed, counted nor given witnesses, and ``work_limit``
-    counts search nodes.
+    The irreducible classes come from a DFS pruned on window continuants
+    (see ``_irreducible_candidates``), and ``work_limit`` counts its search
+    nodes.  ``total_classes`` comes from the Burnside count
+    (``count_classes``, its table steps checked against the same budget);
+    it and ``reducible_count`` are None with ``irreducible_only`` and in a
+    single shard of a sharded search.  Only ``keep_witnesses`` (without
+    ``irreducible_only``) enumerates every solution, since it needs every
+    reducible class: there ``work_limit`` counts prefix probes, and a shard
+    counts the classes its own tuples reach.
     """
     t0 = time.perf_counter()
     n_mod = config.modulus
+    enumerate_all = config.keep_witnesses and not config.irreducible_only
     size_reports = []
     for size in sorted(config.sizes):
-        if config.irreducible_only:
-            classes = _irreducible_candidates(config, size)
-        else:
+        if enumerate_all:
             tuples = enumerate_solutions(
                 n_mod, size, None,
                 config.shard_depth, config.shard_index, config.shard_count,
                 config.work_limit, config.allow_large)
             classes = sorted({canonicalize(s) for s in tuples})
+        else:
+            classes = _irreducible_candidates(config, size)
         irreducible = []
         witnesses = {}
         for rep in classes:
             w = find_decomposition(rep, n_mod) if size >= 3 else None
             if size >= 3 and w is None:
                 irreducible.append(rep)
-            elif w is not None and config.keep_witnesses and not config.irreducible_only:
+            elif w is not None and enumerate_all:
                 witnesses[rep] = w
-        cyclic = sum(1 if is_reversal_symmetric(rep) else 2 for rep in irreducible)
-        if config.irreducible_only:
-            total = reducible = None
-        else:
+        if enumerate_all:
             total = len(classes)
-            reducible = total - len(irreducible)
-        size_reports.append(SizeReport(size, total, irreducible, reducible, cyclic, witnesses))
+        elif config.irreducible_only or config.shard_count > 1:
+            total = None
+        else:
+            total = count_classes(n_mod, size, config.work_limit, config.allow_large)
+        size_reports.append(_size_report(size, irreducible, total, witnesses))
     return ClassificationReport(n_mod, size_reports, time.perf_counter() - t0)
 
 
@@ -450,11 +572,30 @@ def merge_class_sets(reports) -> dict[int, set[Seq]]:
     return merged
 
 
+def merge_shards(config: SearchConfig, reports) -> ClassificationReport:
+    """One report from the shard reports of a sharded search without witnesses.
+
+    The irreducible classes are the union of the shards' (a class may turn
+    up in several shards); unless ``irreducible_only``, the class totals
+    come from ``count_classes``, which needs no shard.
+    """
+    if config.keep_witnesses and not config.irreducible_only:
+        raise ValueError("witness reports of separate shards cannot be merged")
+    merged = merge_class_sets(reports)
+    sizes = []
+    for size in sorted(config.sizes):
+        total = None if config.irreducible_only else count_classes(
+            config.modulus, size, config.work_limit, config.allow_large)
+        sizes.append(_size_report(size, sorted(merged.get(size, ())), total))
+    return ClassificationReport(config.modulus, sizes, sum(r.elapsed_s for r in reports))
+
+
 __all__ = [
     "DEFAULT_WORK_LIMIT",
     "WorkLimitExceeded",
     "enumerate_solutions",
     "enumerate_naive",
+    "count_classes",
     "SearchConfig",
     "SizeReport",
     "ClassificationReport",
@@ -468,4 +609,5 @@ __all__ = [
     "evidence_scan",
     "run_shard",
     "merge_class_sets",
+    "merge_shards",
 ]

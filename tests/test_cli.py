@@ -152,6 +152,51 @@ def test_classify_jobs(capsys):
     assert seq_out == par_out
 
 
+def test_classify_jobs_full_mode(capsys):
+    # the merged shards get their class totals from the Burnside count
+    argv = ("classify", "--modulus", "7", "--sizes", "3..9", "--format", "json")
+    _, seq_out, _ = run(capsys, *argv)
+    code, par_out, _ = run(capsys, *argv, "--jobs", "2")
+    assert code == 0
+    serial, merged = json.loads(seq_out), json.loads(par_out)
+    serial.pop("elapsed_s")
+    merged.pop("elapsed_s")
+    assert json.dumps(merged, sort_keys=True) == json.dumps(serial, sort_keys=True)
+
+
+def test_classify_jobs_rejects_witnesses(capsys):
+    code, out, err = run(capsys, "classify", "--modulus", "5", "--sizes", "3..6",
+                         "--witnesses", "--jobs", "2")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "--witnesses" in err
+
+
+def test_classify_beyond_enumeration_budget(capsys):
+    # enumerating would take 7^10 prefix probes, over the 4M budget
+    code, out, err = run(capsys, "classify", "--modulus", "7", "--size", "12",
+                         "--format", "json")
+    assert code == 0 and err == ""
+    (entry,) = json.loads(out)["sizes"]
+    assert entry["total_classes"] == entry["reducible_count"] + len(entry["irreducible"])
+
+
+def test_classify_long_size_modulus_two(capsys):
+    # the rotation sum runs over the divisors of 5000, not its 5000 rotations
+    code, out, err = run(capsys, "classify", "--modulus", "2", "--size", "5000")
+    assert code == 0 and err == ""
+    assert out.startswith("n=5000: ")
+
+
+def test_classify_count_work_guard(capsys, monkeypatch):
+    # the DFS tries 600 nodes and fits; the count needs 49,152 table steps
+    monkeypatch.setattr(cli, "SearchConfig", partial(SearchConfig, work_limit=600))
+    code, out, err = run(capsys, "classify", "--modulus", "8", "--size", "11")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "49152 table steps" in err
+
+
 def test_classify_irreducible_only_work_guard(capsys, monkeypatch):
     # the pruned DFS for N = 8, n = 11 tries 600 prefixes; a budget of 599
     # stops it, as the 4M default stops a search too large to run in a test

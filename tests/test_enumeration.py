@@ -8,11 +8,13 @@ from quiddity.enumeration import (
     SearchConfig,
     WorkLimitExceeded,
     classify,
+    count_classes,
     enumerate_naive,
     enumerate_solutions,
     evidence_scan,
     load_reference,
     merge_class_sets,
+    merge_shards,
     reference_classes,
     verify_expected,
 )
@@ -90,6 +92,10 @@ def test_input_validation():
         enumerate_solutions(5, 1)
     with pytest.raises(ValueError):
         enumerate_solutions(5, 4, shard_index=3, shard_count=2)
+    with pytest.raises(ValueError):
+        count_classes(0, 4)
+    with pytest.raises(ValueError):
+        count_classes(5, 1)
 
 
 def test_work_guard():
@@ -127,6 +133,14 @@ def test_sharded_classify_merges_to_full():
     merged = merge_class_sets(shards)
     for s in full.sizes:
         assert merged.get(s.size, set()) == set(s.irreducible)
+    # a shard cannot count classes alone; the merge counts them for all
+    assert all(s.total_classes is None and s.reducible_count is None
+               for shard in shards for s in shard.sizes)
+    config = SearchConfig(modulus=4, sizes=sizes, shard_depth=1, shard_count=3)
+    assert (merge_shards(config, shards).to_json(with_timing=False)
+            == full.to_json(with_timing=False))
+    with pytest.raises(ValueError, match="witness"):
+        merge_shards(replace(config, keep_witnesses=True), shards)
 
 
 @pytest.mark.parametrize("n_mod", range(2, 11))
@@ -164,6 +178,35 @@ def test_irreducible_work_counts_search_nodes():
     with pytest.raises(WorkLimitExceeded, match="search nodes"):
         classify(replace(config, work_limit=nodes - 1))
     assert classify(replace(config, work_limit=nodes - 1, allow_large=True)).sizes[0].irreducible == []
+
+
+@pytest.mark.parametrize("n_mod", range(2, 10))
+def test_count_classes_matches_enumeration(n_mod):
+    # size 2 and N = 2 (where -Id = Id) included
+    for size in range(2, 9 if n_mod < 8 else 8):
+        want = len({canonicalize(s) for s in enumerate_solutions(n_mod, size)})
+        assert count_classes(n_mod, size) == want, (n_mod, size)
+
+
+@pytest.mark.parametrize("n_mod", range(2, 9))
+def test_counting_report_matches_enumeration(n_mod):
+    # the counting path against the enumerating one that --witnesses takes
+    sizes = tuple(range(2, 9))
+    counted = classify(SearchConfig(n_mod, sizes)).to_dict(with_timing=False)
+    listed = classify(SearchConfig(n_mod, sizes, keep_witnesses=True)).to_dict(with_timing=False)
+    for entry in listed["sizes"]:
+        entry.pop("witnesses", None)
+    assert json.dumps(counted, sort_keys=True) == json.dumps(listed, sort_keys=True)
+
+
+def test_count_classes_work_counts_table_steps():
+    # |SL2(Z/5Z)| = 120 elements, 5 letters, 6 walk + 2 odd + 3 even
+    # palindrome steps for size 6
+    steps = (6 + 2 + 3) * 120 * 5
+    assert count_classes(5, 6, work_limit=steps) == 40
+    with pytest.raises(WorkLimitExceeded, match="table steps"):
+        count_classes(5, 6, work_limit=steps - 1)
+    assert count_classes(5, 6, work_limit=steps - 1, allow_large=True) == 40
 
 
 def test_classification_deterministic():
