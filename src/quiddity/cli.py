@@ -190,9 +190,6 @@ def _classify_report(args, n: int):
         keep_witnesses=args.witnesses,
         allow_large=args.allow_large)
     if args.jobs > 1 and config.shard_count == 1:
-        if config.keep_witnesses and not config.irreducible_only:
-            raise UsageError("--jobs cannot merge --witnesses: witnesses need every "
-                             "class in one process; drop --jobs or --witnesses")
         config = replace(config, shard_depth=max(args.shard_depth, 1), shard_count=args.jobs)
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             reports = list(pool.map(enumeration.run_shard, [config] * args.jobs,
@@ -329,10 +326,17 @@ def _add_common(p, formats=("text", "json")):
     p.add_argument("--format", choices=formats, default="text")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are usage errors, not a usage block and exit."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="quiddity",
-                                 description="solution calculus for the +/-identity "
-                                             "congruence on products of elementary matrices")
+    ap = _Parser(prog="quiddity",
+                 description="solution calculus for the +/-identity "
+                             "congruence on products of elementary matrices")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="test whether a sequence is a solution")
@@ -432,9 +436,18 @@ def _shield_negative_seqs(argv):
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_shield_negative_seqs(list(argv)))
+    try:
+        args = build_parser().parse_args(_shield_negative_seqs(list(argv)))
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if getattr(args, "allow_large", False):
         print("warning: work budget override active", file=sys.stderr)
+    # class counts can run past the interpreter's default 4,300 digits
+    set_digits = getattr(sys, "set_int_max_str_digits", None)  # Python >= 3.10.7
+    if set_digits:
+        digits = sys.get_int_max_str_digits()
+        set_digits(0)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -451,6 +464,9 @@ def main(argv=None) -> int:
         print(f"error: {args.command} failed internally: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 3
+    finally:
+        if set_digits:
+            set_digits(digits)
 
 
 if __name__ == "__main__":

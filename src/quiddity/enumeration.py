@@ -28,8 +28,10 @@ from .solutions import (
     Witness,
 )
 
-# Per size: prefix probes for the full search, counted before it starts;
-# search nodes for the irreducible-only DFS, counted as they are visited.
+# Per size: prefix probes for ``enumerate_solutions`` and search nodes for
+# the unpruned class DFS, both counted before the search starts; search
+# nodes for the pruned class DFS, counted as they are visited; table steps
+# for ``count_classes``, counted before the count starts.
 DEFAULT_WORK_LIMIT = 4_000_000
 
 
@@ -336,27 +338,31 @@ class ClassificationReport:
         return {rep for s in self.sizes for rep in s.irreducible}
 
 
-def _irreducible_candidates(config: SearchConfig, size: int) -> list[Seq]:
-    """Sorted canonical classes of the leaves of the pruned irreducible-only DFS.
+def _irreducible_candidates(config: SearchConfig, size: int, prune: bool = True) -> list[Seq]:
+    """Sorted canonical classes of the leaves of the a_1 = min class DFS.
 
-    Every irreducible class has a rotation that starts at its least entry,
-    and no cyclic window of that rotation has continuant +/-1.  The DFS
+    Every class has a rotation that starts at its least entry; the DFS
     builds exactly such rotations: every later letter, the two tail letters
-    solved from the group table included, is >= a_1, and a prefix is cut as
-    soon as a window of length 1..size-3 ending at its last letter has
-    continuant +/-1.  Windows that wrap around or hold a tail letter are not
-    seen here, so the classes cover every irreducible class and may include
-    reducible ones; the caller's ``find_decomposition`` check removes those.
+    solved from the group table included, is >= a_1.  Unpruned, its leaves
+    reach every class.  Pruned, a prefix is cut as soon as a window of
+    length 1..size-3 ending at its last letter has continuant +/-1, as no
+    window of an irreducible solution has.  Windows that wrap around or hold
+    a tail letter are not seen here, so the pruned classes cover every
+    irreducible class and may include reducible ones; the caller's
+    ``find_decomposition`` check removes those.
 
-    ``work_limit`` counts the prefixes the DFS tries, pruned ones included.
+    ``work_limit`` counts the prefixes the DFS tries, pruned ones included:
+    pruned, as they are visited; unpruned, by a closed form before it starts.
     Sharding splits the surviving prefixes of depth max(shard_depth, 1)
     round-robin on their DFS rank.
     """
-    if size < 3:
-        return []
     n_mod = config.modulus
-    _, step, tails = _group_tables(n_mod)
     depth_max = size - 2
+    if not prune:
+        # k^(d-1) prefixes of depth d start at a_1 = N - k: sum over d per k
+        nodes = depth_max + sum((k ** depth_max - 1) // (k - 1) for k in range(2, n_mod + 1))
+        _check_work(nodes, "search nodes", config.work_limit, config.allow_large)
+    _, step, tails = _group_tables(n_mod)
     longest = size - 3
     split = min(max(config.shard_depth, 1), depth_max)
     sharded = config.shard_count > 1
@@ -384,10 +390,12 @@ def _irreducible_candidates(config: SearchConfig, size: int) -> list[Seq]:
             visited += 1
             if visited > config.work_limit:
                 _check_work(visited, "search nodes", config.work_limit, config.allow_large)
-            grown = [(a, 1)] + [((a * p11 - p21) % n_mod, p11) for p11, p21 in windows]
-            del grown[longest:]
-            if any(p11 in plus_minus_one for p11, _ in grown):
-                continue
+            grown = windows
+            if prune:
+                grown = [(a, 1)] + [((a * p11 - p21) % n_mod, p11) for p11, p21 in windows]
+                del grown[longest:]
+                if any(p11 in plus_minus_one for p11, _ in grown):
+                    continue
             path.append(a)
             dfs(step[a][g], grown)
             path.pop()
@@ -406,41 +414,36 @@ def _size_report(size: int, irreducible: list[Seq], total: int | None,
 def classify(config: SearchConfig) -> ClassificationReport:
     """Canonical solution classes per size, each tested for irreducibility.
 
-    The irreducible classes come from a DFS pruned on window continuants
-    (see ``_irreducible_candidates``), and ``work_limit`` counts its search
-    nodes.  ``total_classes`` comes from the Burnside count
-    (``count_classes``, its table steps checked against the same budget);
-    it and ``reducible_count`` are None with ``irreducible_only`` and in a
-    single shard of a sharded search.  Only ``keep_witnesses`` (without
-    ``irreducible_only``) enumerates every solution, since it needs every
-    reducible class: there ``work_limit`` counts prefix probes, and a shard
-    counts the classes its own tuples reach.
+    Every mode takes its classes from the a_1 = min DFS
+    (``_irreducible_candidates``), and ``work_limit`` counts its search
+    nodes.  Only ``keep_witnesses`` (without ``irreducible_only``) needs
+    every class, so only there does the DFS run unpruned; each reducible
+    class then gets ``find_decomposition`` of its canonical representative
+    as its witness, and ``total_classes`` is the number of classes listed.
+    Otherwise the DFS is pruned on window continuants and ``total_classes``
+    comes from the Burnside count (``count_classes``, its table steps
+    checked against the same budget).  ``total_classes`` and
+    ``reducible_count`` are None with ``irreducible_only`` and in a single
+    shard of a sharded search.
     """
     t0 = time.perf_counter()
     n_mod = config.modulus
-    enumerate_all = config.keep_witnesses and not config.irreducible_only
+    all_classes = config.keep_witnesses and not config.irreducible_only
     size_reports = []
     for size in sorted(config.sizes):
-        if enumerate_all:
-            tuples = enumerate_solutions(
-                n_mod, size, None,
-                config.shard_depth, config.shard_index, config.shard_count,
-                config.work_limit, config.allow_large)
-            classes = sorted({canonicalize(s) for s in tuples})
-        else:
-            classes = _irreducible_candidates(config, size)
+        classes = _irreducible_candidates(config, size, prune=not all_classes)
         irreducible = []
         witnesses = {}
         for rep in classes:
             w = find_decomposition(rep, n_mod) if size >= 3 else None
             if size >= 3 and w is None:
                 irreducible.append(rep)
-            elif w is not None and enumerate_all:
+            elif w is not None and all_classes:
                 witnesses[rep] = w
-        if enumerate_all:
-            total = len(classes)
-        elif config.irreducible_only or config.shard_count > 1:
+        if config.irreducible_only or config.shard_count > 1:
             total = None
+        elif all_classes:
+            total = len(classes)
         else:
             total = count_classes(n_mod, size, config.work_limit, config.allow_large)
         size_reports.append(_size_report(size, irreducible, total, witnesses))
@@ -573,20 +576,23 @@ def merge_class_sets(reports) -> dict[int, set[Seq]]:
 
 
 def merge_shards(config: SearchConfig, reports) -> ClassificationReport:
-    """One report from the shard reports of a sharded search without witnesses.
+    """One report from the shard reports of a sharded search.
 
-    The irreducible classes are the union of the shards' (a class may turn
-    up in several shards); unless ``irreducible_only``, the class totals
-    come from ``count_classes``, which needs no shard.
+    The irreducible classes and the witnesses are the union of the shards'
+    (a class may turn up in several shards, always with the same witness,
+    since a witness depends only on the class); unless ``irreducible_only``,
+    the class totals come from ``count_classes``, which needs no shard.
     """
-    if config.keep_witnesses and not config.irreducible_only:
-        raise ValueError("witness reports of separate shards cannot be merged")
     merged = merge_class_sets(reports)
+    witnesses: dict[int, dict[Seq, Witness]] = {}
+    for rep in reports:
+        for s in rep.sizes:
+            witnesses.setdefault(s.size, {}).update(s.witnesses)
     sizes = []
     for size in sorted(config.sizes):
         total = None if config.irreducible_only else count_classes(
             config.modulus, size, config.work_limit, config.allow_large)
-        sizes.append(_size_report(size, sorted(merged.get(size, ())), total))
+        sizes.append(_size_report(size, sorted(merged.get(size, ())), total, witnesses.get(size)))
     return ClassificationReport(config.modulus, sizes, sum(r.elapsed_s for r in reports))
 
 

@@ -71,11 +71,16 @@ def generator_product(seq, n: int) -> Mat:
     check_modulus(n)
     if not seq:
         raise ValueError("empty sequence")
-    m = IDENTITY
-    for a in seq:
-        # extending the word multiplies the new factor on the left
-        m = mat_mul(generator(a, n), m, n)
-    return m
+    p11, p12, p21, p22 = IDENTITY
+    # extending the word multiplies the new factor on the left:
+    # [[a, -1], [1, 0]] [[p11, p12], [p21, p22]] = [[a p11 - p21, a p12 - p22], [p11, p12]]
+    if n:
+        for a in seq:
+            p11, p12, p21, p22 = (a * p11 - p21) % n, (a * p12 - p22) % n, p11, p12
+    else:
+        for a in seq:
+            p11, p12, p21, p22 = a * p11 - p21, a * p12 - p22, p11, p12
+    return (p11, p12, p21, p22)
 
 
 def continuant(seq, n: int) -> int:

@@ -1,11 +1,12 @@
 import json
+import sys
 from functools import partial
 
 import pytest
 
 from quiddity import cli
 from quiddity.cli import main
-from quiddity.enumeration import SearchConfig
+from quiddity.enumeration import SearchConfig, count_classes
 from quiddity.solutions import oplus
 
 
@@ -164,12 +165,25 @@ def test_classify_jobs_full_mode(capsys):
     assert json.dumps(merged, sort_keys=True) == json.dumps(serial, sort_keys=True)
 
 
-def test_classify_jobs_rejects_witnesses(capsys):
-    code, out, err = run(capsys, "classify", "--modulus", "5", "--sizes", "3..6",
-                         "--witnesses", "--jobs", "2")
+def test_classify_jobs_witnesses(capsys):
+    # a witness depends only on its class, so the shards' witnesses merge by union
+    argv = ("classify", "--modulus", "6", "--sizes", "3..9", "--witnesses", "--format", "json")
+    _, seq_out, _ = run(capsys, *argv)
+    code, par_out, err = run(capsys, *argv, "--jobs", "2")
+    assert code == 0 and err == ""
+    serial, merged = json.loads(seq_out), json.loads(par_out)
+    serial.pop("elapsed_s")
+    merged.pop("elapsed_s")
+    assert json.dumps(merged, sort_keys=True) == json.dumps(serial, sort_keys=True)
+
+
+def test_classify_witness_work_guard(capsys):
+    # the unpruned DFS for N = 7, n = 11 needs 9,327,163 nodes, counted up front
+    code, out, err = run(capsys, "classify", "--modulus", "7", "--size", "11", "--witnesses")
     assert code == 2
     assert out == ""
-    assert len(err.splitlines()) == 1 and "--witnesses" in err
+    assert err == ("error: search needs at least 9327163 search nodes, over the budget "
+                   "of 4000000; pass the large-search override to run it anyway\n")
 
 
 def test_classify_beyond_enumeration_budget(capsys):
@@ -186,6 +200,27 @@ def test_classify_long_size_modulus_two(capsys):
     code, out, err = run(capsys, "classify", "--modulus", "2", "--size", "5000")
     assert code == 0 and err == ""
     assert out.startswith("n=5000: ")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no int-to-string digit limit")
+def test_classify_count_beyond_digit_limit(capsys):
+    # the count has 4,511 digits, past the interpreter's default of 4,300
+    original = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        argv = ("classify", "--modulus", "2", "--size", "15000")
+        json_code, json_out, json_err = run(capsys, *argv, "--format", "json")
+        text_code, text_out, text_err = run(capsys, *argv)
+        assert sys.get_int_max_str_digits() == 4300  # restored after each run
+        assert (json_code, json_err, text_code, text_err) == (0, "", 0, "")
+        want = count_classes(2, 15000)
+        sys.set_int_max_str_digits(0)  # to read and print the count here
+        (entry,) = json.loads(json_out)["sizes"]
+        assert entry["total_classes"] == want
+        assert text_out.startswith(f"n=15000: {want} classes, ")
+    finally:
+        sys.set_int_max_str_digits(original)
 
 
 def test_classify_count_work_guard(capsys, monkeypatch):
@@ -336,6 +371,28 @@ def test_builder_bug_exit_code(capsys, monkeypatch):
 
 
 def test_unknown_flag_rejected(capsys):
+    code, out, err = run(capsys, "check", "--modulus", "5", "--bogus", "1,1,1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: quiddity: unrecognized arguments: --bogus\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("enumerate", "--modulus", "5"), "required: --size"),
+    (("classify", "--modulus", "5", "--size", "three"), "invalid int value: 'three'"),
+    (("verify", "--modulus", "5", "--format", "xml"), "invalid choice: 'xml'"),
+    (("bogus",), "invalid choice: 'bogus'"),
+])
+def test_argument_errors_are_one_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: quiddity")
+    assert message in err
+
+
+def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["check", "--modulus", "5", "--bogus", "1,1,1"])
-    assert exc.value.code == 2
+        main(["classify", "--help"])
+    assert exc.value.code == 0
+    assert "--witnesses" in capsys.readouterr().out

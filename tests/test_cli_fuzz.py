@@ -2,9 +2,11 @@
 
 Every subcommand, moduli 0..9, sequences of length <= 8 and sizes <= 7:
 small enough that the slowest draw (a full classify with witnesses at
-N = 9) takes under a second.  Whatever the input, the CLI must exit 0, 1
-or 2 without a traceback, keep a failure to one ``error:`` line, and print
-parseable JSON when asked for it.
+N = 9) takes under a second.  A second test breaks drawn argv: it drops a
+token (a required option or a value goes missing), inserts an unknown
+flag, or replaces a token with a non-integer.  Whatever the input, the CLI
+must exit 0, 1 or 2 without a traceback, keep a failure to one ``error:``
+line, and print parseable JSON when asked for it.
 """
 
 import contextlib
@@ -78,9 +80,24 @@ argvs = st.one_of(
 )
 
 
-@settings(max_examples=100, deadline=None)
-@given(argv=argvs)
-def test_cli_exits_cleanly(argv):
+@st.composite
+def broken_argvs(draw):
+    argv = draw(argvs)
+    i = draw(st.integers(0, len(argv) - 1))
+    how = draw(st.sampled_from(("drop", "unknown flag", "not an integer")))
+    if how == "drop":
+        del argv[i]
+    elif how == "unknown flag":
+        argv.insert(i, draw(st.sampled_from(("--bogus", "-x", "--size-max"))))
+    else:
+        argv[i] = draw(st.sampled_from(("x", "1.5", "3..", "", "0x10")))
+    return argv
+
+
+WARNING = "warning: work budget override active"
+
+
+def _run_and_check(argv, well_formed):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -88,12 +105,25 @@ def test_cli_exits_cleanly(argv):
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in out + err, argv
     lines = err.splitlines()
-    if "--allow-large" in argv:
-        assert lines[:1] == ["warning: work budget override active"], argv
+    if well_formed and "--allow-large" in argv:
+        assert lines[:1] == [WARNING], argv
+    if lines[:1] == [WARNING]:
         lines = lines[1:]
     if code:
         assert len(lines) <= 1 and all(line.startswith("error: ") for line in lines), (argv, err)
     else:
         assert lines == [], (argv, err)
-        if argv[argv.index("--format") + 1] == "json":
+        if "--format" in argv[:-1] and argv[argv.index("--format") + 1] == "json":
             json.loads(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=argvs)
+def test_cli_exits_cleanly(argv):
+    _run_and_check(argv, well_formed=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=broken_argvs())
+def test_cli_rejects_malformed_argv(argv):
+    _run_and_check(argv, well_formed=False)

@@ -139,8 +139,16 @@ def test_sharded_classify_merges_to_full():
     config = SearchConfig(modulus=4, sizes=sizes, shard_depth=1, shard_count=3)
     assert (merge_shards(config, shards).to_json(with_timing=False)
             == full.to_json(with_timing=False))
-    with pytest.raises(ValueError, match="witness"):
-        merge_shards(replace(config, keep_witnesses=True), shards)
+    # a witness depends only on its class, so witness shards merge by union
+    config = SearchConfig(modulus=5, sizes=(2, 3, 4, 5, 6, 7), keep_witnesses=True)
+    serial = classify(config).to_json(with_timing=False)
+    for shard_count in (2, 3):
+        for depth in range(4):
+            sharded = replace(config, shard_depth=depth, shard_count=shard_count)
+            shards = [classify(replace(sharded, shard_index=i)) for i in range(shard_count)]
+            assert all(s.total_classes is None for shard in shards for s in shard.sizes)
+            assert merge_shards(sharded, shards).to_json(with_timing=False) == serial, (
+                shard_count, depth)
 
 
 @pytest.mark.parametrize("n_mod", range(2, 11))
@@ -170,6 +178,24 @@ def test_sharded_irreducible_merges_to_serial(n_mod, sizes, shard_count):
                        for sh in shards), depth
 
 
+def test_witness_work_counts_search_nodes(monkeypatch):
+    # the unpruned DFS for N = 5, n = 7 tries sum over k = 1..5 of
+    # 1 + k + k^2 + k^3 + k^4 = 5 + 31 + 121 + 341 + 781 prefixes
+    nodes = 1279
+    config = SearchConfig(5, (7,), keep_witnesses=True, work_limit=nodes)
+    want = classify(config).to_json(with_timing=False)
+    with pytest.raises(WorkLimitExceeded, match=f"{nodes} search nodes"):
+        classify(replace(config, work_limit=nodes - 1))
+    assert classify(replace(config, work_limit=nodes - 1, allow_large=True)).to_json(
+        with_timing=False) == want
+    # the count checked up front is the number of nodes the DFS visits: with
+    # no budget, every visit past the first check reports its running count
+    checks = []
+    monkeypatch.setattr(enumeration, "_check_work", lambda count, *rest: checks.append(count))
+    classify(replace(config, work_limit=0))
+    assert checks == [nodes] + list(range(1, nodes + 1))
+
+
 def test_irreducible_work_counts_search_nodes():
     # the pruned DFS for N = 8, n = 11 tries exactly 600 prefixes
     nodes = 600
@@ -188,15 +214,46 @@ def test_count_classes_matches_enumeration(n_mod):
         assert count_classes(n_mod, size) == want, (n_mod, size)
 
 
+def _reference_report(n_mod: int, sizes) -> dict:
+    """The --witnesses report built from every solution tuple, as an oracle.
+
+    Each size's tuples from ``enumerate_solutions``, canonicalized, each
+    class tested with ``find_decomposition``: no DFS, no Burnside count.
+    """
+    out = []
+    for size in sizes:
+        classes = sorted({canonicalize(s) for s in enumerate_solutions(n_mod, size)})
+        witnesses = {rep: find_decomposition(rep, n_mod) for rep in classes} if size >= 3 else {}
+        irreducible = [rep for rep, w in witnesses.items() if w is None]
+        entry = {
+            "n": size,
+            "total_classes": len(classes),
+            "irreducible": [list(rep) for rep in irreducible],
+            "reducible_count": len(classes) - len(irreducible),
+            # the first len(rep) dihedral images are the rotations
+            "cyclic_irreducible_count": sum(1 if rep[::-1] in dihedral_images(rep)[:size] else 2
+                                            for rep in irreducible),
+        }
+        if any(w is not None for w in witnesses.values()):
+            entry["witnesses"] = {
+                ",".join(map(str, rep)): {"left": list(w.left), "right": list(w.right),
+                                          "transform": w.transform}
+                for rep, w in witnesses.items() if w is not None}
+        out.append(entry)
+    return {"modulus": n_mod, "sizes": out}
+
+
 @pytest.mark.parametrize("n_mod", range(2, 9))
 def test_counting_report_matches_enumeration(n_mod):
-    # the counting path against the enumerating one that --witnesses takes
+    # both DFS modes against a report built from every solution tuple
     sizes = tuple(range(2, 9))
-    counted = classify(SearchConfig(n_mod, sizes)).to_dict(with_timing=False)
+    want = _reference_report(n_mod, sizes)
     listed = classify(SearchConfig(n_mod, sizes, keep_witnesses=True)).to_dict(with_timing=False)
-    for entry in listed["sizes"]:
+    assert json.dumps(listed, sort_keys=True) == json.dumps(want, sort_keys=True)
+    counted = classify(SearchConfig(n_mod, sizes)).to_dict(with_timing=False)
+    for entry in want["sizes"]:
         entry.pop("witnesses", None)
-    assert json.dumps(counted, sort_keys=True) == json.dumps(listed, sort_keys=True)
+    assert json.dumps(counted, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 def test_count_classes_work_counts_table_steps():

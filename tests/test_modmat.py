@@ -81,6 +81,19 @@ def test_product_all_twos_integer_mode():
 def test_product_empty_rejected():
     with pytest.raises(ValueError):
         generator_product((), 5)
+    with pytest.raises(ValueError):
+        generator_product((1, 1, 1), 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.sampled_from([0] + list(range(2, 13))),
+       seq=st.lists(st.integers(-30, 30), min_size=1, max_size=12))
+def test_product_matches_matrix_fold(n, seq):
+    # the row recurrence against the plain fold of generator matrices
+    m = IDENTITY
+    for a in seq:
+        m = mat_mul(generator(a, n), m, n)
+    assert generator_product(seq, n) == m
 
 
 def test_continuant_conventions():
