@@ -9,6 +9,7 @@ searches over the work budget without --allow-large), 3 an internal failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -65,10 +66,7 @@ def _parse_sizes(args) -> tuple[int, ...]:
     if args.size is not None:
         return (args.size,)
     if args.sizes is not None:
-        if ".." in args.sizes:
-            lo, hi = args.sizes.split("..")
-            return tuple(range(int(lo), int(hi) + 1))
-        return tuple(int(s) for s in args.sizes.split(","))
+        return args.sizes
     raise UsageError("give --size or --sizes")
 
 
@@ -191,7 +189,9 @@ def _classify_report(args, n: int):
         allow_large=args.allow_large)
     if args.jobs > 1 and config.shard_count == 1:
         config = replace(config, shard_depth=max(args.shard_depth, 1), shard_count=args.jobs)
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the shard count, not the pool size, fixes the merged report; a fork
+        # pool starts all its workers at once, so never more than the CPUs
+        with ProcessPoolExecutor(max_workers=min(args.jobs, os.cpu_count() or 1)) as pool:
             reports = list(pool.map(enumeration.run_shard, [config] * args.jobs,
                                     range(args.jobs)))
         return enumeration.merge_shards(config, reports)
@@ -326,6 +326,35 @@ def _add_common(p, formats=("text", "json")):
     p.add_argument("--format", choices=formats, default="text")
 
 
+def _sizes_arg(text: str) -> tuple[int, ...]:
+    """``--sizes`` value: a range ``LO..HI`` or a list ``3,4,5``."""
+    try:
+        if ".." in text:
+            lo, hi = text.split("..")
+            sizes = tuple(range(int(lo), int(hi) + 1))
+        else:
+            sizes = tuple(int(s) for s in text.split(","))
+    except ValueError:
+        sizes = ()
+    if not sizes:
+        raise argparse.ArgumentTypeError(
+            f"expected LO..HI with LO <= HI or a comma-separated list, got {text!r}")
+    return sizes
+
+
+def _int_at_least(low: int):
+    """An argparse type for integers >= ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors are usage errors, not a usage block and exit."""
 
@@ -333,7 +362,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared after that.
+
+    ``parse_args`` returns a fresh namespace on each call, so the shared
+    parser carries no state between calls; callers must not modify it.
+    """
     ap = _Parser(prog="quiddity",
                  description="solution calculus for the +/-identity "
                              "congruence on products of elementary matrices")
@@ -366,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, formats=("text", "json", "csv"))
     p.add_argument("--size", "-n", type=int, required=True)
     p.add_argument("--alphabet", default=None, help="restrict entries, e.g. 2,3")
-    p.add_argument("--shard-depth", type=int, default=0)
+    p.add_argument("--shard-depth", type=_int_at_least(0), default=0)
     p.add_argument("--shard-index", type=int, default=0)
     p.add_argument("--shard-count", type=int, default=1)
     p.add_argument("--allow-large", action="store_true",
@@ -376,21 +411,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="canonical classes per size, with irreducibility")
     _add_common(p, formats=("text", "json", "csv"))
     p.add_argument("--size", type=int, default=None)
-    p.add_argument("--sizes", default=None, help="e.g. 3..8 or 3,4,5")
+    p.add_argument("--sizes", type=_sizes_arg, default=None, help="e.g. 3..8 or 3,4,5")
     p.add_argument("--irreducible-only", action="store_true")
     p.add_argument("--witnesses", action="store_true",
                    help="record a splitting witness for each reducible class")
-    p.add_argument("--shard-depth", type=int, default=0)
+    p.add_argument("--shard-depth", type=_int_at_least(0), default=0)
     p.add_argument("--shard-index", type=int, default=0)
     p.add_argument("--shard-count", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=1, help="fan shards out over processes")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1,
+                   help="fan shards out over processes")
     p.add_argument("--allow-large", action="store_true")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="compare classification against the packaged lists")
     _add_common(p)
     p.add_argument("--size", type=int, default=None)
-    p.add_argument("--sizes", default=None)
+    p.add_argument("--sizes", type=_sizes_arg, default=None)
     p.add_argument("--allow-large", action="store_true")
     p.set_defaults(func=cmd_verify)
 

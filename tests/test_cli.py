@@ -177,6 +177,33 @@ def test_classify_jobs_witnesses(capsys):
     assert json.dumps(merged, sort_keys=True) == json.dumps(serial, sort_keys=True)
 
 
+def test_classify_jobs_pool_capped_at_cpus(capsys, monkeypatch):
+    # 64 shards still make the report, but the pool never outnumbers the CPUs
+    pool_sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    argv = ("classify", "--modulus", "5", "--sizes", "3..6", "--format", "csv")
+    _, serial_out, _ = run(capsys, *argv)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    code, par_out, err = run(capsys, *argv, "--jobs", "64")
+    assert (code, err) == (0, "")
+    assert par_out == serial_out
+    assert pool_sizes == [4]
+
+
 def test_classify_witness_work_guard(capsys):
     # the unpruned DFS for N = 7, n = 11 needs 9,327,163 nodes, counted up front
     code, out, err = run(capsys, "classify", "--modulus", "7", "--size", "11", "--witnesses")
@@ -377,11 +404,26 @@ def test_unknown_flag_rejected(capsys):
     assert err == "error: quiddity: unrecognized arguments: --bogus\n"
 
 
+SIZES_ERROR = ("argument --sizes: expected LO..HI with LO <= HI "
+               "or a comma-separated list, got '{}'")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("enumerate", "--modulus", "5"), "required: --size"),
     (("classify", "--modulus", "5", "--size", "three"), "invalid int value: 'three'"),
     (("verify", "--modulus", "5", "--format", "xml"), "invalid choice: 'xml'"),
     (("bogus",), "invalid choice: 'bogus'"),
+    (("classify", "--modulus", "5", "--size", "4", "--jobs", "0"),
+     "argument --jobs: must be >= 1, got 0"),
+    (("classify", "--modulus", "5", "--size", "4", "--jobs", "-3"),
+     "argument --jobs: must be >= 1, got -3"),
+    (("classify", "--modulus", "5", "--size", "4", "--shard-depth", "-1"),
+     "argument --shard-depth: must be >= 0, got -1"),
+    (("enumerate", "--modulus", "5", "--size", "4", "--shard-depth", "-1"),
+     "argument --shard-depth: must be >= 0, got -1"),
+    (("classify", "--modulus", "5", "--sizes", "3..x"), SIZES_ERROR.format("3..x")),
+    (("classify", "--modulus", "5", "--sizes", "9..3"), SIZES_ERROR.format("9..3")),
+    (("verify", "--modulus", "5", "--sizes", "3.."), SIZES_ERROR.format("3..")),
 ])
 def test_argument_errors_are_one_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -391,8 +433,66 @@ def test_argument_errors_are_one_line(capsys, argv, message):
     assert message in err
 
 
+def test_sizes_range_and_list_agree(capsys):
+    reports = []
+    for sizes in ("3..6", "3,4,5,6"):
+        code, out, _ = run(capsys, "classify", "--modulus", "5", "--sizes", sizes,
+                           "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        payload.pop("elapsed_s")
+        reports.append(payload)
+    assert reports[0] == reports[1]
+    assert [entry["n"] for entry in reports[0]["sizes"]] == [3, 4, 5, 6]
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--help"])
     assert exc.value.code == 0
     assert "--witnesses" in capsys.readouterr().out
+
+
+def test_parser_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def _timing_free(out):
+    # classification reports carry their run time; all else must match byte for byte
+    if out.startswith("{"):
+        payload = json.loads(out, object_hook=lambda d: {k: v for k, v in d.items()
+                                                         if k != "elapsed_s"})
+        return json.dumps(payload, sort_keys=True)
+    return out
+
+
+def _call(capsys, argv):
+    """(exit code, timing-free stdout, stderr) of one call, --help included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, _timing_free(captured.out), captured.err
+
+
+CLASSIFY_5 = ("classify", "-N", "5", "--sizes", "3..6", "--format", "json")
+
+
+@pytest.mark.parametrize("first, second", [
+    (CLASSIFY_5 + ("--witnesses",), CLASSIFY_5),
+    (("enumerate", "-N", "5"), ("enumerate", "-N", "5", "--size", "4")),
+    (("verify", "--help"), ("verify", "-N", "5", "--format", "json")),
+])
+def test_parser_reuse_matches_fresh_calls(capsys, first, second):
+    # each call through the shared parser prints what it prints on a fresh parser
+    expected = []
+    for argv in (first, second):
+        cli.build_parser.cache_clear()
+        expected.append(_call(capsys, argv))
+    cli.build_parser.cache_clear()
+    got = [_call(capsys, first), _call(capsys, second)]
+    assert got == expected
+    if first[0] == "classify":
+        assert any("witnesses" in entry for entry in json.loads(got[0][1])["sizes"])
+        assert all("witnesses" not in entry for entry in json.loads(got[1][1])["sizes"])
