@@ -4,9 +4,10 @@ Every subcommand, moduli 0..9, sequences of length <= 8 and sizes <= 7:
 small enough that the slowest draw (a full classify with witnesses at
 N = 9) takes under a second.  A second test breaks drawn argv: it drops a
 token (a required option or a value goes missing), inserts an unknown
-flag, or replaces a token with a non-integer.  Whatever the input, the CLI
-must exit 0, 1 or 2 without a traceback, keep a failure to one ``error:``
-line, and print parseable JSON when asked for it.
+flag, or replaces a token with a bad value (a non-integer, -1 or an empty
+range).  Whatever the input, the CLI must exit 0, 1 or 2 without a
+traceback, keep a failure to one ``error:`` line, and print parseable JSON
+when asked for it.
 """
 
 import contextlib
@@ -19,6 +20,8 @@ from quiddity.cli import main
 
 moduli = st.integers(0, 9).map(str)
 small = st.integers(-1, 3).map(str)
+# a negative --shard-depth is a usage error; broken_argvs draws it instead
+depths = st.integers(0, 3).map(str)
 # solutions for some moduli, so that the solution-only paths run too
 SOLUTIONS = ("0,0", "1,1,1", "-1,-1,-1", "0,0,0,0", "1,2,1,2", "1,1,1,0,0",
              "2,2,2,2", "2,2,2,2,2", "3,3,3,3,3,3", "1,2,1,2,1,2,1,2")
@@ -26,7 +29,9 @@ seqs = st.one_of(
     st.lists(st.integers(-3, 12), max_size=8).map(lambda xs: ",".join(map(str, xs))),
     st.sampled_from(SOLUTIONS))
 sizes = st.integers(0, 7).map(str)
-size_ranges = st.tuples(st.integers(0, 7), st.integers(0, 7)).map(lambda r: f"{r[0]}..{r[1]}")
+# an empty range (LO > HI) is a usage error; broken_argvs draws it instead
+size_ranges = st.tuples(st.integers(0, 7), st.integers(0, 7)).map(
+    lambda r: f"{min(r)}..{max(r)}")
 
 
 def _argv(command, formats, *parts):
@@ -62,12 +67,12 @@ argvs = st.one_of(
     _argv("canon", PLAIN, seqs),
     _argv("reduce", PLAIN, seqs, ("--right", seqs)),
     _argv("enumerate", LISTS, st.tuples(st.just("--size"), sizes), ("--alphabet", seqs),
-          ("--shard-depth", small), ("--shard-index", small), ("--shard-count", small),
+          ("--shard-depth", depths), ("--shard-index", small), ("--shard-count", small),
           ("--allow-large", None)),
     _argv("classify", LISTS,
           st.one_of(st.tuples(st.just("--size"), sizes), st.tuples(st.just("--sizes"), size_ranges)),
           ("--irreducible-only", None), ("--witnesses", None),
-          ("--shard-depth", small), ("--shard-index", small), ("--shard-count", small),
+          ("--shard-depth", depths), ("--shard-index", small), ("--shard-count", small),
           ("--jobs", st.sampled_from(["1", "2"])), ("--allow-large", None)),
     _argv("verify", PLAIN, ("--size", sizes), ("--sizes", size_ranges),
           ("--allow-large", None)),
@@ -84,13 +89,13 @@ argvs = st.one_of(
 def broken_argvs(draw):
     argv = draw(argvs)
     i = draw(st.integers(0, len(argv) - 1))
-    how = draw(st.sampled_from(("drop", "unknown flag", "not an integer")))
+    how = draw(st.sampled_from(("drop", "unknown flag", "bad value")))
     if how == "drop":
         del argv[i]
     elif how == "unknown flag":
         argv.insert(i, draw(st.sampled_from(("--bogus", "-x", "--size-max"))))
     else:
-        argv[i] = draw(st.sampled_from(("x", "1.5", "3..", "", "0x10")))
+        argv[i] = draw(st.sampled_from(("x", "1.5", "3..", "3..1", "", "0x10", "-1")))
     return argv
 
 
