@@ -10,28 +10,33 @@ import json
 import sys
 from pathlib import Path
 
+from quiddity.cli import _sizes_arg
 from quiddity.enumeration import SearchConfig, classify
 
 
-def parse_sizes(text):
-    if ".." in text:
-        lo, hi = text.split("..")
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(s) for s in text.split(","))
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one line and exit 2, as in the quiddity CLI."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message}\n")
 
 
 def main():
-    ap = argparse.ArgumentParser()
+    ap = _Parser()
     ap.add_argument("modulus", type=int)
-    ap.add_argument("--sizes", default="3..8")
+    ap.add_argument("--sizes", type=_sizes_arg, default="3..8", help="e.g. 3..8 or 3,4,5")
     ap.add_argument("--irreducible-only", action="store_true")
     ap.add_argument("--allow-large", action="store_true")
     ap.add_argument("--json", type=Path, default=None, help="also dump the report here")
     args = ap.parse_args()
 
-    report = classify(SearchConfig(
-        modulus=args.modulus, sizes=parse_sizes(args.sizes),
-        irreducible_only=args.irreducible_only, allow_large=args.allow_large))
+    try:
+        config = SearchConfig(
+            modulus=args.modulus, sizes=args.sizes,
+            irreducible_only=args.irreducible_only, allow_large=args.allow_large)
+    except ValueError as exc:
+        ap.error(str(exc))
+    report = classify(config)
     print(f"modulus {args.modulus}  ({report.elapsed_s:.2f}s)")
     print(f"{'n':>3}  {'classes':>8}  {'reducible':>9}  {'irreducible':>11}")
     for s in report.sizes:

@@ -3,7 +3,7 @@
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success or a
 passing verification, 1 a verification mismatch, 2 usage errors (including
 searches over the work budget without --allow-large), 3 an internal failure
-(a recursion-depth overflow or a builder's "this is a bug" error).
+(such as a builder's "this is a bug" error).
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ from .solutions import (
     canonicalize,
     find_decomposition,
     normalize_seq,
+    oplus,
     solution_sign,
 )
 
@@ -118,13 +119,28 @@ def validate(d: Dissection) -> list[str]:
             side = tuple(sorted((v, v % d.n + 1)))
             if side not in edge_use:
                 bad.append(f"polygon side {side} not covered by any cell")
-        diagonals = sorted(e for e in edge_use if not _is_side(e, d.n))
-        for i, (a, b) in enumerate(diagonals):
-            for c2, d2 in diagonals[i + 1:]:
-                if a < c2 < b < d2 or c2 < a < d2 < b:
-                    bad.append(f"diagonals {(a, b)} and {(c2, d2)} cross")
+        crossing = _find_crossing(e for e in edge_use if not _is_side(e, d.n))
+        if crossing:
+            bad.append(f"diagonals {crossing[0]} and {crossing[1]} cross")
     bad.extend(_check_weights(d))
     return bad
+
+
+def _find_crossing(diagonals):
+    """Two crossing diagonals, or None when they are pairwise non-crossing.
+
+    Sorted by (a, -b), non-crossing diagonals nest like parentheses: every
+    diagonal still open at a must contain (a, b).  The open ones sit on a
+    stack, innermost on top, so only the top needs comparing.
+    """
+    open_: list[tuple[int, int]] = []
+    for a, b in sorted(diagonals, key=lambda e: (e[0], -e[1])):
+        while open_ and open_[-1][1] <= a:
+            open_.pop()
+        if open_ and open_[-1][1] < b:
+            return open_[-1], (a, b)
+        open_.append((a, b))
+    return None
 
 
 def _check_weights(d: Dissection) -> list[str]:
@@ -178,6 +194,10 @@ def quiddity(d: Dissection) -> Seq:
     bad = validate(d)
     if bad:
         raise ValueError("invalid dissection: " + "; ".join(bad))
+    return _unchecked_quiddity(d)
+
+
+def _unchecked_quiddity(d: Dissection) -> Seq:
     n_mod = d.modulus
     acc = [0] * (d.n + 1)
     for c in d.cells:
@@ -222,6 +242,20 @@ def _legal_spec(spec, kind: str) -> bool:
     return False
 
 
+def _outer_cells(n: int, spec, kind: str) -> tuple[Cell, ...]:
+    """The cells of the given spec outside the (n, 1) edge of an n-gon."""
+    shape, arg = spec
+    w = None if kind == KIND_PLAIN else arg
+    if shape == "triangle":
+        return (Cell((1, n, n + 1), w),)
+    if shape == "quad":
+        return (Cell((1, n, n + 1, n + 2), w),)
+    if arg == 0:  # diagonal (n, n+2): glues (0, 2, 0, 2)
+        return (Cell((n, n + 1, n + 2), 2), Cell((1, n, n + 2), 2))
+    # diagonal (1, n+1): glues (2, 0, 2, 0)
+    return (Cell((1, n, n + 1), 2), Cell((1, n + 1, n + 2), 2))
+
+
 def attach_cell(d: Dissection, spec) -> Dissection:
     """Grow the polygon by one cell sitting outside the (n, 1) edge.
 
@@ -230,20 +264,12 @@ def attach_cell(d: Dissection, spec) -> Dissection:
     """
     if not _legal_spec(spec, d.kind):
         raise ValueError(f"cell spec {spec!r} not legal for kind {d.kind}")
-    shape, arg = spec
-    n = d.n
-    if shape == "triangle":
-        w = None if d.kind == KIND_PLAIN else arg
-        return Dissection(n + 1, d.kind, d.cells + (Cell((1, n, n + 1), w),), d.pairs)
-    if shape == "quad":
-        w = None if d.kind == KIND_PLAIN else arg
-        return Dissection(n + 2, d.kind, d.cells + (Cell((1, n, n + 1, n + 2), w),), d.pairs)
-    i = len(d.cells)
-    if arg == 0:  # diagonal (n, n+2): glues (0, 2, 0, 2)
-        new = (Cell((n, n + 1, n + 2), 2), Cell((1, n, n + 2), 2))
-    else:         # diagonal (1, n+1): glues (2, 0, 2, 0)
-        new = (Cell((1, n, n + 1), 2), Cell((1, n + 1, n + 2), 2))
-    return Dissection(n + 2, d.kind, d.cells + new, d.pairs + ((i, i + 1),))
+    grown = d.n + (1 if spec[0] == "triangle" else 2)
+    pairs = d.pairs
+    if spec[0] == "split_quad":
+        i = len(d.cells)
+        pairs += ((i, i + 1),)
+    return Dissection(grown, d.kind, d.cells + _outer_cells(d.n, spec, d.kind), pairs)
 
 
 def relabel(d: Dissection, transform: int) -> Dissection:
@@ -318,22 +344,91 @@ def _spec_for(part: Seq, kind: str):
     return ("quad", None if kind == KIND_PLAIN else part[0])
 
 
-def _match_exact(d: Dissection, target: Seq) -> Dissection:
-    got = quiddity(d)
-    for t in range(2 * d.n):
-        if apply_dihedral(got, t) == target:
-            return relabel(d, t)
+def _first_transform(got: Seq, target: Seq) -> int:
+    """The least t with apply_dihedral(got, t) == target.
+
+    Entries are residues mod 2..4, so each tuple packs into bytes and the
+    search over rotations is one substring find.
+    """
+    want = bytes(target)
+    t = (bytes(got) * 2).find(want)
+    if t >= 0:
+        return t
+    t = (bytes(got[::-1]) * 2).find(want)
+    if t >= 0:
+        return len(got) + t
     raise RuntimeError(f"quiddity {got} not equivalent to target {target}")
+
+
+def _moved(labels: list[int], t: int) -> list[int]:
+    """Final labels seen through relabel(., t).
+
+    ``labels[u - 1]`` is the final label of vertex u after the relabel; the
+    result gives it for vertex v before, where u is v's new label.
+    """
+    n = len(labels)
+    if t < n:
+        return labels[n - t:] + labels[:n - t]
+    rev = labels[::-1]
+    return rev[t - n:] + rev[:t - n]
+
+
+def _relabelled(c: Cell, labels: list[int]) -> Cell:
+    return Cell(tuple(sorted(labels[v - 1] for v in c.vertices)), c.weight)
+
+
+def _assemble(kind: str, levels, core: Seq) -> Dissection:
+    """The dissection the recursive builder makes from the peeled levels.
+
+    ``levels`` lists (target, spec) from the outside in, and ``core`` is the
+    innermost target, realized from the base table.  The recursion attaches
+    each level's cell to the dissection of the next target and relabels the
+    grown polygon by the first dihedral transform that maps its quiddity,
+    the next target glued with the cell's base solution, onto the level's
+    target.  Here those transforms are composed top-down into one label map
+    per level, and every cell is relabelled once, in the recursion's cell
+    and pair order: base cells first, then the cells from the inside out.
+    """
+    n_mod = KIND_MODULUS[kind]
+    targets = [target for target, _ in levels] + [core]
+    labels = list(range(1, len(targets[0]) + 1))
+    outer = []
+    for (target, spec), inner in zip(levels, targets[1:]):
+        grown = oplus(inner, cell_base_solution(spec, kind), n_mod)
+        labels = _moved(labels, _first_transform(grown, target))
+        outer.append([_relabelled(c, labels) for c in _outer_cells(len(inner), spec, kind)])
+        labels = labels[:len(inner)]
+    base = _base_cases(n_mod)[canonicalize(core)]
+    labels = _moved(labels, _first_transform(_unchecked_quiddity(base), core))
+    cells = [_relabelled(c, labels) for c in base.cells]
+    pairs = list(base.pairs)
+    for new in reversed(outer):
+        if len(new) == 2:  # a split quadrilateral's paired triangles
+            pairs.append((len(cells), len(cells) + 1))
+        cells.extend(new)
+    return Dissection(len(targets[0]), kind, tuple(cells), tuple(pairs))
+
+
+def _checked(d: Dissection, seq: Seq, what: str) -> Dissection:
+    bad = validate(d)
+    if not bad and _unchecked_quiddity(d) != seq:
+        bad = ["its quiddity differs from the input"]
+    if bad:
+        raise RuntimeError(f"{what} of {seq} built an invalid dissection, "
+                           "so this is a bug: " + "; ".join(bad))
+    return d
 
 
 def build_dissection(seq, n_mod: int) -> Dissection:
     """A dissection whose quiddity is exactly the given solution.
 
-    Size 3/4 classes come from a fixed realization table; larger solutions
-    split off an attachable part (the cells that can sit on one edge), the
-    rest is built recursively and the cell re-attached.  The split always
-    exists for moduli 2..4, so a search failure is reported as a bug, never
-    mapped to a quiet error.
+    Size 3/4 classes come from a fixed realization table.  A larger
+    solution is peeled in a loop: each step splits off an attachable part
+    (the cells that can sit on one edge) and continues with the rest, down
+    to the table.  The cells are then placed in one pass, and the result
+    is validated once against the input.  The split always exists for
+    moduli 2..4, so a search failure is reported as a bug, never mapped to
+    a quiet error.
     """
     if n_mod not in MODULUS_KIND:
         raise ValueError("dissection models exist for moduli 2, 3 and 4 only")
@@ -343,17 +438,18 @@ def build_dissection(seq, n_mod: int) -> Dissection:
         raise ValueError("dissections need size >= 3")
     if solution_sign(seq, n_mod) is None:
         raise ValueError(f"{seq} is not a solution mod {n_mod}")
-    if len(seq) <= 4:
-        base = _base_cases(n_mod)[canonicalize(seq)]
-        return _match_exact(base, seq)
-    witness = find_decomposition(seq, n_mod, _attachable_classes(n_mod))
-    if witness is None:
-        raise RuntimeError(
-            f"no attachable split for {seq} mod {n_mod}; the classification "
-            "guarantees one, so this is a bug")
-    inner = build_dissection(witness.left, n_mod)
-    grown = attach_cell(inner, _spec_for(witness.right, kind))
-    return _match_exact(grown, seq)
+    attachable = _attachable_classes(n_mod)
+    levels = []
+    cur = seq
+    while len(cur) > 4:
+        witness = find_decomposition(cur, n_mod, attachable)
+        if witness is None:
+            raise RuntimeError(
+                f"no attachable split for {cur} mod {n_mod}; the classification "
+                "guarantees one, so this is a bug")
+        levels.append((cur, _spec_for(witness.right, kind)))
+        cur = witness.left
+    return _checked(_assemble(kind, levels, cur), seq, "build_dissection")
 
 
 def triangulate(seq, n_mod: int) -> Dissection:
@@ -361,9 +457,10 @@ def triangulate(seq, n_mod: int) -> Dissection:
 
     Preconditions: mod 2 and mod 3 need a nonzero entry, mod 4 an entry
     +/-1 (the all-twos square famously has no triangulation).  Works by
-    peeling one +/-1 entry as an outer triangle and recursing; when the
-    peeled remainder degenerates, another position is tried, which always
-    succeeds for these moduli.
+    peeling one +/-1 entry as an outer triangle, in a loop down to a
+    triangle; when the peeled remainder degenerates, another position is
+    tried, which always succeeds for these moduli.  The cells are then
+    placed in one pass, and the result is validated once against the input.
     """
     if n_mod not in MODULUS_KIND:
         raise ValueError("dissection models exist for moduli 2, 3 and 4 only")
@@ -375,24 +472,26 @@ def triangulate(seq, n_mod: int) -> Dissection:
     ok = any(a in units for a in seq) if n_mod == 4 else any(seq)
     if not ok:
         raise ValueError(f"{seq} mod {n_mod} admits no all-triangle dissection")
-    n = len(seq)
-    if n == 3:
-        return _match_exact(_base_cases(n_mod)[canonicalize(seq)], seq)
-    for t in range(2 * n):
-        c = apply_dihedral(seq, t)
-        eps = c[-1]
-        if eps not in units:
-            continue
-        rest = ((c[0] - eps) % n_mod,) + c[1:n - 2] + ((c[n - 2] - eps) % n_mod,)
-        good = any(a in units for a in rest) if n_mod == 4 else any(rest)
-        if not good:
-            continue
-        inner = triangulate(rest, n_mod)
-        grown = attach_cell(inner, ("triangle", None if kind == KIND_PLAIN else eps))
-        return _match_exact(grown, seq)
-    raise RuntimeError(
-        f"no peelable position in {seq} mod {n_mod}; the triangulation "
-        "argument guarantees one, so this is a bug")
+    levels = []
+    cur = seq
+    while len(cur) > 3:
+        n = len(cur)
+        for t in range(2 * n):
+            c = apply_dihedral(cur, t)
+            eps = c[-1]
+            if eps not in units:
+                continue
+            rest = ((c[0] - eps) % n_mod,) + c[1:n - 2] + ((c[n - 2] - eps) % n_mod,)
+            good = any(a in units for a in rest) if n_mod == 4 else any(rest)
+            if good:
+                break
+        else:
+            raise RuntimeError(
+                f"no peelable position in {cur} mod {n_mod}; the triangulation "
+                "argument guarantees one, so this is a bug")
+        levels.append((cur, ("triangle", None if kind == KIND_PLAIN else eps)))
+        cur = rest
+    return _checked(_assemble(kind, levels, cur), seq, "triangulate")
 
 
 def eliminate_quads(d: Dissection) -> Dissection:
@@ -400,58 +499,66 @@ def eliminate_quads(d: Dissection) -> Dissection:
 
     Each step finds a triangle sharing a diagonal with a weight-0 quad and
     replaces the pair by a fan of three triangles from the triangle's apex
-    with weights (eps, -eps, eps); iterated until no quads remain.  An
-    all-zero quiddity (an all-quad dissection) has no such step and is
-    rejected.
+    with weights (eps, -eps, eps); iterated until no quads remain.  The
+    first quad in cell order that borders a triangle is rewritten first,
+    and the fan is appended after the remaining cells.  An all-zero
+    quiddity (an all-quad dissection) has no such step and is rejected.
+    The result is validated once against the starting quiddity.
     """
     if d.kind != KIND_FIRST:
         raise ValueError("quad elimination is defined for weighted-first dissections")
-    if not any(quiddity(d)):
+    start = quiddity(d)
+    if not any(start):
         raise ValueError("all-zero quiddity: quad elimination needs a triangle to start from")
-    while True:
-        quads = [i for i, c in enumerate(d.cells) if len(c.vertices) == 4]
-        if not quads:
-            return d
-        step = _find_quad_step(d, quads)
+    # rewritten cells become None, so the live cells keep their order
+    cells: list[Cell | None] = list(d.cells)
+    owners: dict[tuple[int, int], list[int]] = {}
+    for i, c in enumerate(cells):
+        for e in _cell_edges(c.vertices):
+            owners.setdefault(e, []).append(i)
+    quads = [i for i, c in enumerate(cells) if len(c.vertices) == 4]
+    while quads:
+        step = _find_quad_step(cells, quads, owners)
         if step is None:
             raise RuntimeError("quads remain but none borders a triangle; "
                                "impossible in a valid dissection with triangles")
-        d = _rewrite_step(d, *step)
+        ti, qi, shared = step
+        quads.remove(qi)
+        for i in (ti, qi):
+            for e in _cell_edges(cells[i].vertices):
+                owners[e].remove(i)
+        fan = _fan(cells[ti], cells[qi], shared)
+        cells[ti] = cells[qi] = None
+        for c in fan:
+            for e in _cell_edges(c.vertices):
+                owners.setdefault(e, []).append(len(cells))
+            cells.append(c)
+    out = Dissection(d.n, d.kind, tuple(c for c in cells if c is not None), d.pairs)
+    return _checked(out, start, "eliminate_quads")
 
 
-def _find_quad_step(d: Dissection, quads):
-    edge_owner: dict[tuple[int, int], list[int]] = {}
-    for i, c in enumerate(d.cells):
-        for e in _cell_edges(c.vertices):
-            edge_owner.setdefault(e, []).append(i)
+def _find_quad_step(cells, quads, owners):
     for qi in quads:
-        for e in _cell_edges(d.cells[qi].vertices):
-            owners = edge_owner[e]
-            if len(owners) != 2:
+        for e in _cell_edges(cells[qi].vertices):
+            pair = owners[e]
+            if len(pair) != 2:
                 continue
-            other = owners[0] if owners[1] == qi else owners[1]
-            if len(d.cells[other].vertices) == 3:
+            other = pair[0] if pair[1] == qi else pair[1]
+            if len(cells[other].vertices) == 3:
                 return (other, qi, e)
     return None
 
 
-def _rewrite_step(d: Dissection, ti: int, qi: int, shared) -> Dissection:
-    tri, quad = d.cells[ti], d.cells[qi]
+def _fan(tri: Cell, quad: Cell, shared) -> list[Cell]:
     eps = tri.weight
     apex = next(v for v in tri.vertices if v not in shared)
-    q = quad.vertices
-    edges = _cell_edges(q)
-    rest = [e for e in edges if e != shared]
-    new_cells = []
-    for e in rest:
+    fan = []
+    for e in _cell_edges(quad.vertices):
+        if e == shared:
+            continue
         adjacent = bool(set(e) & set(shared))
-        new_cells.append(Cell(tuple(sorted((apex,) + e)), eps if adjacent else (-eps) % 3))
-    cells = tuple(c for i, c in enumerate(d.cells) if i not in (ti, qi)) + tuple(new_cells)
-    out = Dissection(d.n, d.kind, cells, d.pairs)
-    bad = validate(out)
-    if bad:
-        raise RuntimeError("rewrite produced an invalid dissection: " + "; ".join(bad))
-    return out
+        fan.append(Cell(tuple(sorted((apex,) + e)), eps if adjacent else (-eps) % 3))
+    return fan
 
 
 # ---------------------------------------------------------------------------

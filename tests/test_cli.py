@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 from functools import partial
 
@@ -6,7 +7,8 @@ import pytest
 
 from quiddity import cli
 from quiddity.cli import main
-from quiddity.enumeration import SearchConfig, count_classes
+from quiddity.dissections import from_dict, quiddity, validate
+from quiddity.enumeration import SearchConfig, count_classes, enumerate_solutions
 from quiddity.solutions import oplus
 
 
@@ -373,17 +375,39 @@ def test_evidence_bound_below_three(capsys):
     assert out == "" and "n_max" in err
 
 
-def test_internal_failure_exit_code(capsys):
-    # a 1,200-gon overflows the recursive triangulation builder
+def _checked_payload(out, seq, triangles_only):
+    d = from_dict(json.loads(out))
+    assert validate(d) == []
+    assert quiddity(d) == seq
+    if triangles_only:
+        assert all(len(c.vertices) == 3 for c in d.cells)
+
+
+def test_triangulate_past_recursion_limit(capsys):
+    # a 1,200-gon once overflowed the recursive triangulation builder
     seq = (1, 1, 1)
     while len(seq) < 1200:
         seq = oplus(seq, (1, 1, 1), 3)
-    code, out, err = run(capsys, "triangulate", "--modulus", "3", ",".join(map(str, seq)))
-    assert code == 3
-    assert out == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error: triangulate ") and "RecursionError" in err
-    assert "Traceback" not in err
+    code, out, err = run(capsys, "triangulate", "--modulus", "3", ",".join(map(str, seq)),
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    _checked_payload(out, seq, triangles_only=True)
+
+
+@pytest.mark.parametrize("command", ["dissect", "triangulate"])
+@pytest.mark.parametrize("n_mod", [2, 3, 4])
+def test_two_thousand_gon(capsys, n_mod, command):
+    rng = random.Random(n_mod)
+    parts = [s for k in (3, 4) for s in enumerate_solutions(n_mod, k)]
+    seq = rng.choice(parts)
+    while len(seq) < 2000:
+        part = rng.choice(parts if len(seq) < 1999 else [p for p in parts if len(p) == 3])
+        r = rng.randrange(len(seq))
+        seq = oplus(seq[r:] + seq[:r], part, n_mod)
+    code, out, err = run(capsys, command, "--modulus", str(n_mod), ",".join(map(str, seq)),
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    _checked_payload(out, seq, triangles_only=command == "triangulate")
 
 
 def test_builder_bug_exit_code(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import random
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -7,8 +8,14 @@ from quiddity.dissections import (
     KIND_MODULUS,
     KIND_PLAIN,
     KIND_SECOND,
+    MODULUS_KIND,
     Cell,
     Dissection,
+    _attachable_classes,
+    _base_cases,
+    _cell_edges,
+    _is_side,
+    _spec_for,
     attach_cell,
     build_dissection,
     cell_base_solution,
@@ -22,7 +29,15 @@ from quiddity.dissections import (
     validate,
 )
 from quiddity.enumeration import enumerate_solutions
-from quiddity.solutions import apply_dihedral, canonicalize, is_solution, oplus
+from quiddity.solutions import (
+    apply_dihedral,
+    canonicalize,
+    find_decomposition,
+    is_solution,
+    normalize_seq,
+    oplus,
+    solution_sign,
+)
 
 
 def tri(*v, w=None):
@@ -66,6 +81,63 @@ def test_validate_split_pairing():
 def test_validate_coverage():
     d = Dissection(5, KIND_PLAIN, (tri(1, 2, 3),))
     assert validate(d)
+
+
+def _reference_crossings(d):
+    # the earlier all-pairs scan, kept as an oracle for the stack matching
+    edges = {e for c in d.cells for e in _cell_edges(c.vertices)}
+    diagonals = sorted(e for e in edges if not _is_side(e, d.n))
+    found = []
+    for i, (a, b) in enumerate(diagonals):
+        for c2, d2 in diagonals[i + 1:]:
+            if a < c2 < b < d2 or c2 < a < d2 < b:
+                found.append(((a, b), (c2, d2)))
+    return found
+
+
+def _moved_endpoint(d, rng):
+    """d with one endpoint of one diagonal moved, or None if a cell degenerates."""
+    edges = sorted({e for c in d.cells for e in _cell_edges(c.vertices)})
+    diagonals = [e for e in edges if not _is_side(e, d.n)]
+    if not diagonals:
+        return None
+    a, b = rng.choice(diagonals)
+    old = rng.choice((a, b))
+    new = rng.choice([v for v in range(1, d.n + 1) if v not in (a, b)])
+    cells = []
+    for c in d.cells:
+        v = c.vertices
+        if a in v and b in v:
+            v = tuple(sorted(new if x == old else x for x in v))
+            if len(set(v)) != len(v):
+                return None
+        cells.append(Cell(v, c.weight))
+    return Dissection(d.n, d.kind, tuple(cells), d.pairs)
+
+
+def _reported_crossings(d):
+    return [v for v in validate(d) if v.endswith(" cross")]
+
+
+def test_validate_crossings_match_all_pairs_oracle():
+    rng = random.Random(5)
+    moved_copies = 0
+    for kind in KIND_MODULUS:
+        for seed in range(150):
+            d = random_dissection(4 + seed % 40, kind, seed)
+            assert _reported_crossings(d) == [] == _reference_crossings(d)
+            for _ in range(4):
+                moved = _moved_endpoint(d, rng)
+                if moved is None:
+                    continue
+                want = _reference_crossings(moved)
+                got = _reported_crossings(moved)
+                assert bool(got) == bool(want), (kind, seed, moved)
+                if got:
+                    assert len(got) == 1
+                    assert any(got[0] == f"diagonals {p} and {q} cross" for p, q in want)
+                moved_copies += 1
+    assert moved_copies > 1000
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +238,96 @@ def test_build_round_trip_small():
                 d = build_dissection(rep, n_mod)
                 assert validate(d) == []
                 assert quiddity(d) == rep
+
+
+# The recursive builders, kept verbatim as oracles for the iterative ones.
+
+def _reference_match_exact(d: Dissection, target):
+    got = quiddity(d)
+    for t in range(2 * d.n):
+        if apply_dihedral(got, t) == target:
+            return relabel(d, t)
+    raise RuntimeError(f"quiddity {got} not equivalent to target {target}")
+
+
+def _reference_build_dissection(seq, n_mod: int) -> Dissection:
+    if n_mod not in MODULUS_KIND:
+        raise ValueError("dissection models exist for moduli 2, 3 and 4 only")
+    kind = MODULUS_KIND[n_mod]
+    seq = normalize_seq(seq, n_mod)
+    if len(seq) < 3:
+        raise ValueError("dissections need size >= 3")
+    if solution_sign(seq, n_mod) is None:
+        raise ValueError(f"{seq} is not a solution mod {n_mod}")
+    if len(seq) <= 4:
+        base = _base_cases(n_mod)[canonicalize(seq)]
+        return _reference_match_exact(base, seq)
+    witness = find_decomposition(seq, n_mod, _attachable_classes(n_mod))
+    if witness is None:
+        raise RuntimeError(
+            f"no attachable split for {seq} mod {n_mod}; the classification "
+            "guarantees one, so this is a bug")
+    inner = _reference_build_dissection(witness.left, n_mod)
+    grown = attach_cell(inner, _spec_for(witness.right, kind))
+    return _reference_match_exact(grown, seq)
+
+
+def _reference_triangulate(seq, n_mod: int) -> Dissection:
+    if n_mod not in MODULUS_KIND:
+        raise ValueError("dissection models exist for moduli 2, 3 and 4 only")
+    kind = MODULUS_KIND[n_mod]
+    seq = normalize_seq(seq, n_mod)
+    if solution_sign(seq, n_mod) is None:
+        raise ValueError(f"{seq} is not a solution mod {n_mod}")
+    units = (1,) if n_mod == 2 else (1, n_mod - 1)
+    ok = any(a in units for a in seq) if n_mod == 4 else any(seq)
+    if not ok:
+        raise ValueError(f"{seq} mod {n_mod} admits no all-triangle dissection")
+    n = len(seq)
+    if n == 3:
+        return _reference_match_exact(_base_cases(n_mod)[canonicalize(seq)], seq)
+    for t in range(2 * n):
+        c = apply_dihedral(seq, t)
+        eps = c[-1]
+        if eps not in units:
+            continue
+        rest = ((c[0] - eps) % n_mod,) + c[1:n - 2] + ((c[n - 2] - eps) % n_mod,)
+        good = any(a in units for a in rest) if n_mod == 4 else any(rest)
+        if not good:
+            continue
+        inner = _reference_triangulate(rest, n_mod)
+        grown = attach_cell(inner, ("triangle", None if kind == KIND_PLAIN else eps))
+        return _reference_match_exact(grown, seq)
+    raise RuntimeError(
+        f"no peelable position in {seq} mod {n_mod}; the triangulation "
+        "argument guarantees one, so this is a bug")
+
+
+def _glued(rng, n_mod, size):
+    """A solution of the given size: size-3/4 solutions glued at random rotations."""
+    parts = [s for k in (3, 4) for s in enumerate_solutions(n_mod, k)]
+    triples = [p for p in parts if len(p) == 3]
+    cur = rng.choice(parts)
+    while len(cur) < size:
+        part = rng.choice(parts if size - len(cur) >= 2 else triples)
+        r, s = rng.randrange(len(cur)), rng.randrange(len(part))
+        cur = oplus(cur[r:] + cur[:r], part[s:] + part[:s], n_mod)
+    return cur
+
+
+def _triangulable(seq, n_mod):
+    return any(a in (1, 3) for a in seq) if n_mod == 4 else any(seq)
+
+
+@pytest.mark.parametrize("n_mod", [2, 3, 4])
+def test_builders_match_recursive_reference(n_mod):
+    rng = random.Random(100 + n_mod)
+    for size in range(5, 151, 5):
+        seq = _glued(rng, n_mod, size)
+        assert build_dissection(seq, n_mod) == _reference_build_dissection(seq, n_mod)
+        while not _triangulable(seq, n_mod):
+            seq = _glued(rng, n_mod, size)
+        assert triangulate(seq, n_mod) == _reference_triangulate(seq, n_mod)
 
 
 def test_build_rejects_non_solution():

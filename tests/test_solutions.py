@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,15 @@ from hypothesis import strategies as st
 
 from quiddity.dissections import _attachable_classes
 from quiddity.enumeration import enumerate_solutions
-from quiddity.modmat import IDENTITY, check_modulus, generator, mat_mul, pm_identity_sign, residue
+from quiddity.modmat import (
+    IDENTITY,
+    check_modulus,
+    generator,
+    generator_product,
+    mat_mul,
+    pm_identity_sign,
+    residue,
+)
 from quiddity.solutions import (
     Witness,
     apply_dihedral,
@@ -365,6 +374,51 @@ def test_decomposition_matches_reference_with_whitelists():
                 _agrees_with_reference(seq, n_mod, whitelist)
     _agrees_with_reference((3,) * 15, 10, [(8, 3, 3, 3, 8)])
     _agrees_with_reference((3,) * 6, 9, [(1, 1, 1)])
+
+
+def _unbounded_witnesses(seq, n):
+    # every split the scan from m = 3 accepts, in scan order, with each
+    # window product recomputed from scratch
+    seq = normalize_seq(seq, n)
+    sign = solution_sign(seq, n)
+    for idx in range(len(seq)):
+        c = seq[idx:] + seq[:idx]
+        if idx and c == seq:
+            break
+        for m in range(3, len(seq)):
+            p11, p12, p21, _ = generator_product(c[1:m - 1], n)
+            for eps in (1, -1):
+                if (eps * p11 + 1) % n == 0:
+                    x, y = eps * p12 % n, -eps * p21 % n
+                    right = ((c[m - 1] - y) % n,) + c[m:] + ((c[0] - x) % n,)
+                    left = (x,) + c[1:m - 1] + (y,)
+                    yield Witness(left, right, eps, -sign * eps if n > 2 else 1, idx)
+                    break
+
+
+def _glued_solution(rng, n, size):
+    parts = size3_solutions(n) + size4_solutions(n)
+    cur = rng.choice(parts)
+    while len(cur) < size:
+        part = rng.choice(parts)
+        r, s = rng.randrange(len(cur)), rng.randrange(len(part))
+        cur = oplus(cur[r:] + cur[:r], part[s:] + part[:s], n)
+    return cur
+
+
+@pytest.mark.parametrize("n_mod", range(2, 14))
+def test_whitelisted_decomposition_is_first_whitelisted_split(n_mod):
+    rng = random.Random(n_mod)
+    threes, fours = size3_solutions(n_mod), size4_solutions(n_mod)
+    both = threes + fours
+    whitelists = [threes, fours, both, rng.sample(both, max(1, len(both) // 2))]
+    for size in range(3, 41):
+        seq = _glued_solution(rng, n_mod, size)
+        for whitelist in whitelists:
+            classes = {canonicalize(w) for w in whitelist}
+            want = next((w for w in _unbounded_witnesses(seq, n_mod)
+                         if canonicalize(w.right) in classes), None)
+            assert find_decomposition(seq, n_mod, whitelist) == want, (seq, whitelist)
 
 
 def test_is_irreducible_examples():
