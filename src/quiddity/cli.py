@@ -70,6 +70,27 @@ def _parse_sizes(args) -> tuple[int, ...]:
     raise UsageError("give --size or --sizes")
 
 
+_LABEL_ENTRIES = 8
+
+
+def _input_label(args) -> str:
+    """The input of a failed command for its exit-3 line: sequences, then the modulus.
+
+    A sequence longer than a few entries is cut to its first entries and its
+    length, so the line stays one line.
+    """
+    shown = []
+    for name in ("left", "right") if args.command == "sum" else ("seq",):
+        text = getattr(args, name, None)
+        if text is not None:
+            seq = _parse_seq(text)
+            head = ",".join(map(str, seq[:_LABEL_ENTRIES]))
+            shown.append(head if len(seq) <= _LABEL_ENTRIES
+                         else f"{head},... ({len(seq)} entries)")
+    modulus = _modulus(args)
+    return f"{' (+) '.join(shown)} mod {modulus}" if shown else f"modulus {modulus}"
+
+
 def _emit(args, payload: dict, text_lines: list[str], csv_rows=None):
     fmt = getattr(args, "format", "text")
     if fmt == "json":
@@ -497,8 +518,8 @@ def main(argv=None) -> int:
         return 2
     except RuntimeError as exc:
         # RecursionError included; exit 1 would read as a verification mismatch
-        print(f"error: {args.command} failed internally: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
+        print(f"error: {args.command} failed internally on {_input_label(args)}: "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     finally:
         if set_digits:

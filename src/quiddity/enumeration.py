@@ -18,20 +18,21 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
 from itertools import product as iter_product
+from math import isqrt
 
 from .modmat import IDENTITY, check_modulus, generator, generator_product, mat_mul, pm_identity_sign, residue
 from .solutions import (
     Seq,
+    _split,
     canonicalize,
-    find_decomposition,
     is_reversal_symmetric,
     Witness,
 )
 
 # Per size: prefix probes for ``enumerate_solutions`` and search nodes for
 # the unpruned class DFS, both counted before the search starts; search
-# nodes for the pruned class DFS, counted as they are visited; table steps
-# for ``count_classes``, counted before the count starts.
+# nodes for the pruned class DFS, counted as they are visited.  Per count:
+# table steps for ``count_classes``, counted before the count starts.
 DEFAULT_WORK_LIMIT = 4_000_000
 
 
@@ -44,8 +45,10 @@ def _group_tables(n: int):
     """BFS closure of the generator factors inside SL2(Z/NZ).
 
     Returns (elements, step, tails): ``step[a][g]`` is the index of
-    generator(a) * elements[g], and ``tails[g]`` lists the (a_{n-1}, a_n)
-    pairs completing any prefix whose product is elements[g] to a solution.
+    generator(a) * elements[g], and ``tails[g]`` lists the (a_{n-1}, a_n,
+    eps) triples completing any prefix whose product is elements[g] to a
+    solution of sign eps.  At most one triple per element: both signs would
+    need p11 = 1 = -1, and mod 2 only eps = +1 is tried.
     """
     index = {IDENTITY: 0}
     elements = [IDENTITY]
@@ -70,7 +73,7 @@ def _group_tables(n: int):
         pairs = []
         for eps in signs:
             if (eps * p11 - minus_one) % n == 0:
-                pairs.append(((-eps * p21) % n, (eps * p12) % n))
+                pairs.append(((-eps * p21) % n, (eps * p12) % n, eps))
         tails.append(tuple(pairs))
     return elements, step, tails
 
@@ -102,10 +105,10 @@ def _dihedral_tables(n: int):
 def _advance(counts: list[int], rows) -> list[int]:
     """One DP step: move every count at p to row[p], for each row."""
     out = [0] * len(counts)
+    live = [(p, c) for p, c in enumerate(counts) if c]
     for row in rows:
-        for p, c in enumerate(counts):
-            if c:
-                out[row[p]] += c
+        for p, c in live:
+            out[row[p]] += c
     return out
 
 
@@ -166,7 +169,7 @@ def enumerate_solutions(n_mod: int, size: int, alphabet=None,
             pairs = tails[g]
             if pairs:
                 base = tuple(path)
-                for u, v in pairs:
+                for u, v, _ in pairs:
                     if allowed is None or (u in allowed and v in allowed):
                         out.append(base + (u, v))
             return
@@ -225,38 +228,62 @@ def count_classes(n_mod: int, size: int, work_limit: int = DEFAULT_WORK_LIMIT,
         raise ValueError("counting needs a modulus >= 2")
     if size < 2:
         raise ValueError("solutions exist only for size >= 2")
+    return _class_counts(n_mod, (size,), work_limit, allow_large)[size]
+
+
+def _class_counts(n_mod: int, sizes, work_limit: int = DEFAULT_WORK_LIMIT,
+                  allow_large: bool = False) -> dict[int, int]:
+    """``count_classes`` for every size in ``sizes`` (all >= 2), in one pass.
+
+    The rotation walk runs once, up to the largest size, and the odd and the
+    even palindrome DPs once each, up to the longest palindrome any size
+    needs; each size adds its terms as the walks pass its length.
+    """
     elements, step, _ = _group_tables(n_mod)
-    # size walk steps, plus (size - 1) // 2 odd and, for even size, size // 2
-    # even palindrome steps
-    steps = size + (size - 1) // 2 + (size // 2 if size % 2 == 0 else 0)
-    _check_work(steps * len(elements) * n_mod, "table steps", work_limit, allow_large)
+    top = max(sizes)
+    # palindrome steps: (size - 1) // 2 odd ones for every size, and size // 2
+    # even ones for an even size
+    odd_steps = (top - 1) // 2
+    even_steps = max((size // 2 for size in sizes if size % 2 == 0), default=0)
+    _check_work((top + odd_steps + even_steps) * len(elements) * n_mod, "table steps",
+                work_limit, allow_large)
     plus_minus, orders, mirror = _dihedral_tables(n_mod)
+    fixed = dict.fromkeys(sizes, 0)
 
-    fixed = 0
-    walk = [1] + [0] * (len(elements) - 1)
-    for d in range(1, size + 1):
+    start = [1] + [0] * (len(elements) - 1)
+    walk = start
+    for d in range(1, top + 1):
         walk = _advance(walk, step)
-        if size % d == 0:
-            m = size // d
-            fixed += _totient(m) * sum(c for g, c in enumerate(walk) if c and m % orders[g] == 0)
+        for size in fixed:
+            if size % d == 0:
+                m = size // d
+                fixed[size] += _totient(m) * sum(
+                    c for g, c in enumerate(walk) if c and m % orders[g] == 0)
 
-    odd = _advance([1] + [0] * (len(elements) - 1), step)  # length-1 palindromes
-    for _ in range((size - 1) // 2):
-        odd = _advance(odd, mirror)
-    if size % 2:
-        fixed += size * sum(odd[t] for t in plus_minus)
-    else:
-        even = [1] + [0] * (len(elements) - 1)
-        for _ in range(size // 2):
-            even = _advance(even, mirror)
-        # (e, palindrome p) solves iff G(e) p does: the two are conjugate
-        with_end = sum(c * sum(row[p] in plus_minus for row in step)
-                       for p, c in enumerate(odd) if c)
-        fixed += size // 2 * (sum(even[t] for t in plus_minus) + with_end)
-    count, rest = divmod(fixed, 2 * size)
-    if rest:
-        raise RuntimeError(f"Burnside sum {fixed} is not a multiple of {2 * size}; this is a bug")
-    return count
+    odd = _advance(start, step)  # length-1 palindromes
+    for k in range(odd_steps + 1):
+        if k:
+            odd = _advance(odd, mirror)
+        length = 2 * k + 1
+        if length in fixed:
+            fixed[length] += length * sum(odd[t] for t in plus_minus)
+        if length + 1 in fixed:
+            # (e, palindrome p) solves iff G(e) p does: the two are conjugate
+            with_end = sum(c * sum(row[p] in plus_minus for row in step)
+                           for p, c in enumerate(odd) if c)
+            fixed[length + 1] += (length + 1) // 2 * with_end
+    even = start
+    for k in range(1, even_steps + 1):
+        even = _advance(even, mirror)
+        if 2 * k in fixed:
+            fixed[2 * k] += k * sum(even[t] for t in plus_minus)
+
+    counts = {}
+    for size, total in fixed.items():
+        counts[size], rest = divmod(total, 2 * size)
+        if rest:
+            raise RuntimeError(f"Burnside sum {total} is not a multiple of {2 * size}; this is a bug")
+    return counts
 
 
 def enumerate_naive(n_mod: int, size: int) -> list[Seq]:
@@ -338,40 +365,104 @@ class ClassificationReport:
         return {rep for s in self.sizes for rep in s.irreducible}
 
 
-def _irreducible_candidates(config: SearchConfig, size: int, prune: bool = True) -> list[Seq]:
-    """Sorted canonical classes of the leaves of the a_1 = min class DFS.
+def _class_dfs_nodes(n_mod: int, depth: int, cap: int | None = None) -> int:
+    """Nodes of the unpruned class DFS down to ``depth``, or the first partial sum over ``cap``.
 
-    Every class has a rotation that starts at its least entry; the DFS
-    builds exactly such rotations: every later letter, the two tail letters
-    solved from the group table included, is >= a_1.  Unpruned, its leaves
-    reach every class.  Pruned, a prefix is cut as soon as a window of
-    length 1..size-3 ending at its last letter has continuant +/-1, as no
-    window of an irreducible solution has.  Windows that wrap around or hold
-    a tail letter are not seen here, so the pruned classes cover every
-    irreducible class and may include reducible ones; the caller's
-    ``find_decomposition`` check removes those.
+    The DFS tries each prenecklace of length 1..depth once, and there are
+    PN(d) = L(1) + ... + L(d) of length d, where L(j) counts the Lyndon words
+    of length j over N letters.  Each word of length j is, in exactly one
+    way, a power of one of the e rotations of a Lyndon word of a length e
+    dividing j, so j L(j) = N^j - (sum of e L(e) over the divisors e < j).
+    With a cap, the sum stops at its first partial sum over the cap, after
+    about log_N(cap) terms whatever ``depth`` is, so a budget check stays
+    instant.
+    """
+    lyndon_words = [0]  # j * L(j) at index j
+    total = prenecklaces = 0
+    power = 1
+    for j in range(1, depth + 1):
+        power *= n_mod
+        proper = 0  # sum of e L(e) over the divisors e < j
+        for e in range(1, isqrt(j) + 1):
+            if j % e == 0:
+                f = j // e
+                if e < j:
+                    proper += lyndon_words[e]
+                if e < f < j:
+                    proper += lyndon_words[f]
+        lyndon_words.append(power - proper)
+        prenecklaces += lyndon_words[j] // j
+        total += prenecklaces
+        if cap is not None and total > cap:
+            break
+    return total
+
+
+def _least_of_reversal(word: Seq) -> bool:
+    """True when the necklace ``word`` is <= every rotation of its reversal.
+
+    word[0] is the least letter of a necklace, so a rotation that starts
+    above it is larger: only the rotations at the occurrences of word[0]
+    are compared.
+    """
+    size = len(word)
+    mirrored = word[::-1] * 2
+    i = mirrored.index(word[0])
+    while i < size:
+        if mirrored[i:i + size] < word:
+            return False
+        i = mirrored.index(word[0], i + 1)
+    return True
+
+
+def _irreducible_candidates(config: SearchConfig, size: int,
+                            prune: bool = True) -> list[tuple[Seq, int]]:
+    """The leaves of the orderly class DFS: canonical forms with their signs, sorted.
+
+    The DFS builds each class's canonical form (see ``canonicalize``) and no
+    other word of the class, so every class it reaches has one leaf.  A
+    canonical form is a necklace (the least of its rotations), and every
+    prefix of a necklace is a prenecklace.  So the DFS grows prenecklaces
+    only, by the rule of Fredricksen, Kessler and Maiorana: if p is the
+    period of the prefix a_1..a_t (the length of its longest Lyndon
+    prefix), the next letter is >= a_{t+1-p}; an equal letter keeps p, a
+    larger one makes the period t + 1.  The two tail letters, solved from
+    the group table, obey the same rule.  A leaf is kept when p divides
+    ``size``, so the word is a necklace, and the word is <= every rotation
+    of its reversal: it is then the least word of its dihedral class
+    (Cattell, Ruskey, Sawada, Serra and Miers, J. Algorithms 2000).
+
+    Unpruned, the leaves are all the classes.  Pruned, a prefix is cut as
+    soon as a window of length 1..size-3 ending at its last letter has
+    continuant +/-1, as no window of an irreducible solution has.  Windows
+    that wrap around or hold a tail letter are not seen here, so the pruned
+    leaves cover every irreducible class and may include reducible ones;
+    the caller's split check removes those.
 
     ``work_limit`` counts the prefixes the DFS tries, pruned ones included:
-    pruned, as they are visited; unpruned, by a closed form before it starts.
-    Sharding splits the surviving prefixes of depth max(shard_depth, 1)
-    round-robin on their DFS rank.
+    pruned, as they are visited; unpruned, by ``_class_dfs_nodes`` before it
+    starts.  Sharding splits the prefixes of depth max(shard_depth, 1) that
+    the DFS enters round-robin on their DFS rank, so the shards' leaves are
+    disjoint; it enters a prefix of depth size-2 only when it has a tail.
+    Leaves come in increasing order: each tail holds at most one pair, and
+    the DFS tries letters in increasing order.
     """
     n_mod = config.modulus
     depth_max = size - 2
     if not prune:
-        # k^(d-1) prefixes of depth d start at a_1 = N - k: sum over d per k
-        nodes = depth_max + sum((k ** depth_max - 1) // (k - 1) for k in range(2, n_mod + 1))
-        _check_work(nodes, "search nodes", config.work_limit, config.allow_large)
+        cap = None if config.allow_large else config.work_limit
+        _check_work(_class_dfs_nodes(n_mod, depth_max, cap), "search nodes",
+                    config.work_limit, config.allow_large)
     _, step, tails = _group_tables(n_mod)
     longest = size - 3
     split = min(max(config.shard_depth, 1), depth_max)
     sharded = config.shard_count > 1
     plus_minus_one = {1 % n_mod, n_mod - 1}
-    classes: set[Seq] = set()
+    leaves: list[tuple[Seq, int]] = []
     path: list[int] = []
     visited = rank = 0
 
-    def dfs(g: int, windows: list[tuple[int, int]]):
+    def dfs(g: int, period: int, windows: list[tuple[int, int]]):
         # windows: first column (p11, p21) of the product of each window of
         # length 1..longest that ends at the last letter, shortest first
         nonlocal visited, rank
@@ -380,12 +471,21 @@ def _irreducible_candidates(config: SearchConfig, size: int, prune: bool = True)
             rank += 1
             if (rank - 1) % config.shard_count != config.shard_index:
                 return
-        low = path[0] if path else 0
         if depth == depth_max:
-            for u, v in tails[g]:
-                if u >= low and v >= low:
-                    classes.add(canonicalize(tuple(path) + (u, v)))
+            for u, v, eps in tails[g]:
+                word = (*path, u, v)
+                p = period
+                for t in (depth, depth + 1):
+                    low = word[t - p] if t else 0
+                    if word[t] < low:
+                        break
+                    if word[t] > low:
+                        p = t + 1
+                else:
+                    if size % p == 0 and _least_of_reversal(word):
+                        leaves.append((word, eps))
             return
+        low = path[depth - period] if depth else 0
         for a in range(low, n_mod):
             visited += 1
             if visited > config.work_limit:
@@ -396,12 +496,14 @@ def _irreducible_candidates(config: SearchConfig, size: int, prune: bool = True)
                 del grown[longest:]
                 if any(p11 in plus_minus_one for p11, _ in grown):
                     continue
-            path.append(a)
-            dfs(step[a][g], grown)
-            path.pop()
+            child = step[a][g]
+            if depth + 1 < depth_max or tails[child]:  # a full prefix needs a tail
+                path.append(a)
+                dfs(child, period if a == low else depth + 1, grown)
+                path.pop()
 
-    dfs(0, [])
-    return sorted(classes)
+    dfs(0, 1, [])
+    return leaves
 
 
 def _size_report(size: int, irreducible: list[Seq], total: int | None,
@@ -414,39 +516,39 @@ def _size_report(size: int, irreducible: list[Seq], total: int | None,
 def classify(config: SearchConfig) -> ClassificationReport:
     """Canonical solution classes per size, each tested for irreducibility.
 
-    Every mode takes its classes from the a_1 = min DFS
+    Every mode takes its classes from the orderly class DFS
     (``_irreducible_candidates``), and ``work_limit`` counts its search
     nodes.  Only ``keep_witnesses`` (without ``irreducible_only``) needs
     every class, so only there does the DFS run unpruned; each reducible
-    class then gets ``find_decomposition`` of its canonical representative
-    as its witness, and ``total_classes`` is the number of classes listed.
+    class then gets the witness ``find_decomposition`` gives its canonical
+    representative, and ``total_classes`` is the number of classes listed.
     Otherwise the DFS is pruned on window continuants and ``total_classes``
-    comes from the Burnside count (``count_classes``, its table steps
-    checked against the same budget).  ``total_classes`` and
-    ``reducible_count`` are None with ``irreducible_only`` and in a single
-    shard of a sharded search.
+    comes from the Burnside count (``count_classes``, one pass for all
+    sizes, its table steps checked against the same budget before any
+    search starts).  ``total_classes`` and ``reducible_count`` are None
+    with ``irreducible_only`` and in a single shard of a sharded search.
     """
     t0 = time.perf_counter()
     n_mod = config.modulus
     all_classes = config.keep_witnesses and not config.irreducible_only
+    counted = not config.irreducible_only and config.shard_count == 1
+    totals = {}
+    if counted and not all_classes:
+        totals = _class_counts(n_mod, config.sizes, config.work_limit, config.allow_large)
     size_reports = []
     for size in sorted(config.sizes):
-        classes = _irreducible_candidates(config, size, prune=not all_classes)
+        leaves = _irreducible_candidates(config, size, prune=not all_classes)
         irreducible = []
         witnesses = {}
-        for rep in classes:
-            w = find_decomposition(rep, n_mod) if size >= 3 else None
+        for rep, sign in leaves:
+            w = _split(rep, sign, n_mod) if size >= 3 else None
             if size >= 3 and w is None:
                 irreducible.append(rep)
             elif w is not None and all_classes:
                 witnesses[rep] = w
-        if config.irreducible_only or config.shard_count > 1:
-            total = None
-        elif all_classes:
-            total = len(classes)
-        else:
-            total = count_classes(n_mod, size, config.work_limit, config.allow_large)
-        size_reports.append(_size_report(size, irreducible, total, witnesses))
+        if counted and all_classes:
+            totals[size] = len(leaves)
+        size_reports.append(_size_report(size, irreducible, totals.get(size), witnesses))
     return ClassificationReport(n_mod, size_reports, time.perf_counter() - t0)
 
 
@@ -579,20 +681,21 @@ def merge_shards(config: SearchConfig, reports) -> ClassificationReport:
     """One report from the shard reports of a sharded search.
 
     The irreducible classes and the witnesses are the union of the shards'
-    (a class may turn up in several shards, always with the same witness,
-    since a witness depends only on the class); unless ``irreducible_only``,
-    the class totals come from ``count_classes``, which needs no shard.
+    (each class has one leaf in the class DFS, so in one shard); unless
+    ``irreducible_only``, the class totals come from ``count_classes``,
+    which needs no shard.
     """
     merged = merge_class_sets(reports)
     witnesses: dict[int, dict[Seq, Witness]] = {}
     for rep in reports:
         for s in rep.sizes:
             witnesses.setdefault(s.size, {}).update(s.witnesses)
+    totals = {} if config.irreducible_only else _class_counts(
+        config.modulus, config.sizes, config.work_limit, config.allow_large)
     sizes = []
     for size in sorted(config.sizes):
-        total = None if config.irreducible_only else count_classes(
-            config.modulus, size, config.work_limit, config.allow_large)
-        sizes.append(_size_report(size, sorted(merged.get(size, ())), total, witnesses.get(size)))
+        sizes.append(_size_report(size, sorted(merged.get(size, ())), totals.get(size),
+                                  witnesses.get(size)))
     return ClassificationReport(config.modulus, sizes, sum(r.elapsed_s for r in reports))
 
 

@@ -243,7 +243,17 @@ def find_decomposition(seq, n: int, right_whitelist=None) -> Witness | None:
         allowed = {img for w in whitelist for img in dihedral_images(w)}
         # a right part of length k comes from m = size - k + 2
         first = max(3, size + 2 - max(map(len, whitelist), default=size))
+    return _split(seq, sign, n, first, allowed)
 
+
+def _split(seq: Seq, sign: int, n: int, first: int = 3, allowed=None) -> Witness | None:
+    """``find_decomposition``'s scan, for a normalized solution of size >= 3 mod n >= 2.
+
+    ``sign`` is the solution's sign; ``first`` and ``allowed`` are the first
+    split and the set of allowed right parts that a whitelist fixes (no
+    restriction when ``allowed`` is None).
+    """
+    size = len(seq)
     minus_one = n - 1
     for idx in range(size):
         c = seq[idx:] + seq[:idx]

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+import time
 from functools import partial
 
 import pytest
@@ -206,13 +207,42 @@ def test_classify_jobs_pool_capped_at_cpus(capsys, monkeypatch):
     assert pool_sizes == [4]
 
 
+def _prenecklace_count(k: int, d: int) -> int:
+    """Prenecklaces of length d over k letters: the Lyndon word counts of
+    lengths 1..d, each by the Moebius formula L(j) = (1/j) sum mu(j/e) k^e."""
+    def mobius(m):
+        out, p = 1, 2
+        while m > 1:
+            if m % p == 0:
+                m //= p
+                if m % p == 0:
+                    return 0
+                out = -out
+            p += 1
+        return out
+    return sum(sum(mobius(j // e) * k ** e for e in range(1, j + 1) if j % e == 0) // j
+               for j in range(1, d + 1))
+
+
 def test_classify_witness_work_guard(capsys):
-    # the unpruned DFS for N = 7, n = 11 needs 9,327,163 nodes, counted up front
+    # the unpruned DFS for N = 7, n = 11 tries each prenecklace of length
+    # 1..9 once, 6,376,759 nodes, counted up front
+    nodes = sum(_prenecklace_count(7, d) for d in range(1, 10))
+    assert nodes == 6376759
     code, out, err = run(capsys, "classify", "--modulus", "7", "--size", "11", "--witnesses")
     assert code == 2
     assert out == ""
-    assert err == ("error: search needs at least 9327163 search nodes, over the budget "
+    assert err == (f"error: search needs at least {nodes} search nodes, over the budget "
                    "of 4000000; pass the large-search override to run it anyway\n")
+
+
+def test_classify_witness_long_size_fails_at_once(capsys):
+    # the up-front node count stops at its first partial sum over the budget
+    start = time.perf_counter()
+    code, out, err = run(capsys, "classify", "--modulus", "2", "--size", "5000", "--witnesses")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "search nodes, over the budget of 4000000" in err
 
 
 def test_classify_beyond_enumeration_budget(capsys):
@@ -253,7 +283,8 @@ def test_classify_count_beyond_digit_limit(capsys):
 
 
 def test_classify_count_work_guard(capsys, monkeypatch):
-    # the DFS tries 600 nodes and fits; the count needs 49,152 table steps
+    # the count needs 49,152 table steps and stops the run before the DFS,
+    # which would try 537 nodes and fit
     monkeypatch.setattr(cli, "SearchConfig", partial(SearchConfig, work_limit=600))
     code, out, err = run(capsys, "classify", "--modulus", "8", "--size", "11")
     assert code == 2
@@ -262,9 +293,9 @@ def test_classify_count_work_guard(capsys, monkeypatch):
 
 
 def test_classify_irreducible_only_work_guard(capsys, monkeypatch):
-    # the pruned DFS for N = 8, n = 11 tries 600 prefixes; a budget of 599
+    # the pruned DFS for N = 8, n = 11 tries 537 prefixes; a budget of 536
     # stops it, as the 4M default stops a search too large to run in a test
-    monkeypatch.setattr(cli, "SearchConfig", partial(SearchConfig, work_limit=599))
+    monkeypatch.setattr(cli, "SearchConfig", partial(SearchConfig, work_limit=536))
     code, out, err = run(capsys, "classify", "--modulus", "8", "--size", "11",
                          "--irreducible-only")
     assert code == 2
@@ -418,7 +449,20 @@ def test_builder_bug_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "dissect", "--modulus", "3", "1,1,1")
     assert code == 3
     assert out == ""
-    assert err == "error: dissect failed internally: RuntimeError: no attachable split; this is a bug\n"
+    assert err == ("error: dissect failed internally on 1,1,1 mod 3: "
+                   "RuntimeError: no attachable split; this is a bug\n")
+    # a long input is cut to its first entries and its length
+    seq = ",".join(["1", "2", "0"] * 666 + ["1", "1"])
+    code, out, err = run(capsys, "dissect", "--modulus", "3", seq)
+    assert (code, out) == (3, "")
+    assert err == ("error: dissect failed internally on 1,2,0,1,2,0,1,2,... (2000 entries) "
+                   "mod 3: RuntimeError: no attachable split; this is a bug\n")
+    # a command without a sequence names its modulus
+    monkeypatch.setattr(cli.enumeration, "classify", lambda config: broken(None, None))
+    code, out, err = run(capsys, "classify", "--modulus", "5", "--size", "4")
+    assert (code, out) == (3, "")
+    assert err == ("error: classify failed internally on modulus 5: "
+                   "RuntimeError: no attachable split; this is a bug\n")
 
 
 def test_unknown_flag_rejected(capsys):

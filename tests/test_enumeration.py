@@ -1,10 +1,14 @@
 import json
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
 from quiddity import enumeration
 from quiddity.enumeration import (
+    _class_counts,
+    _class_dfs_nodes,
+    _irreducible_candidates,
     SearchConfig,
     WorkLimitExceeded,
     classify,
@@ -18,7 +22,9 @@ from quiddity.enumeration import (
     reference_classes,
     verify_expected,
 )
+from quiddity.modmat import generator_product
 from quiddity.solutions import (
+    _split,
     canonicalize,
     dihedral_images,
     find_decomposition,
@@ -26,6 +32,7 @@ from quiddity.solutions import (
     size2_solutions,
     size3_solutions,
     size4_solutions,
+    solution_sign,
 )
 
 
@@ -49,6 +56,20 @@ def _reference_irreducible(n_mod: int, size: int) -> list:
     tuples = enumerate_solutions(n_mod, size, _irreducible_alphabet(n_mod, size))
     classes = sorted({canonicalize(s) for s in tuples})
     return [rep for rep in classes if find_decomposition(rep, n_mod) is None]
+
+
+def _is_prenecklace(word) -> bool:
+    """A prefix of a necklace: by Ruskey's characterization, a Lyndon word
+    repeated and cut short, (a_1..a_p)^j a_1..a_i with i < p."""
+    def lyndon(w):
+        return all(w < w[i:] + w[:i] for i in range(1, len(w)))
+    return any(lyndon(word[:p]) and all(word[i] == word[i - p] for i in range(p, len(word)))
+               for p in range(1, len(word) + 1))
+
+
+def _prenecklaces(k: int, d: int) -> int:
+    """Brute-force count of the prenecklaces of length d over k letters."""
+    return sum(map(_is_prenecklace, product(range(k), repeat=d)))
 
 
 def test_tail_solving_matches_naive():
@@ -124,7 +145,7 @@ def test_sharding_size_two_edge():
     assert sorted(s for p in parts for s in p) == [(0, 0)]
 
 
-def test_sharded_classify_merges_to_full():
+def test_sharded_classify_merges_to_full(monkeypatch):
     sizes = (3, 4, 5)
     full = classify(SearchConfig(modulus=4, sizes=sizes))
     shards = [classify(SearchConfig(modulus=4, sizes=sizes, shard_depth=1,
@@ -149,6 +170,26 @@ def test_sharded_classify_merges_to_full():
             assert all(s.total_classes is None for shard in shards for s in shard.sizes)
             assert merge_shards(sharded, shards).to_json(with_timing=False) == serial, (
                 shard_count, depth)
+            # every class has one leaf, so the shards' class sets are pairwise
+            # disjoint and their union is the serial list
+            for size in config.sizes:
+                parts = [_irreducible_candidates(replace(sharded, shard_index=i), size,
+                                                 prune=False)
+                         for i in range(shard_count)]
+                union = sorted(leaf for part in parts for leaf in part)
+                assert len(set(union)) == len(union), (shard_count, depth, size)
+                assert union == _irreducible_candidates(config, size, prune=False)
+    # merge_shards counts the classes of every size through one shared count
+    counts = []
+    real = enumeration._class_counts
+    monkeypatch.setattr(enumeration, "_class_counts",
+                        lambda *args: counts.append(args[1]) or real(*args))
+    config = SearchConfig(modulus=5, sizes=(3, 4, 5, 6, 7), shard_depth=1, shard_count=3)
+    shards = [classify(replace(config, shard_index=i)) for i in range(3)]
+    assert counts == []
+    serial = classify(replace(config, shard_count=1)).to_json(with_timing=False)
+    assert merge_shards(config, shards).to_json(with_timing=False) == serial
+    assert counts == [config.sizes, config.sizes]
 
 
 @pytest.mark.parametrize("n_mod", range(2, 11))
@@ -179,9 +220,10 @@ def test_sharded_irreducible_merges_to_serial(n_mod, sizes, shard_count):
 
 
 def test_witness_work_counts_search_nodes(monkeypatch):
-    # the unpruned DFS for N = 5, n = 7 tries sum over k = 1..5 of
-    # 1 + k + k^2 + k^3 + k^4 = 5 + 31 + 121 + 341 + 781 prefixes
-    nodes = 1279
+    # the unpruned DFS for N = 5, n = 7 tries each prenecklace of length
+    # 1..5 once: 5 + 15 + 55 + 205 + 829 = 1,109 prefixes
+    nodes = sum(_prenecklaces(5, d) for d in range(1, 6))
+    assert nodes == 1109
     config = SearchConfig(5, (7,), keep_witnesses=True, work_limit=nodes)
     want = classify(config).to_json(with_timing=False)
     with pytest.raises(WorkLimitExceeded, match=f"{nodes} search nodes"):
@@ -190,15 +232,46 @@ def test_witness_work_counts_search_nodes(monkeypatch):
         with_timing=False) == want
     # the count checked up front is the number of nodes the DFS visits: with
     # no budget, every visit past the first check reports its running count
+    # (under the override, the up-front count does not stop at the budget)
     checks = []
     monkeypatch.setattr(enumeration, "_check_work", lambda count, *rest: checks.append(count))
-    classify(replace(config, work_limit=0))
+    classify(replace(config, work_limit=0, allow_large=True))
     assert checks == [nodes] + list(range(1, nodes + 1))
 
 
+def test_class_dfs_nodes_counts_prenecklaces():
+    for k in range(2, 6):
+        nodes = 0
+        for depth in range(1, 7):
+            nodes += _prenecklaces(k, depth)
+            assert _class_dfs_nodes(k, depth) == nodes, (k, depth)
+    # with a cap, the sum stops at its first partial sum over the cap
+    assert _class_dfs_nodes(5, 5, cap=74) == 75
+    assert _class_dfs_nodes(5, 5, cap=1109) == 1109
+    assert _class_dfs_nodes(2, 10**6, cap=4_000_000) < 10**7
+
+
+def _pruned_dfs_nodes(n_mod: int, size: int) -> int:
+    """Prefixes the pruned class DFS tries, from the definitions.
+
+    A prefix is tried when it is a prenecklace and its parent survived:
+    no window of length 1..size-3 of the parent has continuant +/-1.
+    """
+    def survives(word):
+        return all(generator_product(word[i:j], n_mod)[0] not in (1, n_mod - 1)
+                   for i in range(len(word)) for j in range(i + 1, min(len(word), i + size - 3) + 1))
+    tried, level = 0, [()]
+    for _ in range(size - 2):
+        words = [w + (a,) for w in level for a in range(n_mod) if _is_prenecklace(w + (a,))]
+        tried += len(words)
+        level = [w for w in words if survives(w)]
+    return tried
+
+
 def test_irreducible_work_counts_search_nodes():
-    # the pruned DFS for N = 8, n = 11 tries exactly 600 prefixes
-    nodes = 600
+    # the pruned DFS for N = 8, n = 11 tries exactly 537 prefixes
+    nodes = _pruned_dfs_nodes(8, 11)
+    assert nodes == 537
     config = SearchConfig(8, (11,), irreducible_only=True, work_limit=nodes)
     assert classify(config).sizes[0].irreducible == []
     with pytest.raises(WorkLimitExceeded, match="search nodes"):
@@ -212,6 +285,38 @@ def test_count_classes_matches_enumeration(n_mod):
     for size in range(2, 9 if n_mod < 8 else 8):
         want = len({canonicalize(s) for s in enumerate_solutions(n_mod, size)})
         assert count_classes(n_mod, size) == want, (n_mod, size)
+
+
+@pytest.mark.parametrize("n_mod", range(2, 9))
+def test_class_dfs_leaves_are_the_classes(n_mod):
+    # the raw leaf list, with no dedupe, is every class once in canonical
+    # form, with the sign of the solution; a leaf's split is its class's
+    for size in range(2, 10):
+        leaves = _irreducible_candidates(SearchConfig(n_mod, (size,)), size, prune=False)
+        want = sorted({canonicalize(s) for s in enumerate_solutions(n_mod, size)})
+        assert [rep for rep, _ in leaves] == want, (n_mod, size)
+        for rep, sign in leaves:
+            assert sign == solution_sign(rep, n_mod), rep
+            if size >= 3:
+                assert _split(rep, sign, n_mod) == find_decomposition(rep, n_mod), rep
+
+
+def test_class_counts_match_count_classes():
+    for n_mod in range(2, 13):
+        sizes = tuple(range(2, 15))
+        assert _class_counts(n_mod, sizes) == {
+            size: count_classes(n_mod, size) for size in sizes}, n_mod
+    # any subset of sizes, in any order, counts the same
+    assert _class_counts(7, (9, 4, 13)) == {9: count_classes(7, 9), 4: count_classes(7, 4),
+                                            13: count_classes(7, 13)}
+
+
+def test_class_counts_checks_burnside_divisibility(monkeypatch):
+    # a wrong totient breaks the rotation sum; the count must refuse it,
+    # with a check that runs under python -O too
+    monkeypatch.setattr(enumeration, "_totient", lambda m: 1)
+    with pytest.raises(RuntimeError, match="Burnside sum 134 is not a multiple of 12"):
+        _class_counts(3, (5, 6))
 
 
 def _reference_report(n_mod: int, sizes) -> dict:
