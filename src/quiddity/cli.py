@@ -20,9 +20,9 @@ from dataclasses import replace
 from . import enumeration, monomial
 from .dissections import (
     MODULUS_KIND,
+    _unchecked_quiddity,
     build_dissection,
     eliminate_quads,
-    quiddity,
     random_dissection,
     to_svg,
     triangulate,
@@ -276,7 +276,8 @@ def cmd_monomial(args) -> int:
 
 
 def _dissect_common(args, d) -> int:
-    q = quiddity(d)
+    # every builder has validated d against this quiddity already
+    q = _unchecked_quiddity(d)
     payload = d.to_dict()
     payload["quiddity"] = list(q)
     if args.format == "svg":

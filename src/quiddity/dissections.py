@@ -566,7 +566,7 @@ def _fan(tri: Cell, quad: Cell, shared) -> list[Cell]:
 
 
 def random_dissection(n: int, kind: str, seed: int) -> Dissection:
-    """Seed-deterministic valid dissection of an n-gon of the given kind."""
+    """Seed-deterministic valid dissection of an n-gon of the given kind, validated once."""
     if kind not in KIND_MODULUS:
         raise ValueError(f"unknown kind {kind!r}")
     if n < 3:
@@ -622,7 +622,8 @@ def random_dissection(n: int, kind: str, seed: int) -> Dissection:
                 cells.append(Cell(v, 0 if choice == "w0" else 2))
 
     fill(list(range(1, n + 1)))
-    return Dissection(n, kind, tuple(cells), tuple(pairs))
+    d = Dissection(n, kind, tuple(cells), tuple(pairs))
+    return _checked(d, _unchecked_quiddity(d), "random_dissection")
 
 
 def to_svg(d: Dissection, size: int = 400) -> str:

@@ -13,6 +13,7 @@ attached to each group element.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -20,7 +21,16 @@ from importlib import resources
 from itertools import product as iter_product
 from math import isqrt
 
-from .modmat import IDENTITY, check_modulus, generator, generator_product, mat_mul, pm_identity_sign, residue
+from .modmat import (
+    IDENTITY,
+    check_modulus,
+    generator,
+    generator_product,
+    mat_mul,
+    pm_identity_sign,
+    residue,
+    sl2_group_order,
+)
 from .solutions import (
     Seq,
     _split,
@@ -79,6 +89,35 @@ def _group_tables(n: int):
 
 
 @lru_cache(maxsize=None)
+def _window_masks(n: int):
+    """Bit tables for the pruned class DFS, indexed like ``_group_tables``' elements.
+
+    Returns (row_bit, masks).  With P_t the product of a_1..a_t, the window
+    a_i..a_t has product P_t Q^-1 with Q = P_{i-1}, so its continuant is
+    row1(P_t) . col1(Q^-1) = row1(P_t) . (q22, -q21).  ``row_bit[P]`` is
+    p11 * N + p12, the bit of row 1 of P, and ``masks[Q]`` has the bit of
+    every row r with r . (q22, -q21) = +/-1.  As Q has determinant 1, those
+    rows are u * row1(Q) + s * row2(Q) for u = +/-1 and s in Z/NZ, and
+    elements with the same second row share one mask.
+    """
+    elements, _, _ = _group_tables(n)
+    units = {1 % n, n - 1}
+    by_row: dict[tuple[int, int], int] = {}
+    masks = []
+    for q11, q12, q21, q22 in elements:
+        mask = by_row.get((q21, q22))
+        if mask is None:
+            mask = 0
+            for u in units:
+                for s in range(n):
+                    mask |= 1 << ((u * q11 + s * q21) % n * n + (u * q12 + s * q22) % n)
+            by_row[q21, q22] = mask
+        masks.append(mask)
+    row_bit = [p11 * n + p12 for p11, p12, _, _ in elements]
+    return row_bit, masks
+
+
+@lru_cache(maxsize=None)
 def _dihedral_tables(n: int):
     """Tables for ``count_classes``, indexed like ``_group_tables``' elements.
 
@@ -130,6 +169,30 @@ def _check_work(count: int, unit: str, work_limit: int, allow_large: bool):
             "pass the large-search override to run it anyway")
 
 
+def _check_table(n_mod: int, work_limit: int, allow_large: bool):
+    """Refuse, before it is built, a group table over the budget.
+
+    The generators reach all of SL2(Z/NZ), so the table has
+    |SL2(Z/NZ)| * N step entries.  It is cached for the process and shared
+    by every later search mod N, so a budget below the default still lets
+    it build up to the default.
+    """
+    entries = sl2_group_order(n_mod) * n_mod
+    limit = max(work_limit, DEFAULT_WORK_LIMIT)
+    if entries > limit and not allow_large:
+        raise WorkLimitExceeded(
+            f"the group table mod {n_mod} needs {entries} step entries, over the budget "
+            f"of {limit}; pass the large-search override to build it anyway")
+
+
+def _recursion_headroom() -> int:
+    """Python frames the caller may still stack, less a margin for leaf calls."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return sys.getrecursionlimit() - depth - 10
+
+
 def enumerate_solutions(n_mod: int, size: int, alphabet=None,
                         shard_depth: int = 0, shard_index: int = 0, shard_count: int = 1,
                         work_limit: int = DEFAULT_WORK_LIMIT,
@@ -154,6 +217,7 @@ def enumerate_solutions(n_mod: int, size: int, alphabet=None,
         if not alphabet:
             return []
     _check_work(len(alphabet) ** (size - 2), "prefix probes", work_limit, allow_large)
+    _check_table(n_mod, work_limit, allow_large)
 
     _, step, tails = _group_tables(n_mod)
     allowed = None
@@ -237,16 +301,18 @@ def _class_counts(n_mod: int, sizes, work_limit: int = DEFAULT_WORK_LIMIT,
 
     The rotation walk runs once, up to the largest size, and the odd and the
     even palindrome DPs once each, up to the longest palindrome any size
-    needs; each size adds its terms as the walks pass its length.
+    needs; each size adds its terms as the walks pass its length.  The
+    table steps are checked before the group table is built; they are at
+    least twice its step entries.
     """
-    elements, step, _ = _group_tables(n_mod)
     top = max(sizes)
     # palindrome steps: (size - 1) // 2 odd ones for every size, and size // 2
     # even ones for an even size
     odd_steps = (top - 1) // 2
     even_steps = max((size // 2 for size in sizes if size % 2 == 0), default=0)
-    _check_work((top + odd_steps + even_steps) * len(elements) * n_mod, "table steps",
+    _check_work((top + odd_steps + even_steps) * sl2_group_order(n_mod) * n_mod, "table steps",
                 work_limit, allow_large)
+    elements, step, _ = _group_tables(n_mod)
     plus_minus, orders, mirror = _dihedral_tables(n_mod)
     fixed = dict.fromkeys(sizes, 0)
 
@@ -434,39 +500,60 @@ def _irreducible_candidates(config: SearchConfig, size: int,
 
     Unpruned, the leaves are all the classes.  Pruned, a prefix is cut as
     soon as a window of length 1..size-3 ending at its last letter has
-    continuant +/-1, as no window of an irreducible solution has.  Windows
-    that wrap around or hold a tail letter are not seen here, so the pruned
-    leaves cover every irreducible class and may include reducible ones;
-    the caller's split check removes those.
+    continuant +/-1, as no window of an irreducible solution has.  A node
+    carries one int, the OR of ``_window_masks`` over the prefix products
+    P_1..P_t, and a child is cut when the bit of its row 1 is set there or
+    in the mask of P_0 = Id, whose window would be the whole prefix at the
+    last depth and is left out there.  Unpruned, every mask is 0.
+
+    The pruned leaves are exactly the irreducible classes.  In a solution,
+    the window of length L at position i and the window of length
+    size-2-L at position i+L+1 have equal continuants up to sign, by the
+    glide symmetry of frieze patterns (Coxeter, Acta Arith. 1971).  The
+    two are separated by one letter on each side, so they cannot both meet
+    the adjacent tail positions size-1 and size: one of them lies in
+    positions 1..size-2, where the DFS checked every window of length
+    1..size-3.
 
     ``work_limit`` counts the prefixes the DFS tries, pruned ones included:
     pruned, as they are visited; unpruned, by ``_class_dfs_nodes`` before it
-    starts.  Sharding splits the prefixes of depth max(shard_depth, 1) that
-    the DFS enters round-robin on their DFS rank, so the shards' leaves are
-    disjoint; it enters a prefix of depth size-2 only when it has a tail.
-    Leaves come in increasing order: each tail holds at most one pair, and
-    the DFS tries letters in increasing order.
+    starts.  The DFS recurses once per letter: unpruned, a size whose
+    prefixes outgrow the interpreter's recursion limit is refused before
+    the search; pruned, only when a path reaches that depth.  Sharding
+    splits the prefixes of depth max(shard_depth, 1) that the DFS enters
+    round-robin on their DFS rank, so the shards' leaves are disjoint; it
+    enters a prefix of depth size-2 only when it has a tail.  Leaves come in
+    increasing order: each tail holds at most one pair, and the DFS tries
+    letters in increasing order.
     """
     n_mod = config.modulus
     depth_max = size - 2
+    deepest = _recursion_headroom()
     if not prune:
-        cap = None if config.allow_large else config.work_limit
+        # a search too deep to run is refused below, so its count stops at the budget
+        cap = None if config.allow_large and depth_max <= deepest else config.work_limit
         _check_work(_class_dfs_nodes(n_mod, depth_max, cap), "search nodes",
                     config.work_limit, config.allow_large)
+        if depth_max > deepest:
+            raise _too_deep(size, deepest)
+    _check_table(n_mod, config.work_limit, config.allow_large)
     _, step, tails = _group_tables(n_mod)
-    longest = size - 3
+    if prune:
+        row_bit, masks = _window_masks(n_mod)
+    else:
+        row_bit = masks = [0] * len(tails)
     split = min(max(config.shard_depth, 1), depth_max)
     sharded = config.shard_count > 1
-    plus_minus_one = {1 % n_mod, n_mod - 1}
     leaves: list[tuple[Seq, int]] = []
     path: list[int] = []
     visited = rank = 0
 
-    def dfs(g: int, period: int, windows: list[tuple[int, int]]):
-        # windows: first column (p11, p21) of the product of each window of
-        # length 1..longest that ends at the last letter, shortest first
+    def dfs(g: int, period: int, forbid: int):
+        # forbid: the OR of the masks of the prefix products P_1..P_t
         nonlocal visited, rank
         depth = len(path)
+        if depth > deepest:
+            raise _too_deep(size, deepest)
         if sharded and depth == split:
             rank += 1
             if (rank - 1) % config.shard_count != config.shard_index:
@@ -485,25 +572,29 @@ def _irreducible_candidates(config: SearchConfig, size: int,
                     if size % p == 0 and _least_of_reversal(word):
                         leaves.append((word, eps))
             return
+        last = depth + 1 == depth_max
+        cut = forbid if last else forbid | masks[0]
         low = path[depth - period] if depth else 0
         for a in range(low, n_mod):
             visited += 1
             if visited > config.work_limit:
                 _check_work(visited, "search nodes", config.work_limit, config.allow_large)
-            grown = windows
-            if prune:
-                grown = [(a, 1)] + [((a * p11 - p21) % n_mod, p11) for p11, p21 in windows]
-                del grown[longest:]
-                if any(p11 in plus_minus_one for p11, _ in grown):
-                    continue
             child = step[a][g]
-            if depth + 1 < depth_max or tails[child]:  # a full prefix needs a tail
+            if cut >> row_bit[child] & 1:
+                continue
+            if not last or tails[child]:  # a full prefix needs a tail
                 path.append(a)
-                dfs(child, period if a == low else depth + 1, grown)
+                dfs(child, period if a == low else depth + 1,
+                    forbid if last else forbid | masks[child])
                 path.pop()
 
-    dfs(0, 1, [])
+    dfs(0, 1, 0)
     return leaves
+
+
+def _too_deep(size: int, deepest: int) -> ValueError:
+    return ValueError(f"size {size} needs a class search {size - 2} letters deep, past the "
+                      f"{deepest} that the interpreter's recursion limit leaves room for")
 
 
 def _size_report(size: int, irreducible: list[Seq], total: int | None,
@@ -522,8 +613,9 @@ def classify(config: SearchConfig) -> ClassificationReport:
     every class, so only there does the DFS run unpruned; each reducible
     class then gets the witness ``find_decomposition`` gives its canonical
     representative, and ``total_classes`` is the number of classes listed.
-    Otherwise the DFS is pruned on window continuants and ``total_classes``
-    comes from the Burnside count (``count_classes``, one pass for all
+    Otherwise the DFS is pruned on window continuants, its leaves are the
+    irreducible classes with no split check, and ``total_classes`` comes
+    from the Burnside count (``count_classes``, one pass for all
     sizes, its table steps checked against the same budget before any
     search starts).  ``total_classes`` and ``reducible_count`` are None
     with ``irreducible_only`` and in a single shard of a sharded search.
@@ -540,12 +632,15 @@ def classify(config: SearchConfig) -> ClassificationReport:
         leaves = _irreducible_candidates(config, size, prune=not all_classes)
         irreducible = []
         witnesses = {}
-        for rep, sign in leaves:
-            w = _split(rep, sign, n_mod) if size >= 3 else None
-            if size >= 3 and w is None:
-                irreducible.append(rep)
-            elif w is not None and all_classes:
-                witnesses[rep] = w
+        if all_classes and size >= 3:
+            for rep, sign in leaves:
+                w = _split(rep, sign, n_mod)
+                if w is None:
+                    irreducible.append(rep)
+                else:
+                    witnesses[rep] = w
+        elif size >= 3:  # (0, 0), the one class of size 2, is not irreducible
+            irreducible = [rep for rep, _ in leaves]
         if counted and all_classes:
             totals[size] = len(leaves)
         size_reports.append(_size_report(size, irreducible, totals.get(size), witnesses))

@@ -129,19 +129,36 @@ def sl2_group_order(n: int) -> int:
 def psl2_order(k: int, n: int) -> int:
     """Order of [[k, -1], [1, 0]] in PSL2(Z/NZ).
 
-    Computed by iterated multiplication with a +/-Id test; the group is finite,
-    so the |SL2| bound can never be hit.
+    Read off the continuant walk of ``_constant_walk``; the group is
+    finite, so the |SL2| bound can never be hit.
     """
     check_modulus(n)
     if n < 2:
         raise ValueError("psl2_order needs N >= 2")
-    g = generator(k, n)
-    m = g
-    bound = sl2_group_order(n)
-    for i in range(1, bound + 1):
-        if pm_identity_sign(m, n) is not None:
-            return i
-        m = mat_mul(m, g, n)
+    return _constant_walk(residue(k, n), n)[0]
+
+
+def _constant_walk(k: int, n: int) -> tuple[int, int, int]:
+    """(order, sign, first_unit) for the residue k mod n >= 2.
+
+    The continuants U_m = k U_{m-1} - U_{m-2} of (k, ..., k), from
+    U_0 = 1 and U_{-1} = 0, give G^m = [[U_m, -U_{m-1}], [U_{m-1}, -U_{m-2}]]
+    for G = [[k, -1], [1, 0]].  So G^m = sign * Id exactly when U_{m-1} = 0
+    and U_m = sign (the determinant then fixes -U_{m-2}); ``order`` is the
+    least such m >= 1.  Every window of length j of (k, ..., k) has
+    continuant U_j, and ``first_unit`` is the least j >= 1 with U_j = +/-1
+    (at most ``order``).  Mod 2 the sign is +1.
+    """
+    minus_one = n - 1
+    prev, cur = 0, 1  # U_{m-1}, U_m at m = 0
+    first_unit = 0
+    for m in range(1, sl2_group_order(n) + 1):
+        prev, cur = cur, (k * cur - prev) % n
+        if cur == 1 or cur == minus_one:
+            if not first_unit:
+                first_unit = m
+            if prev == 0:
+                return m, 1 if cur == 1 else -1, first_unit
     raise RuntimeError(f"no power of the k={k} factor reached +/-Id within |SL2(Z/{n}Z)|")
 
 

@@ -13,17 +13,17 @@ from dataclasses import dataclass
 
 from .modmat import (
     Mat,
+    _constant_walk,
     check_modulus,
     generator,
     generator_product,
     is_prime,
     mat_mul,
     pm_identity_sign,
-    psl2_order,
     residue,
     semiprime_parts,
 )
-from .solutions import Seq, Witness, find_decomposition, is_irreducible
+from .solutions import Seq, Witness, _split, is_irreducible
 
 DEFAULT_MULT_BUDGET = 200_000  # generator multiplications per request
 
@@ -53,16 +53,22 @@ class MonomialRecord:
 
 
 def minimal_monomial(n_mod: int, k: int) -> MonomialRecord:
-    """Minimal constant solution for residue k, with its reducibility status."""
+    """Minimal constant solution for residue k, with its reducibility status.
+
+    One continuant walk gives the size, the sign and the shortest window
+    with continuant +/-1 (every window of length j has the same one).  The
+    solution is reducible exactly when that window has length <= size - 3,
+    and only then is the split scan run, for the witness
+    ``find_decomposition`` would give.
+    """
     check_modulus(n_mod)
     if n_mod < 2:
         raise ValueError("monomial analysis needs a modulus >= 2")
     k = residue(k, n_mod)
-    size = psl2_order(k, n_mod)
-    seq = (k,) * size
+    size, sign, first_unit = _constant_walk(k, n_mod)
     if size < 3:
         return MonomialRecord(n_mod, k, size, False, None)
-    witness = find_decomposition(seq, n_mod)
+    witness = _split((k,) * size, sign, n_mod) if first_unit <= size - 3 else None
     return MonomialRecord(n_mod, k, size, witness is None, witness)
 
 

@@ -245,6 +245,32 @@ def test_classify_witness_long_size_fails_at_once(capsys):
     assert len(err.splitlines()) == 1 and "search nodes, over the budget of 4000000" in err
 
 
+def test_large_modulus_refused_before_the_group_table(capsys):
+    # N = 50 has a 4.5M-entry group table; every path refuses before building it
+    for argv, message in ((("classify", "--size", "4"), "31500000 table steps"),
+                          (("classify", "--size", "4", "--irreducible-only"), "4500000 step entries"),
+                          (("enumerate", "--size", "3"), "4500000 step entries")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv[0], "--modulus", "50", *argv[1:])
+        assert time.perf_counter() - start < 0.5, argv
+        assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1 and message in err, argv
+
+
+def test_classify_witness_past_recursion_limit_fails_at_once(capsys):
+    # allowed, the search would still need size - 2 nested frames; the node
+    # count before the refusal stops at the budget
+    for size in (1200, 60000):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "classify", "--modulus", "2", "--size", str(size),
+                             "--witnesses", "--allow-large")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == "warning: work budget override active"
+        (line,) = err.splitlines()[1:]
+        assert line.startswith(f"error: size {size} needs a class search {size - 2} letters deep")
+
+
 def test_classify_beyond_enumeration_budget(capsys):
     # enumerating would take 7^10 prefix probes, over the 4M budget
     code, out, err = run(capsys, "classify", "--modulus", "7", "--size", "12",

@@ -6,9 +6,14 @@ import pytest
 
 from quiddity import enumeration
 from quiddity.enumeration import (
+    _check_table,
     _class_counts,
     _class_dfs_nodes,
+    _group_tables,
     _irreducible_candidates,
+    _least_of_reversal,
+    _window_masks,
+    DEFAULT_WORK_LIMIT,
     SearchConfig,
     WorkLimitExceeded,
     classify,
@@ -22,7 +27,7 @@ from quiddity.enumeration import (
     reference_classes,
     verify_expected,
 )
-from quiddity.modmat import generator_product
+from quiddity.modmat import generator_product, mat_mul, sl2_group_order
 from quiddity.solutions import (
     _split,
     canonicalize,
@@ -466,3 +471,149 @@ def test_evidence_default_bound():
 def test_evidence_rejects_bound_below_three():
     with pytest.raises(ValueError, match="n_max"):
         evidence_scan(5, 2)
+
+
+def _list_window_candidates(config: SearchConfig, size: int, prune: bool = True):
+    """The class DFS with a list of window columns per node, as an oracle.
+
+    Each node carries the first column (p11, p21) of the product of every
+    window of length 1..size-3 ending at its last letter, and a child is
+    cut when one of the grown columns has p11 = +/-1.  Returns the leaves
+    and the number of prefixes tried.
+    """
+    n_mod = config.modulus
+    _, step, tails = _group_tables(n_mod)
+    depth_max, longest = size - 2, size - 3
+    units = {1 % n_mod, n_mod - 1}
+    leaves, path, visited = [], [], 0
+
+    def dfs(g, period, windows):
+        nonlocal visited
+        depth = len(path)
+        if depth == depth_max:
+            for u, v, eps in tails[g]:
+                word = (*path, u, v)
+                p = period
+                for t in (depth, depth + 1):
+                    low = word[t - p] if t else 0
+                    if word[t] < low:
+                        break
+                    if word[t] > low:
+                        p = t + 1
+                else:
+                    if size % p == 0 and _least_of_reversal(word):
+                        leaves.append((word, eps))
+            return
+        low = path[depth - period] if depth else 0
+        for a in range(low, n_mod):
+            visited += 1
+            grown = windows
+            if prune:
+                grown = [(a, 1)] + [((a * p11 - p21) % n_mod, p11) for p11, p21 in windows]
+                del grown[longest:]
+                if any(p11 in units for p11, _ in grown):
+                    continue
+            child = step[a][g]
+            if depth + 1 < depth_max or tails[child]:
+                path.append(a)
+                dfs(child, period if a == low else depth + 1, grown)
+                path.pop()
+
+    dfs(0, 1, [])
+    return leaves, visited
+
+
+def _visits(monkeypatch, config: SearchConfig, size: int, prune: bool):
+    """The leaves of the class DFS and the prefixes it tried, read off its budget checks."""
+    checks = [0]
+    monkeypatch.setattr(enumeration, "_check_work", lambda count, *rest: checks.append(count))
+    leaves = _irreducible_candidates(replace(config, work_limit=0, allow_large=True), size, prune)
+    monkeypatch.undo()
+    return leaves, checks[-1]
+
+
+@pytest.mark.parametrize("n_mod", range(2, 11))
+def test_bitmask_dfs_matches_window_lists(monkeypatch, n_mod):
+    # the same children tried and cut: equal leaves and equal node counts
+    for size in range(3, 12 if n_mod <= 8 else 11):
+        config = SearchConfig(n_mod, (size,))
+        want = _list_window_candidates(config, size)
+        assert _visits(monkeypatch, config, size, prune=True) == want, (n_mod, size)
+    for size in range(3, 8):
+        config = SearchConfig(n_mod, (size,))
+        leaves, visited = _list_window_candidates(config, size, prune=False)
+        # unpruned, the checks are the up-front count and then every visit
+        assert _visits(monkeypatch, config, size, prune=False) == (leaves, visited)
+
+
+def test_window_masks_flag_unit_continuants():
+    # bit row_bit[P] of masks[Q] is set iff the window product P Q^-1 has
+    # p11 = +/-1
+    for n_mod in range(2, 7):
+        elements, _, _ = _group_tables(n_mod)
+        row_bit, masks = _window_masks(n_mod)
+        units = {1 % n_mod, n_mod - 1}
+        for q, (q11, q12, q21, q22) in enumerate(elements):
+            inverse = (q22, -q12 % n_mod, -q21 % n_mod, q11)
+            for p, elem in enumerate(elements):
+                unit = mat_mul(elem, inverse, n_mod)[0] in units
+                assert (masks[q] >> row_bit[p] & 1) == unit, (n_mod, elem, elements[q])
+
+
+def test_pruned_leaves_need_no_split_check():
+    # glide symmetry: every pruned leaf is irreducible, so classify keeps
+    # them all without running the split scan
+    for n_mod in range(2, 12):
+        for size in range(3, 13 if n_mod <= 9 else 12):
+            config = SearchConfig(n_mod, (size,), irreducible_only=True)
+            for rep, sign in _irreducible_candidates(config, size):
+                assert _split(rep, sign, n_mod) is None, (n_mod, rep)
+
+
+def test_group_table_covers_sl2():
+    for n_mod in range(2, 17):
+        assert len(_group_tables(n_mod)[0]) == sl2_group_order(n_mod), n_mod
+
+
+def test_group_table_budget_checked_before_build(monkeypatch):
+    # N = 50: |SL2| = 90,000 elements times 50 letters, over the 4M default
+    assert sl2_group_order(50) * 50 == 4_500_000 > DEFAULT_WORK_LIMIT
+    _check_table(40, DEFAULT_WORK_LIMIT, False)  # 1,843,200 entries
+    _check_table(50, 4_500_000, False)
+    _check_table(50, 0, True)
+    # the table is cached for the process, so a smaller budget still builds
+    # a table within the default (the N = 8 search below fits 537 nodes)
+    _check_table(8, 536, False)
+    with pytest.raises(WorkLimitExceeded, match="4500000 step entries"):
+        _check_table(50, 4_499_999, False)
+    monkeypatch.setattr(enumeration, "_group_tables", lambda n: pytest.fail("table built"))
+    with pytest.raises(WorkLimitExceeded, match="4500000 step entries"):
+        enumerate_solutions(50, 3)
+    with pytest.raises(WorkLimitExceeded, match="4500000 step entries"):
+        classify(SearchConfig(50, (4,), irreducible_only=True))
+    with pytest.raises(WorkLimitExceeded, match="4500000 step entries"):
+        classify(SearchConfig(50, (4,), keep_witnesses=True))
+    # the count's table steps, 7 per step entry here, are checked first
+    with pytest.raises(WorkLimitExceeded, match="31500000 table steps"):
+        count_classes(50, 4)
+
+
+def test_class_dfs_refuses_paths_past_the_recursion_limit(monkeypatch):
+    want = {size: classify(SearchConfig(9, (size,), irreducible_only=True)).to_json(
+        with_timing=False) for size in (7, 12)}
+    monkeypatch.setattr(enumeration, "_recursion_headroom", lambda: 5)
+    # pruned: refused only when a path reaches depth 6; N = 9 has
+    # irreducible classes of size 12, N = 2 has no path past depth 2
+    assert classify(SearchConfig(9, (7,), irreducible_only=True)).to_json(
+        with_timing=False) == want[7]
+    with pytest.raises(ValueError, match="size 12 needs a class search 10 letters deep"):
+        classify(SearchConfig(9, (12,), irreducible_only=True))
+    assert classify(SearchConfig(2, (5000,), irreducible_only=True)).sizes[0].irreducible == []
+    # unpruned: refused before the search, after the node budget, whose
+    # count stops at the budget even under the override
+    checks = []
+    monkeypatch.setattr(enumeration, "_check_work", lambda count, *rest: checks.append(count))
+    config = SearchConfig(3, (8,), keep_witnesses=True, work_limit=10, allow_large=True)
+    with pytest.raises(ValueError, match="size 8 needs a class search 6 letters deep"):
+        classify(config)
+    assert checks == [_class_dfs_nodes(3, 6, cap=10)] == [23]

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from quiddity.modmat import (
     IDENTITY,
+    _constant_walk,
     check_modulus,
     continuant,
     continuant_matrix,
@@ -183,3 +184,28 @@ def test_psl2_order_is_minimal(n_mod, k):
         if i < m:
             assert pm_identity_sign(acc, n_mod) is None
     assert pm_identity_sign(acc, n_mod) is not None
+
+
+def _mat_mul_order(k: int, n_mod: int) -> int:
+    """Order of the k factor modulo +/-Id by repeated multiplication, as an oracle."""
+    g = generator(k, n_mod)
+    m, i = g, 1
+    while pm_identity_sign(m, n_mod) is None:
+        m, i = mat_mul(m, g, n_mod), i + 1
+    return i
+
+
+def test_psl2_order_matches_multiplication_loop():
+    for n_mod in range(2, 81):
+        for k in range(n_mod):
+            assert psl2_order(k, n_mod) == _mat_mul_order(k, n_mod), (n_mod, k)
+
+
+def test_constant_walk_sign_and_first_unit():
+    for n_mod in range(2, 30):
+        units = {1 % n_mod, n_mod - 1}
+        for k in range(n_mod):
+            order, sign, first_unit = _constant_walk(k, n_mod)
+            assert pm_identity_sign(generator_product((k,) * order, n_mod), n_mod) == sign
+            assert first_unit == next(j for j in range(1, order + 1)
+                                      if continuant((k,) * j, n_mod) in units), (n_mod, k)

@@ -11,7 +11,7 @@ from quiddity.monomial import (
     prime_power_constant_solution,
     square_constant_solution,
 )
-from quiddity.solutions import canonicalize, is_solution
+from quiddity.solutions import canonicalize, find_decomposition, is_solution
 
 
 def test_minimal_monomial_records():
@@ -180,3 +180,16 @@ def test_psl2_order_drives_minimal_size():
     for n_mod in (5, 8, 9, 12):
         for k in range(n_mod):
             assert minimal_monomial(n_mod, k).minimal_size == psl2_order(k, n_mod)
+
+
+def test_minimal_monomial_matches_split_scan():
+    # the walk's shortest unit window decides irreducibility; the witness is
+    # the one the full split scan gives
+    for n_mod in range(2, 61):
+        for k in range(n_mod):
+            rec = minimal_monomial(n_mod, k)
+            if rec.minimal_size < 3:
+                assert (rec.irreducible, rec.witness) == (False, None)
+                continue
+            witness = find_decomposition((k,) * rec.minimal_size, n_mod)
+            assert (rec.irreducible, rec.witness) == (witness is None, witness), (n_mod, k)
