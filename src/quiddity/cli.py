@@ -20,11 +20,12 @@ from dataclasses import replace
 from . import enumeration, monomial
 from .dissections import (
     MODULUS_KIND,
+    _eliminate_quads,
+    _require_weighted_first,
+    _svg,
     _unchecked_quiddity,
     build_dissection,
-    eliminate_quads,
     random_dissection,
-    to_svg,
     triangulate,
 )
 from .enumeration import SearchConfig, WorkLimitExceeded
@@ -281,7 +282,7 @@ def _dissect_common(args, d) -> int:
     payload = d.to_dict()
     payload["quiddity"] = list(q)
     if args.format == "svg":
-        print(to_svg(d))
+        print(_svg(d, q))
         return 0
     lines = [f"{d.kind} dissection of an {d.n}-gon; quiddity " + ",".join(map(str, q))]
     for c in d.cells:
@@ -317,7 +318,10 @@ def cmd_triangulate(args) -> int:
     seq = normalize_seq(_parse_seq(args.seq), n)
     try:
         if args.via_rewrite:
-            d = eliminate_quads(build_dissection(seq, n))
+            # the builder has validated d, so the rewrite takes its quiddity as is
+            d = build_dissection(seq, n)
+            _require_weighted_first(d)
+            d = _eliminate_quads(d, _unchecked_quiddity(d))
         else:
             d = triangulate(seq, n)
     except ValueError as exc:

@@ -18,15 +18,17 @@ Kinds:
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from math import cos, pi, sin
 
 from .solutions import (
     Seq,
+    _split,
     apply_dihedral,
     canonicalize,
-    find_decomposition,
+    dihedral_images,
     normalize_seq,
     oplus,
     solution_sign,
@@ -89,8 +91,9 @@ def validate(d: Dissection) -> list[str]:
     bad: list[str] = []
     if d.kind not in KIND_MODULUS:
         return [f"unknown kind {d.kind!r}"]
-    if d.n < 3:
-        bad.append(f"polygon needs at least 3 vertices, got {d.n}")
+    n = d.n
+    if n < 3:
+        bad.append(f"polygon needs at least 3 vertices, got {n}")
     edge_use: dict[tuple[int, int], int] = {}
     cover = 0
     for i, c in enumerate(d.cells):
@@ -101,25 +104,36 @@ def validate(d: Dissection) -> list[str]:
         if list(v) != sorted(v):
             bad.append(f"cell {i} vertices must be sorted (convex cyclic order): {v}")
             continue
-        if v[0] < 1 or v[-1] > d.n:
-            bad.append(f"cell {i} has labels outside 1..{d.n}: {v}")
+        if v[0] < 1 or v[-1] > n:
+            bad.append(f"cell {i} has labels outside 1..{n}: {v}")
             continue
         cover += len(v) - 2
-        for e in _cell_edges(v):
+        # v is sorted, so its edges are already ordered pairs
+        for e in zip(v, v[1:]):
             edge_use[e] = edge_use.get(e, 0) + 1
+        e = (v[0], v[-1])
+        edge_use[e] = edge_use.get(e, 0) + 1
     if not bad:
-        if cover != d.n - 2:
-            bad.append(f"cells cover {cover} triangle-equivalents, polygon needs {d.n - 2}")
-        for e, count in sorted(edge_use.items()):
-            want = 1 if _is_side(e, d.n) else 2
-            if count != want:
-                what = "side" if want == 1 else "diagonal"
-                bad.append(f"{what} {e} borders {count} cells, expected {want}")
-        for v in range(1, d.n + 1):
-            side = tuple(sorted((v, v % d.n + 1)))
+        if cover != n - 2:
+            bad.append(f"cells cover {cover} triangle-equivalents, polygon needs {n - 2}")
+        wrong = []
+        diagonals = []
+        for e, count in edge_use.items():
+            a, b = e
+            if b - a == 1 or (a == 1 and b == n):
+                if count != 1:
+                    wrong.append((e, "side", count, 1))
+            else:
+                diagonals.append(e)
+                if count != 2:
+                    wrong.append((e, "diagonal", count, 2))
+        for e, what, count, want in sorted(wrong):
+            bad.append(f"{what} {e} borders {count} cells, expected {want}")
+        for v in range(1, n + 1):
+            side = (v, v + 1) if v < n else (1, n)
             if side not in edge_use:
                 bad.append(f"polygon side {side} not covered by any cell")
-        crossing = _find_crossing(e for e in edge_use if not _is_side(e, d.n))
+        crossing = _find_crossing(diagonals)
         if crossing:
             bad.append(f"diagonals {crossing[0]} and {crossing[1]} cross")
     bad.extend(_check_weights(d))
@@ -145,10 +159,10 @@ def _find_crossing(diagonals):
 
 def _check_weights(d: Dissection) -> list[str]:
     bad: list[str] = []
-    paired = [idx for pair in d.pairs for idx in pair]
+    paired = {idx for pair in d.pairs for idx in pair}
     if d.kind != KIND_SECOND and d.pairs:
         bad.append(f"kind {d.kind} admits no split-quadrilateral pairs")
-    if len(set(paired)) != len(paired):
+    if len(paired) != sum(map(len, d.pairs)):
         bad.append("a cell appears in more than one pair")
     for i, c in enumerate(d.cells):
         tri = len(c.vertices) == 3
@@ -334,6 +348,12 @@ def _attachable_classes(n_mod: int) -> list[Seq]:
     return [(1, 1, 1), (3, 3, 3), (0, 0, 0, 0), (2, 2, 2, 2), (0, 2, 0, 2)]
 
 
+@functools.cache
+def _attachable_images(n_mod: int) -> frozenset[Seq]:
+    """Every dihedral image of the attachable classes: the right parts a peel allows."""
+    return frozenset(img for w in _attachable_classes(n_mod) for img in dihedral_images(w))
+
+
 def _spec_for(part: Seq, kind: str):
     if len(part) == 3:
         return ("triangle", None if kind == KIND_PLAIN else part[0])
@@ -425,10 +445,13 @@ def build_dissection(seq, n_mod: int) -> Dissection:
     Size 3/4 classes come from a fixed realization table.  A larger
     solution is peeled in a loop: each step splits off an attachable part
     (the cells that can sit on one edge) and continues with the rest, down
-    to the table.  The cells are then placed in one pass, and the result
-    is validated once against the input.  The split always exists for
-    moduli 2..4, so a search failure is reported as a bug, never mapped to
-    a quiet error.
+    to the table.  Each step runs ``find_decomposition``'s whitelisted scan
+    on the rest as the previous step left it, normalized, with the sign its
+    witness gives, so the input is normalized and its sign computed once
+    (mod 2 that sign may read -1, the same residue as +1).  The cells are
+    then placed in one pass, and the result is validated once against the
+    input.  The split always exists for moduli 2..4, so a search failure is
+    reported as a bug, never mapped to a quiet error.
     """
     if n_mod not in MODULUS_KIND:
         raise ValueError("dissection models exist for moduli 2, 3 and 4 only")
@@ -436,19 +459,22 @@ def build_dissection(seq, n_mod: int) -> Dissection:
     seq = normalize_seq(seq, n_mod)
     if len(seq) < 3:
         raise ValueError("dissections need size >= 3")
-    if solution_sign(seq, n_mod) is None:
+    sign = solution_sign(seq, n_mod)
+    if sign is None:
         raise ValueError(f"{seq} is not a solution mod {n_mod}")
-    attachable = _attachable_classes(n_mod)
+    allowed = _attachable_images(n_mod)
+    longest = max(map(len, _attachable_classes(n_mod)))
     levels = []
     cur = seq
     while len(cur) > 4:
-        witness = find_decomposition(cur, n_mod, attachable)
+        # a right part of length k comes from the split m = len(cur) + 2 - k
+        witness = _split(cur, sign, n_mod, max(3, len(cur) + 2 - longest), allowed)
         if witness is None:
             raise RuntimeError(
                 f"no attachable split for {cur} mod {n_mod}; the classification "
                 "guarantees one, so this is a bug")
         levels.append((cur, _spec_for(witness.right, kind)))
-        cur = witness.left
+        cur, sign = witness.left, witness.left_sign
     return _checked(_assemble(kind, levels, cur), seq, "build_dissection")
 
 
@@ -503,11 +529,20 @@ def eliminate_quads(d: Dissection) -> Dissection:
     first quad in cell order that borders a triangle is rewritten first,
     and the fan is appended after the remaining cells.  An all-zero
     quiddity (an all-quad dissection) has no such step and is rejected.
-    The result is validated once against the starting quiddity.
+    The input is validated first, and the result once against the starting
+    quiddity.
     """
+    _require_weighted_first(d)
+    return _eliminate_quads(d, quiddity(d))
+
+
+def _require_weighted_first(d: Dissection) -> None:
     if d.kind != KIND_FIRST:
         raise ValueError("quad elimination is defined for weighted-first dissections")
-    start = quiddity(d)
+
+
+def _eliminate_quads(d: Dissection, start: Seq) -> Dissection:
+    """``eliminate_quads`` for a valid weighted-first dissection with quiddity ``start``."""
     if not any(start):
         raise ValueError("all-zero quiddity: quad elimination needs a triangle to start from")
     # rewritten cells become None, so the live cells keep their order
@@ -628,13 +663,17 @@ def random_dissection(n: int, kind: str, seed: int) -> Dissection:
 
 def to_svg(d: Dissection, size: int = 400) -> str:
     """Regular-polygon drawing; purely presentational."""
+    return _svg(d, quiddity(d), size)
+
+
+def _svg(d: Dissection, q: Seq, size: int = 400) -> str:
+    """``to_svg`` for a valid dissection with quiddity ``q``."""
     cx = cy = size / 2
     r = size * 0.42
     pos = {}
     for v in range(1, d.n + 1):
         ang = -pi / 2 + 2 * pi * (v - 1) / d.n
         pos[v] = (cx + r * cos(ang), cy + r * sin(ang))
-    q = quiddity(d)
     lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
              f'viewBox="0 0 {size} {size}">']
     drawn = set()

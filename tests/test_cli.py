@@ -6,7 +6,7 @@ from functools import partial
 
 import pytest
 
-from quiddity import cli
+from quiddity import cli, dissections
 from quiddity.cli import main
 from quiddity.dissections import from_dict, quiddity, validate
 from quiddity.enumeration import SearchConfig, count_classes, enumerate_solutions
@@ -404,6 +404,39 @@ def test_triangulate_via_rewrite(capsys):
     payload = json.loads(out)
     assert all(len(c["vertices"]) == 3 for c in payload["cells"])
     assert payload["quiddity"] == [1, 1, 1, 0, 0]
+
+
+@pytest.mark.parametrize("n_mod", ["2", "4"])
+def test_triangulate_via_rewrite_needs_mod_three(capsys, n_mod):
+    code, out, err = run(capsys, "triangulate", "--modulus", n_mod, "1,1,1", "--via-rewrite")
+    assert (code, out) == (2, "")
+    assert err == "error: quad elimination is defined for weighted-first dissections\n"
+
+
+# a mod-3 solution whose built dissection has five quadrilaterals
+QUADS_32 = "0,2,1,0,2,2,1,0,2,1,2,1,1,0,0,0,2,2,1,0,0,2,0,2,1,0,2,2,0,1,0,0"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "svg"])
+@pytest.mark.parametrize("argv, validations", [
+    (("dissect", QUADS_32), 1),
+    (("dissect", "--random", "30"), 1),
+    (("triangulate", QUADS_32), 1),
+    (("triangulate", "--via-rewrite", QUADS_32), 2),  # the build, then the rewrite
+])
+def test_dissection_jobs_validate_once_per_build(capsys, monkeypatch, fmt, argv, validations):
+    calls = []
+
+    def spy(d):
+        calls.append(d)
+        return validate(d)
+
+    monkeypatch.setattr(dissections, "validate", spy)
+    code, out, err = run(capsys, *argv, "--modulus", "3", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert len(calls) == validations
+    if fmt == "json":
+        assert from_dict(json.loads(out)) == calls[-1]
 
 
 def test_evidence(capsys):

@@ -1,5 +1,7 @@
+import itertools
 import random
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
 
@@ -14,6 +16,7 @@ from quiddity.dissections import (
     _attachable_classes,
     _base_cases,
     _cell_edges,
+    _find_crossing,
     _is_side,
     _spec_for,
     attach_cell,
@@ -28,6 +31,7 @@ from quiddity.dissections import (
     triangulate,
     validate,
 )
+from quiddity import dissections, solutions
 from quiddity.enumeration import enumerate_solutions
 from quiddity.solutions import (
     apply_dihedral,
@@ -138,6 +142,147 @@ def test_validate_crossings_match_all_pairs_oracle():
                     assert any(got[0] == f"diagonals {p} and {q} cross" for p, q in want)
                 moved_copies += 1
     assert moved_copies > 1000
+
+
+# The validator before its per-edge sorts were dropped, kept verbatim as an
+# oracle for the message lists.
+
+def _reference_validate(d: Dissection) -> list[str]:
+    """All invariant violations, empty when the dissection is well formed."""
+    bad: list[str] = []
+    if d.kind not in KIND_MODULUS:
+        return [f"unknown kind {d.kind!r}"]
+    if d.n < 3:
+        bad.append(f"polygon needs at least 3 vertices, got {d.n}")
+    edge_use: dict[tuple[int, int], int] = {}
+    cover = 0
+    for i, c in enumerate(d.cells):
+        v = c.vertices
+        if len(v) not in (3, 4) or len(set(v)) != len(v):
+            bad.append(f"cell {i} must list 3 or 4 distinct vertices: {v}")
+            continue
+        if list(v) != sorted(v):
+            bad.append(f"cell {i} vertices must be sorted (convex cyclic order): {v}")
+            continue
+        if v[0] < 1 or v[-1] > d.n:
+            bad.append(f"cell {i} has labels outside 1..{d.n}: {v}")
+            continue
+        cover += len(v) - 2
+        for e in _cell_edges(v):
+            edge_use[e] = edge_use.get(e, 0) + 1
+    if not bad:
+        if cover != d.n - 2:
+            bad.append(f"cells cover {cover} triangle-equivalents, polygon needs {d.n - 2}")
+        for e, count in sorted(edge_use.items()):
+            want = 1 if _is_side(e, d.n) else 2
+            if count != want:
+                what = "side" if want == 1 else "diagonal"
+                bad.append(f"{what} {e} borders {count} cells, expected {want}")
+        for v in range(1, d.n + 1):
+            side = tuple(sorted((v, v % d.n + 1)))
+            if side not in edge_use:
+                bad.append(f"polygon side {side} not covered by any cell")
+        crossing = _find_crossing(e for e in edge_use if not _is_side(e, d.n))
+        if crossing:
+            bad.append(f"diagonals {crossing[0]} and {crossing[1]} cross")
+    bad.extend(_reference_check_weights(d))
+    return bad
+
+
+def _reference_check_weights(d: Dissection) -> list[str]:
+    bad: list[str] = []
+    paired = [idx for pair in d.pairs for idx in pair]
+    if d.kind != KIND_SECOND and d.pairs:
+        bad.append(f"kind {d.kind} admits no split-quadrilateral pairs")
+    if len(set(paired)) != len(paired):
+        bad.append("a cell appears in more than one pair")
+    for i, c in enumerate(d.cells):
+        tri = len(c.vertices) == 3
+        w = c.weight
+        if d.kind == KIND_PLAIN:
+            if w is not None:
+                bad.append(f"cell {i}: plain dissections carry no weights")
+        elif d.kind == KIND_FIRST:
+            legal = (1, 2) if tri else (0,)
+            if w not in legal:
+                bad.append(f"cell {i}: weight {w} illegal mod 3 for this shape")
+        else:
+            if tri:
+                legal = (2,) if i in paired else (1, 3)
+            else:
+                legal = (0, 2)
+            if w not in legal:
+                bad.append(f"cell {i}: weight {w} illegal mod 4 for this shape")
+                if tri and w == 2:
+                    bad.append(f"cell {i}: weight-2 triangles occur only in split pairs")
+    for a, b in d.pairs:
+        if not (0 <= a < len(d.cells) and 0 <= b < len(d.cells)) or a == b:
+            bad.append(f"pair ({a}, {b}) is not two distinct cell indices")
+            continue
+        ca, cb = d.cells[a], d.cells[b]
+        if len(ca.vertices) != 3 or len(cb.vertices) != 3:
+            bad.append(f"pair ({a}, {b}) must join two triangles")
+            continue
+        if ca.weight != 2 or cb.weight != 2:
+            bad.append(f"pair ({a}, {b}) triangles must both weigh 2")
+        shared = set(ca.vertices) & set(cb.vertices)
+        union = tuple(sorted(set(ca.vertices) | set(cb.vertices)))
+        if len(shared) != 2 or len(union) != 4:
+            bad.append(f"pair ({a}, {b}) triangles must share exactly one edge")
+            continue
+        if sorted(shared) not in ([union[0], union[2]], [union[1], union[3]]):
+            bad.append(f"pair ({a}, {b}) shared edge must be the quadrilateral's diagonal")
+    return bad
+
+
+def _corrupted(d, rng):
+    """Broken copies of d, one per kind of damage (None where d cannot take it)."""
+    cells = list(d.cells)
+    i = rng.randrange(len(cells))
+    c = cells[i]
+    yield _moved_endpoint(d, rng)
+    yield replace(d, cells=tuple(cells[:i] + cells[i + 1:]))  # dropped cell
+    yield replace(d, cells=tuple(cells[:i + 1] + cells[i:]))  # duplicated cell
+    illegal = 1 if d.kind == KIND_PLAIN else rng.choice((None, 2, 4, 5))
+    yield replace(d, cells=tuple(cells[:i] + [Cell(c.vertices, illegal)] + cells[i + 1:]))
+    unsorted = c.vertices[::-1] if rng.randrange(2) else c.vertices[1:] + c.vertices[:1]
+    yield replace(d, cells=tuple(cells[:i] + [Cell(unsorted, c.weight)] + cells[i + 1:]))
+    # broken pairs: an index out of range, a cell paired with itself, a
+    # pair repeated, two cells that need not be adjacent triangles
+    j = rng.randrange(len(cells))
+    for pair in ((i, len(cells)), (i, i), (i, j)):
+        yield replace(d, pairs=d.pairs + (pair,))
+    if d.pairs:
+        yield replace(d, pairs=d.pairs + d.pairs[:1])
+        a, b = d.pairs[0]
+        yield replace(d, pairs=((a, (b + 1) % len(cells)),) + d.pairs[1:])
+
+
+def _assert_same_messages(d):
+    assert validate(d) == _reference_validate(d), d
+
+
+def test_validate_messages_match_reference():
+    rng = random.Random(11)
+    broken = 0
+    for kind, n_mod in KIND_MODULUS.items():
+        for seed in range(120):
+            d = random_dissection(3 + seed % 30, kind, seed)
+            _assert_same_messages(d)
+            for bad in _corrupted(d, rng):
+                if bad is not None:
+                    _assert_same_messages(bad)
+                    broken += bool(_reference_validate(bad))
+        for size in range(5, 80, 7):
+            seq = _glued(rng, n_mod, size)
+            _assert_same_messages(build_dissection(seq, n_mod))
+            if _triangulable(seq, n_mod):
+                _assert_same_messages(triangulate(seq, n_mod))
+    assert broken > 2500
+    for d in (Dissection(2, KIND_PLAIN, ()), Dissection(3, "bogus", ()),
+              Dissection(4, KIND_FIRST, (Cell((0, 1, 2, 5), 0),)),
+              Dissection(5, KIND_PLAIN, (tri(1, 1, 2), Cell((1, 2, 3, 4, 5)), tri(3, 4, 5)))):
+        _assert_same_messages(d)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +473,77 @@ def test_builders_match_recursive_reference(n_mod):
         while not _triangulable(seq, n_mod):
             seq = _glued(rng, n_mod, size)
         assert triangulate(seq, n_mod) == _reference_triangulate(seq, n_mod)
+
+
+def _periodic_solutions(n_mod):
+    """Solutions of size 5..60 that repeat a block of length 1..4."""
+    out = set()
+    for length in range(1, 5):
+        for block in itertools.product(range(n_mod), repeat=length):
+            for reps in range(2, 61 // length):
+                seq = block * reps
+                if 5 <= len(seq) and is_solution(seq, n_mod):
+                    out.add(seq)
+    return sorted(out)
+
+
+def _peel_inputs(n_mod):
+    rng = random.Random(300 + n_mod)
+    yield from (_glued(rng, n_mod, size) for size in range(5, 401, 15))
+    yield from _periodic_solutions(n_mod)
+    seq = (1, 1, 1)  # (1, 1, 1) glued onto itself at a fixed rotation
+    while len(seq) < 60:
+        seq = oplus(seq[1:] + seq[:1], (1, 1, 1), n_mod)
+        yield seq
+    yield (0, 1, 0, 1) * 15
+
+
+@pytest.mark.parametrize("n_mod", [2, 3, 4])
+def test_peel_threads_the_witness_sign(n_mod, monkeypatch):
+    calls = []
+
+    def spy(seq, sign, n, first, allowed):
+        witness = solutions._split(seq, sign, n, first, allowed)
+        calls.append((seq, sign, witness))
+        return witness
+
+    monkeypatch.setattr(dissections, "_split", spy)
+    periodic = 0
+    for seq in _peel_inputs(n_mod):
+        if not is_solution(seq, n_mod):
+            continue
+        calls.clear()
+        build_dissection(seq, n_mod)
+        assert calls or len(seq) <= 4
+        for cur, sign, witness in calls:
+            assert witness == find_decomposition(cur, n_mod, _attachable_classes(n_mod))
+            assert sign % n_mod == solution_sign(cur, n_mod) % n_mod
+            # a rotation that repeats the sequence stops _split's scan early
+            periodic += (bytes(cur) * 2).find(bytes(cur), 1) < len(cur)
+    assert periodic > 20
+
+
+@pytest.mark.parametrize("size", [5, 1000])
+@pytest.mark.parametrize("n_mod", [2, 3, 4])
+def test_peel_normalizes_and_signs_once(n_mod, size, monkeypatch):
+    seq = _glued(random.Random(size + n_mod), n_mod, size)
+    counts = {}
+
+    def counting(module, name):
+        fn = getattr(module, name, None)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper, raising=False)
+
+    counting(dissections, "find_decomposition")
+    counting(solutions, "find_decomposition")
+    counting(dissections, "normalize_seq")
+    counting(dissections, "solution_sign")
+    build_dissection(seq, n_mod)
+    assert counts == {"normalize_seq": 1, "solution_sign": 1}
 
 
 def test_build_rejects_non_solution():
