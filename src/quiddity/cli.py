@@ -14,7 +14,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from . import enumeration, monomial
@@ -30,6 +29,7 @@ from .dissections import (
 )
 from .enumeration import SearchConfig, WorkLimitExceeded
 from .solutions import (
+    _split,
     canonicalize,
     find_decomposition,
     is_irreducible,
@@ -39,6 +39,10 @@ from .solutions import (
 )
 
 ENV_MODULUS = "QUIDDITY_MODULUS"
+
+# concurrent.futures.ProcessPoolExecutor, imported by the first --jobs run:
+# the import pulls in multiprocessing, which most calls never use
+ProcessPoolExecutor = None
 
 
 class UsageError(Exception):
@@ -156,7 +160,8 @@ def cmd_reduce(args) -> int:
     if n == 0:
         raise UsageError("the splitting search is modular-only (modulus >= 2)")
     seq = normalize_seq(_parse_seq(args.seq), n)
-    if solution_sign(seq, n) is None:
+    sign = solution_sign(seq, n)
+    if sign is None:
         raise UsageError(f"{','.join(map(str, seq))} is not a solution mod {n}")
     whitelist = None
     if args.right:
@@ -165,7 +170,10 @@ def cmd_reduce(args) -> int:
             raise UsageError(f"--right {','.join(map(str, right))} is not a "
                              f"solution of size >= 3 mod {n}")
         whitelist = [right]
-    w = find_decomposition(seq, n, whitelist)
+    if whitelist is None and len(seq) >= 3:
+        w = _split(seq, sign, n)  # seq is normalized and signed already
+    else:
+        w = find_decomposition(seq, n, whitelist)  # refuses size 2
     if w is None:
         irreducible = whitelist is None or is_irreducible(seq, n)
         payload = {"modulus": n, "seq": list(seq), "irreducible": irreducible}
@@ -202,6 +210,7 @@ def cmd_enumerate(args) -> int:
 
 
 def _classify_report(args, n: int):
+    global ProcessPoolExecutor
     config = SearchConfig(
         modulus=n, sizes=_parse_sizes(args),
         irreducible_only=args.irreducible_only,
@@ -210,6 +219,8 @@ def _classify_report(args, n: int):
         keep_witnesses=args.witnesses,
         allow_large=args.allow_large)
     if args.jobs > 1 and config.shard_count == 1:
+        if ProcessPoolExecutor is None:
+            from concurrent.futures import ProcessPoolExecutor
         config = replace(config, shard_depth=max(args.shard_depth, 1), shard_count=args.jobs)
         # the shard count, not the pool size, fixes the merged report; a fork
         # pool starts all its workers at once, so never more than the CPUs

@@ -34,15 +34,17 @@ from .modmat import (
 from .solutions import (
     Seq,
     _split,
+    _witness,
     canonicalize,
     is_reversal_symmetric,
     Witness,
 )
 
-# Per size: prefix probes for ``enumerate_solutions`` and search nodes for
-# the unpruned class DFS, both counted before the search starts; search
-# nodes for the pruned class DFS, counted as they are visited.  Per count:
-# table steps for ``count_classes``, counted before the count starts.
+# Per size: prefix probes for ``enumerate_solutions``, counted before the
+# search starts.  Per run, over all its sizes: search nodes for the unpruned
+# class DFS, counted before the search starts, and for the pruned class DFS,
+# counted as they are visited.  Per count: table steps for
+# ``count_classes``, counted before the count starts.
 DEFAULT_WORK_LIMIT = 4_000_000
 
 
@@ -115,6 +117,23 @@ def _window_masks(n: int):
         masks.append(mask)
     row_bit = [p11 * n + p12 for p11, p12, _, _ in elements]
     return row_bit, masks
+
+
+@lru_cache(maxsize=None)
+def _tail_table(n: int):
+    """The letters that end a leaf, indexed like ``_group_tables``' elements.
+
+    ``table[g]`` lists, in increasing a, the (a, child, u, v, eps) with
+    child = step[a][g] and (u, v, eps) the one tail of child: the last
+    prefix letters a after a prefix of product g that complete a solution.
+    """
+    _, step, tails = _group_tables(n)
+    table = [[] for _ in tails]
+    for a, row in enumerate(step):
+        for g, child in enumerate(row):
+            for u, v, eps in tails[child]:
+                table[g].append((a, child, u, v, eps))
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -404,8 +423,10 @@ class SizeReport:
             "cyclic_irreducible_count": self.cyclic_irreducible_count,
         }
         if self.witnesses:
+            # one str() per residue, not one per entry of every key
+            names = [str(a) for a in range(max(map(max, self.witnesses)) + 1)]
             d["witnesses"] = {
-                ",".join(map(str, k)): {
+                ",".join([names[a] for a in k]): {
                     "left": list(w.left), "right": list(w.right),
                     "transform": w.transform}
                 for k, w in self.witnesses.items()}
@@ -483,9 +504,16 @@ def _least_of_reversal(word: Seq) -> bool:
 
 def _irreducible_candidates(config: SearchConfig, size: int,
                             prune: bool = True) -> list[tuple[Seq, int]]:
-    """The leaves of the orderly class DFS: canonical forms with their signs, sorted.
+    """The leaves of the orderly class DFS for one size: ``_class_leaves`` at ``size``."""
+    return _class_leaves(config, (size,), prune)[size]
 
-    The DFS builds each class's canonical form (see ``canonicalize``) and no
+
+def _class_leaves(config: SearchConfig, sizes, prune: bool = True,
+                  witnesses: bool = False) -> dict[int, list]:
+    """The leaves of the orderly class DFS for every size in ``sizes``, in one pass.
+
+    Returns, per size, the canonical forms with their signs, sorted.  The
+    DFS builds each class's canonical form (see ``canonicalize``) and no
     other word of the class, so every class it reaches has one leaf.  A
     canonical form is a necklace (the least of its rotations), and every
     prefix of a necklace is a prenecklace.  So the DFS grows prenecklaces
@@ -493,18 +521,26 @@ def _irreducible_candidates(config: SearchConfig, size: int,
     period of the prefix a_1..a_t (the length of its longest Lyndon
     prefix), the next letter is >= a_{t+1-p}; an equal letter keeps p, a
     larger one makes the period t + 1.  The two tail letters, solved from
-    the group table, obey the same rule.  A leaf is kept when p divides
-    ``size``, so the word is a necklace, and the word is <= every rotation
-    of its reversal: it is then the least word of its dihedral class
-    (Cattell, Ruskey, Sawada, Serra and Miers, J. Algorithms 2000).
+    the group table, obey the same rule.  A leaf is kept when p divides its
+    size, so the word is a necklace, and the word is <= every rotation of
+    its reversal: it is then the least word of its dihedral class (Cattell,
+    Ruskey, Sawada, Serra and Miers, J. Algorithms 2000).
 
-    Unpruned, the leaves are all the classes.  Pruned, a prefix is cut as
-    soon as a window of length 1..size-3 ending at its last letter has
-    continuant +/-1, as no window of an irreducible solution has.  A node
-    carries one int, the OR of ``_window_masks`` over the prefix products
-    P_1..P_t, and a child is cut when the bit of its row 1 is set there or
-    in the mask of P_0 = Id, whose window would be the whole prefix at the
-    last depth and is left out there.  Unpruned, every mask is 0.
+    One pass serves every size: the DFS runs down to depth max(sizes) - 2,
+    and a prefix of depth d with a tail ends a leaf of size d + 2 when that
+    size is asked for.  At the deepest level only leaves are left, so the
+    DFS walks ``_tail_table``, the letters whose child has a tail, instead
+    of every letter.
+
+    Unpruned, the leaves are all the classes.  Pruned, a prefix of depth d
+    is cut as soon as a window ending at its last letter has continuant
+    +/-1, as no window of length 1..n-3 of an irreducible solution of size
+    n has.  A node carries one int, the OR of ``_window_masks`` over the
+    prefix products P_1..P_t, and a child whose row-1 bit is set there is
+    dropped.  The window of the whole prefix, the mask of P_0 = Id, has
+    length d = n - 2 for the leaves the child ends, so a child whose bit is
+    set only there may end a leaf but is not entered.  Unpruned, every mask
+    is 0.
 
     The pruned leaves are exactly the irreducible classes.  In a solution,
     the window of length L at position i and the window of length
@@ -515,81 +551,144 @@ def _irreducible_candidates(config: SearchConfig, size: int,
     positions 1..size-2, where the DFS checked every window of length
     1..size-3.
 
+    With ``witnesses``, each leaf is a triple whose third entry is the
+    witness ``_split`` finds at rotation 0, or None when there is none
+    there.  A node carries the first t >= 2 at which the window a_2..a_t
+    has continuant +/-1 (the bit of P_t in the mask of P_1), with P_t, and
+    the witness is the split at m = t + 1 with window product P_t P_1^-1.
+
     ``work_limit`` counts the prefixes the DFS tries, pruned ones included:
     pruned, as they are visited; unpruned, by ``_class_dfs_nodes`` before it
-    starts.  The DFS recurses once per letter: unpruned, a size whose
-    prefixes outgrow the interpreter's recursion limit is refused before
-    the search; pruned, only when a path reaches that depth.  Sharding
-    splits the prefixes of depth max(shard_depth, 1) that the DFS enters
-    round-robin on their DFS rank, so the shards' leaves are disjoint; it
-    enters a prefix of depth size-2 only when it has a tail.  Leaves come in
-    increasing order: each tail holds at most one pair, and the DFS tries
-    letters in increasing order.
+    starts.  Either count is the one of the largest size alone.  The DFS
+    recurses once per letter: unpruned, a run whose prefixes outgrow the
+    interpreter's recursion limit is refused before the search; pruned,
+    only when a path reaches that depth.  Sharding splits the children of
+    depth max(shard_depth, 1) (at most the deepest level) that ``forbid``
+    keeps round-robin on their DFS rank, whether they end a leaf or are
+    entered; shallower leaves belong to shard 0.  So the shards' leaves are
+    disjoint.  Leaves of one size come in increasing order: each tail holds
+    at most one pair, and the DFS tries letters in increasing order.
     """
     n_mod = config.modulus
-    depth_max = size - 2
+    largest = max(sizes)
+    top = largest - 2
     deepest = _recursion_headroom()
     if not prune:
         # a search too deep to run is refused below, so its count stops at the budget
-        cap = None if config.allow_large and depth_max <= deepest else config.work_limit
-        _check_work(_class_dfs_nodes(n_mod, depth_max, cap), "search nodes",
+        cap = None if config.allow_large and top <= deepest else config.work_limit
+        _check_work(_class_dfs_nodes(n_mod, top, cap), "search nodes",
                     config.work_limit, config.allow_large)
-        if depth_max > deepest:
-            raise _too_deep(size, deepest)
+        if top > deepest:
+            raise _too_deep(largest, deepest)
     _check_table(n_mod, config.work_limit, config.allow_large)
-    _, step, tails = _group_tables(n_mod)
-    if prune:
-        row_bit, masks = _window_masks(n_mod)
-    else:
-        row_bit = masks = [0] * len(tails)
-    split = min(max(config.shard_depth, 1), depth_max)
-    sharded = config.shard_count > 1
-    leaves: list[tuple[Seq, int]] = []
+    elements, step, tails = _group_tables(n_mod)
+    tail_table = _tail_table(n_mod)
+    row_bit, window_masks = _window_masks(n_mod)
+    masks = window_masks if prune else [0] * len(tails)
+    whole = masks[0]  # the window of the whole prefix
+    first_masks = window_masks if witnesses else [0] * len(tails)
+    limit = config.work_limit
+    found: dict[int, list] = {size: [] for size in sizes}
+    outs = [found.get(depth + 2) for depth in range(top + 1)]  # by the leaf's prefix depth
+    split = ranked = tail_depth = -1
+    if config.shard_count > 1:
+        split = min(max(config.shard_depth, 1), top)
+        ranked = split - 1
+        if config.shard_index:  # shallower leaves, and size 2's, are shard 0's
+            shallow = max(split, 1)
+            outs[:shallow] = [None] * shallow
+    if split != top:  # a rank at the deepest level goes to children without tails too
+        tail_depth = top
     path: list[int] = []
     visited = rank = 0
 
-    def dfs(g: int, period: int, forbid: int):
-        # forbid: the OR of the masks of the prefix products P_1..P_t
+    def emit(out, word: Seq, period: int, eps: int, hit):
+        # word: a prefix with period ``period``, then the two tail letters of
+        # its product; at size 2 the prefix is empty and the tail is (0, 0)
+        size = len(word)
+        p = period
+        for t in (size - 2, size - 1):
+            low = word[t - p]
+            if word[t] < low:
+                return
+            if word[t] > low:
+                p = t + 1
+        if size % p or not _least_of_reversal(word):
+            return
+        if not witnesses:
+            out.append((word, eps))
+        elif hit is None:
+            out.append((word, eps, None))
+        else:
+            # the window a_2..a_t has product P_t G(a_1)^-1, where
+            # G(a)^-1 = [[0, 1], [-1, a]]
+            t, pt = hit
+            p11, p12, _, p22 = elements[pt]
+            w11, w12, w21 = -p12 % n_mod, (p11 + word[0] * p12) % n_mod, -p22 % n_mod
+            out.append((word, eps, _witness(word, t + 1, w11, w12, w21, eps, n_mod, 0)))
+
+    def dfs(g: int, period: int, forbid: int, hit, first: int):
+        # forbid: the OR of the masks of P_1..P_t; hit: (t, P_t) for the first
+        # unit window a_2..a_t, or None; first: the mask of P_1 (0 at the root)
         nonlocal visited, rank
         depth = len(path)
         if depth > deepest:
-            raise _too_deep(size, deepest)
-        if sharded and depth == split:
-            rank += 1
-            if (rank - 1) % config.shard_count != config.shard_index:
-                return
-        if depth == depth_max:
-            for u, v, eps in tails[g]:
-                word = (*path, u, v)
-                p = period
-                for t in (depth, depth + 1):
-                    low = word[t - p] if t else 0
-                    if word[t] < low:
-                        break
-                    if word[t] > low:
-                        p = t + 1
-                else:
-                    if size % p == 0 and _least_of_reversal(word):
-                        leaves.append((word, eps))
-            return
-        last = depth + 1 == depth_max
-        cut = forbid if last else forbid | masks[0]
+            raise _too_deep(largest, deepest)
         low = path[depth - period] if depth else 0
+        below = depth + 1
+        if below == tail_depth:
+            tried = n_mod - low
+            if visited + tried > limit:
+                for _ in range(tried):
+                    visited += 1
+                    if visited > limit:
+                        _check_work(visited, "search nodes", limit, config.allow_large)
+            else:
+                visited += tried
+            out = outs[below]
+            for a, child, u, v, eps in tail_table[g]:
+                if a < low:
+                    continue
+                bit = row_bit[child]
+                if forbid >> bit & 1:
+                    continue
+                if below > deepest:
+                    raise _too_deep(largest, deepest)
+                emit(out, (*path, a, u, v), period if a == low else below, eps,
+                     (below, child) if hit is None and first >> bit & 1 else hit)
+            return
+        out = outs[below]
+        deeper = below < top
         for a in range(low, n_mod):
             visited += 1
-            if visited > config.work_limit:
-                _check_work(visited, "search nodes", config.work_limit, config.allow_large)
+            if visited > limit:
+                _check_work(visited, "search nodes", limit, config.allow_large)
             child = step[a][g]
-            if cut >> row_bit[child] & 1:
+            bit = row_bit[child]
+            if forbid >> bit & 1:
                 continue
-            if not last or tails[child]:  # a full prefix needs a tail
+            if depth == ranked:
+                rank += 1
+                if (rank - 1) % config.shard_count != config.shard_index:
+                    continue
+            p = period if a == low else below
+            child_hit = (below, child) if hit is None and first >> bit & 1 else hit
+            if out is not None and tails[child]:
+                if below > deepest:
+                    raise _too_deep(largest, deepest)
+                (u, v, eps), = tails[child]
+                emit(out, (*path, a, u, v), p, eps, child_hit)
+            if deeper and not whole >> bit & 1:
                 path.append(a)
-                dfs(child, period if a == low else depth + 1,
-                    forbid if last else forbid | masks[child])
+                dfs(child, p, forbid | masks[child], child_hit, first or first_masks[child])
                 path.pop()
 
-    dfs(0, 1, 0)
-    return leaves
+    if outs[0] is not None:  # size 2: the tails of the empty prefix
+        for u, v, eps in tails[0]:
+            emit(outs[0], (u, v), 1, eps, None)
+    if top:
+        dfs(0, 1, 0, None, 0)
+    return found
 
 
 def _too_deep(size: int, deepest: int) -> ValueError:
@@ -607,12 +706,13 @@ def _size_report(size: int, irreducible: list[Seq], total: int | None,
 def classify(config: SearchConfig) -> ClassificationReport:
     """Canonical solution classes per size, each tested for irreducibility.
 
-    Every mode takes its classes from the orderly class DFS
-    (``_irreducible_candidates``), and ``work_limit`` counts its search
+    Every mode takes its classes from one pass of the orderly class DFS
+    over all sizes (``_class_leaves``), and ``work_limit`` counts its search
     nodes.  Only ``keep_witnesses`` (without ``irreducible_only``) needs
     every class, so only there does the DFS run unpruned; each reducible
     class then gets the witness ``find_decomposition`` gives its canonical
-    representative, and ``total_classes`` is the number of classes listed.
+    representative (read off the DFS path when it lies at rotation 0), and
+    ``total_classes`` is the number of classes listed.
     Otherwise the DFS is pruned on window continuants, its leaves are the
     irreducible classes with no split check, and ``total_classes`` comes
     from the Burnside count (``count_classes``, one pass for all
@@ -627,22 +727,24 @@ def classify(config: SearchConfig) -> ClassificationReport:
     totals = {}
     if counted and not all_classes:
         totals = _class_counts(n_mod, config.sizes, config.work_limit, config.allow_large)
+    leaves = _class_leaves(config, config.sizes, prune=not all_classes, witnesses=all_classes)
     size_reports = []
     for size in sorted(config.sizes):
-        leaves = _irreducible_candidates(config, size, prune=not all_classes)
+        found = leaves[size]
         irreducible = []
         witnesses = {}
         if all_classes and size >= 3:
-            for rep, sign in leaves:
-                w = _split(rep, sign, n_mod)
-                if w is None:
-                    irreducible.append(rep)
-                else:
-                    witnesses[rep] = w
+            for rep, sign, w in found:
+                if w is None:  # no split at rotation 0
+                    w = _split(rep, sign, n_mod)
+                    if w is None:
+                        irreducible.append(rep)
+                        continue
+                witnesses[rep] = w
         elif size >= 3:  # (0, 0), the one class of size 2, is not irreducible
-            irreducible = [rep for rep, _ in leaves]
+            irreducible = [rep for rep, _ in found]
         if counted and all_classes:
-            totals[size] = len(leaves)
+            totals[size] = len(found)
         size_reports.append(_size_report(size, irreducible, totals.get(size), witnesses))
     return ClassificationReport(n_mod, size_reports, time.perf_counter() - t0)
 

@@ -1,8 +1,11 @@
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -582,6 +585,29 @@ def test_help_exits_zero(capsys):
 
 def test_parser_built_once():
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only --jobs needs the pool; its import pulls in multiprocessing
+    code = ("import sys, quiddity.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_reduce_splits_without_renormalizing(capsys, monkeypatch):
+    # reduce signs its input once; only the whitelist and size 2 go through
+    # find_decomposition
+    calls = []
+    real = cli.find_decomposition
+    monkeypatch.setattr(cli, "find_decomposition", lambda *args: calls.append(args) or real(*args))
+    assert run(capsys, "reduce", "-N", "5", "1,1,1,1,1,1")[:2] == (
+        0, "(1,1,1) (+) (0,1,1,1,0)  [dihedral transform 0]\n")
+    assert calls == []
+    assert run(capsys, "reduce", "-N", "5", "0,0")[0] == 2
+    assert len(calls) == 1
 
 
 def _timing_free(out):

@@ -9,9 +9,11 @@ from quiddity.enumeration import (
     _check_table,
     _class_counts,
     _class_dfs_nodes,
+    _class_leaves,
     _group_tables,
     _irreducible_candidates,
     _least_of_reversal,
+    _tail_table,
     _window_masks,
     DEFAULT_WORK_LIMIT,
     SearchConfig,
@@ -544,6 +546,119 @@ def test_bitmask_dfs_matches_window_lists(monkeypatch, n_mod):
         leaves, visited = _list_window_candidates(config, size, prune=False)
         # unpruned, the checks are the up-front count and then every visit
         assert _visits(monkeypatch, config, size, prune=False) == (leaves, visited)
+
+
+def _one_pass(monkeypatch, config: SearchConfig, sizes, prune: bool):
+    """``_class_leaves`` over ``sizes`` and the prefixes it tried, read off its budget checks."""
+    checks = [0]
+    monkeypatch.setattr(enumeration, "_check_work", lambda count, *rest: checks.append(count))
+    leaves = _class_leaves(replace(config, work_limit=0, allow_large=True), sizes, prune)
+    monkeypatch.undo()
+    return leaves, checks[-1]
+
+
+@pytest.mark.parametrize("n_mod", range(2, 11))
+def test_one_pass_matches_per_size_window_lists(monkeypatch, n_mod):
+    # one pass over sizes lo..S lists, at every size, the leaves of the
+    # per-size oracle, and tries the nodes the oracle tries for S alone
+    for prune, sizes in ((True, range(3, 12 if n_mod <= 8 else 11)), (False, range(2, 9))):
+        sizes = tuple(sizes)
+        config = SearchConfig(n_mod, sizes)
+        leaves, visited = _one_pass(monkeypatch, config, sizes, prune)
+        assert sorted(leaves) == list(sizes)
+        for size in sizes:
+            want, tried = _list_window_candidates(config, size, prune)
+            assert leaves[size] == want, (n_mod, prune, size)
+        assert visited == tried, (n_mod, prune)
+
+
+def test_one_pass_counts_shared_prefixes_once(monkeypatch):
+    # N = 6, sizes 3..9, unpruned: the prenecklaces of length 1..7, where
+    # one DFS per size tried 77,202 nodes
+    config = SearchConfig(6, tuple(range(3, 10)), keep_witnesses=True)
+    _, visited = _one_pass(monkeypatch, config, config.sizes, prune=False)
+    assert visited == _class_dfs_nodes(6, 7) == 61864
+    assert sum(_class_dfs_nodes(6, size - 2) for size in config.sizes) == 77202
+    # pruned: the tree of the largest size alone
+    for n_mod, top, nodes in ((9, 10, 4690), (8, 11, 537)):
+        config = SearchConfig(n_mod, tuple(range(3, top + 1)))
+        _, visited = _one_pass(monkeypatch, config, config.sizes, prune=True)
+        assert visited == _list_window_candidates(config, top)[1] == nodes
+
+
+def test_tail_table_lists_the_letters_with_tails():
+    for n_mod in range(2, 10):
+        _, step, tails = _group_tables(n_mod)
+        table = _tail_table(n_mod)
+        assert len(table) == len(tails)
+        for g, entries in enumerate(table):
+            assert entries == [(a, step[a][g], *tails[step[a][g]][0])
+                               for a in range(n_mod) if tails[step[a][g]]], (n_mod, g)
+
+
+@pytest.mark.parametrize("n_mod", range(2, 9))
+def test_dfs_witnesses_match_split(n_mod):
+    # a witness read off the DFS path is _split's and find_decomposition's;
+    # a leaf without one has no split at rotation 0
+    sizes = tuple(range(2, 10))
+    leaves = _class_leaves(SearchConfig(n_mod, sizes), sizes, prune=False, witnesses=True)
+    assert {size: [(rep, sign) for rep, sign, _ in found] for size, found in leaves.items()} == {
+        size: _irreducible_candidates(SearchConfig(n_mod, (size,)), size, prune=False)
+        for size in sizes}
+    for size, found in leaves.items():
+        for rep, sign, witness in found:
+            split = _split(rep, sign, n_mod) if size >= 3 else None
+            if witness is None:
+                assert split is None or split.transform > 0, rep
+            else:
+                assert witness == split == find_decomposition(rep, n_mod), rep
+                assert witness.transform == 0
+    if n_mod == 6:
+        # 9,872 classes: 10 irreducible, 92 split first at a later rotation
+        later = [rep for found in leaves.values() for rep, _, witness in found
+                 if witness is None and len(rep) >= 3]
+        assert sum(map(len, leaves.values())) - len(leaves[2]) == 9872
+        assert len(later) == 102
+
+
+@pytest.mark.parametrize("n_mod", (4, 6))
+@pytest.mark.parametrize("witnesses", (False, True))
+def test_multi_size_shards_are_disjoint_and_merge_exactly(n_mod, witnesses):
+    sizes = tuple(range(2, 9))
+    config = SearchConfig(n_mod, sizes, keep_witnesses=witnesses)
+    serial = classify(config).to_json(with_timing=False)
+    serial_leaves = _class_leaves(config, sizes, prune=not witnesses)
+    for shard_count in (2, 3):
+        for depth in range(5):
+            sharded = replace(config, shard_depth=depth, shard_count=shard_count)
+            parts = [_class_leaves(replace(sharded, shard_index=i), sizes, prune=not witnesses)
+                     for i in range(shard_count)]
+            for size in sizes:
+                union = sorted(leaf for part in parts for leaf in part[size])
+                assert len(set(union)) == len(union), (shard_count, depth, size)
+                assert union == serial_leaves[size], (shard_count, depth, size)
+            shards = [classify(replace(sharded, shard_index=i)) for i in range(shard_count)]
+            assert merge_shards(sharded, shards).to_json(with_timing=False) == serial, (
+                shard_count, depth)
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "-N", "6", "--sizes", "3..9", "--witnesses"],
+    ["classify", "-N", "7", "--sizes", "3..9"],
+    ["classify", "-N", "9", "--sizes", "3..10", "--irreducible-only"],
+    ["verify", "-N", "7"],
+    ["evidence", "-N", "8"],
+])
+def test_classify_runs_one_dfs_pass(monkeypatch, capsys, argv):
+    from quiddity.cli import main
+    calls = []
+    real = enumeration._class_leaves
+    monkeypatch.setattr(enumeration, "_class_leaves",
+                        lambda config, sizes, *args, **kwargs: calls.append(sizes)
+                        or real(config, sizes, *args, **kwargs))
+    assert main(argv + ["--format", "json"]) == 0
+    assert len(calls) == 1 and len(calls[0]) >= 7, calls
+    capsys.readouterr()
 
 
 def test_window_masks_flag_unit_continuants():
