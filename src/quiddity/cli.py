@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import re
@@ -29,7 +30,6 @@ from .dissections import (
 )
 from .enumeration import SearchConfig, WorkLimitExceeded
 from .solutions import (
-    _split,
     canonicalize,
     find_decomposition,
     is_irreducible,
@@ -160,8 +160,7 @@ def cmd_reduce(args) -> int:
     if n == 0:
         raise UsageError("the splitting search is modular-only (modulus >= 2)")
     seq = normalize_seq(_parse_seq(args.seq), n)
-    sign = solution_sign(seq, n)
-    if sign is None:
+    if solution_sign(seq, n) is None:
         raise UsageError(f"{','.join(map(str, seq))} is not a solution mod {n}")
     whitelist = None
     if args.right:
@@ -170,10 +169,7 @@ def cmd_reduce(args) -> int:
             raise UsageError(f"--right {','.join(map(str, right))} is not a "
                              f"solution of size >= 3 mod {n}")
         whitelist = [right]
-    if whitelist is None and len(seq) >= 3:
-        w = _split(seq, sign, n)  # seq is normalized and signed already
-    else:
-        w = find_decomposition(seq, n, whitelist)  # refuses size 2
+    w = find_decomposition(seq, n, whitelist)
     if w is None:
         irreducible = whitelist is None or is_irreducible(seq, n)
         payload = {"modulus": n, "seq": list(seq), "irreducible": irreducible}
@@ -232,6 +228,19 @@ def _classify_report(args, n: int):
 
 
 def cmd_classify(args) -> int:
+    # a witness report holds tens of thousands of tracked objects (N = 6,
+    # sizes 3..9) and almost no reference cycles: the cyclic collector would
+    # only sweep them again and again as they pile up, so it waits
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _classify(args)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _classify(args) -> int:
     n = _modulus(args)
     report = _classify_report(args, n)
     lines = []

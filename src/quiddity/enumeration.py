@@ -34,7 +34,6 @@ from .modmat import (
 from .solutions import (
     Seq,
     _split,
-    _witness,
     canonicalize,
     is_reversal_symmetric,
     Witness,
@@ -131,8 +130,8 @@ def _tail_table(n: int):
     table = [[] for _ in tails]
     for a, row in enumerate(step):
         for g, child in enumerate(row):
-            for u, v, eps in tails[child]:
-                table[g].append((a, child, u, v, eps))
+            if tails[child]:
+                table[g].append((a, child, *tails[child][0]))
     return table
 
 
@@ -490,15 +489,16 @@ def _least_of_reversal(word: Seq) -> bool:
 
     word[0] is the least letter of a necklace, so a rotation that starts
     above it is larger: only the rotations at the occurrences of word[0]
-    are compared.
+    are compared, and only those whose second letter is at most word[1].
     """
     size = len(word)
     mirrored = word[::-1] * 2
-    i = mirrored.index(word[0])
+    least, second = word[0], word[1]
+    i = mirrored.index(least)
     while i < size:
-        if mirrored[i:i + size] < word:
+        if mirrored[i + 1] <= second and mirrored[i:i + size] < word:
             return False
-        i = mirrored.index(word[0], i + 1)
+        i = mirrored.index(least, i + 1)
     return True
 
 
@@ -508,8 +508,7 @@ def _irreducible_candidates(config: SearchConfig, size: int,
     return _class_leaves(config, (size,), prune)[size]
 
 
-def _class_leaves(config: SearchConfig, sizes, prune: bool = True,
-                  witnesses: bool = False) -> dict[int, list]:
+def _class_leaves(config: SearchConfig, sizes, prune: bool = True) -> dict[int, list]:
     """The leaves of the orderly class DFS for every size in ``sizes``, in one pass.
 
     Returns, per size, the canonical forms with their signs, sorted.  The
@@ -551,23 +550,18 @@ def _class_leaves(config: SearchConfig, sizes, prune: bool = True,
     positions 1..size-2, where the DFS checked every window of length
     1..size-3.
 
-    With ``witnesses``, each leaf is a triple whose third entry is the
-    witness ``_split`` finds at rotation 0, or None when there is none
-    there.  A node carries the first t >= 2 at which the window a_2..a_t
-    has continuant +/-1 (the bit of P_t in the mask of P_1), with P_t, and
-    the witness is the split at m = t + 1 with window product P_t P_1^-1.
-
     ``work_limit`` counts the prefixes the DFS tries, pruned ones included:
     pruned, as they are visited; unpruned, by ``_class_dfs_nodes`` before it
     starts.  Either count is the one of the largest size alone.  The DFS
     recurses once per letter: unpruned, a run whose prefixes outgrow the
     interpreter's recursion limit is refused before the search; pruned,
-    only when a path reaches that depth.  Sharding splits the children of
-    depth max(shard_depth, 1) (at most the deepest level) that ``forbid``
+    only when a path reaches that depth.  Sharding deals out the children
+    of depth max(shard_depth, 1), at most the deepest level, that ``forbid``
     keeps round-robin on their DFS rank, whether they end a leaf or are
-    entered; shallower leaves belong to shard 0.  So the shards' leaves are
-    disjoint.  Leaves of one size come in increasing order: each tail holds
-    at most one pair, and the DFS tries letters in increasing order.
+    entered; at the deepest level only those with a tail are walked.
+    Shallower leaves belong to shard 0, so the shards' leaves are disjoint.
+    Leaves of one size come in increasing order: each tail holds at most one
+    pair, and the DFS tries letters in increasing order.
     """
     n_mod = config.modulus
     largest = max(sizes)
@@ -581,62 +575,50 @@ def _class_leaves(config: SearchConfig, sizes, prune: bool = True,
         if top > deepest:
             raise _too_deep(largest, deepest)
     _check_table(n_mod, config.work_limit, config.allow_large)
-    elements, step, tails = _group_tables(n_mod)
+    _, step, tails = _group_tables(n_mod)
     tail_table = _tail_table(n_mod)
-    row_bit, window_masks = _window_masks(n_mod)
-    masks = window_masks if prune else [0] * len(tails)
+    row_bit, masks = _window_masks(n_mod)
+    if not prune:
+        masks = [0] * len(tails)
     whole = masks[0]  # the window of the whole prefix
-    first_masks = window_masks if witnesses else [0] * len(tails)
     limit = config.work_limit
     found: dict[int, list] = {size: [] for size in sizes}
     outs = [found.get(depth + 2) for depth in range(top + 1)]  # by the leaf's prefix depth
-    split = ranked = tail_depth = -1
+    ranked = -1
     if config.shard_count > 1:
         split = min(max(config.shard_depth, 1), top)
-        ranked = split - 1
+        ranked = split - 1  # the depth of the nodes whose children take ranks
         if config.shard_index:  # shallower leaves, and size 2's, are shard 0's
             shallow = max(split, 1)
             outs[:shallow] = [None] * shallow
-    if split != top:  # a rank at the deepest level goes to children without tails too
-        tail_depth = top
-    path: list[int] = []
     visited = rank = 0
 
-    def emit(out, word: Seq, period: int, eps: int, hit):
+    def emit(out, word: Seq, period: int, eps: int):
         # word: a prefix with period ``period``, then the two tail letters of
         # its product; at size 2 the prefix is empty and the tail is (0, 0)
-        size = len(word)
-        p = period
-        for t in (size - 2, size - 1):
-            low = word[t - p]
-            if word[t] < low:
+        t = len(word) - 2
+        u, low = word[t], word[t - period]
+        if u != low:
+            if u < low:
                 return
-            if word[t] > low:
-                p = t + 1
-        if size % p or not _least_of_reversal(word):
-            return
-        if not witnesses:
+            period = t + 1
+        v, low = word[t + 1], word[t + 1 - period]
+        if v != low:
+            if v < low:
+                return
+            period = t + 2
+        if len(word) % period == 0 and _least_of_reversal(word):
             out.append((word, eps))
-        elif hit is None:
-            out.append((word, eps, None))
-        else:
-            # the window a_2..a_t has product P_t G(a_1)^-1, where
-            # G(a)^-1 = [[0, 1], [-1, a]]
-            t, pt = hit
-            p11, p12, _, p22 = elements[pt]
-            w11, w12, w21 = -p12 % n_mod, (p11 + word[0] * p12) % n_mod, -p22 % n_mod
-            out.append((word, eps, _witness(word, t + 1, w11, w12, w21, eps, n_mod, 0)))
 
-    def dfs(g: int, period: int, forbid: int, hit, first: int):
-        # forbid: the OR of the masks of P_1..P_t; hit: (t, P_t) for the first
-        # unit window a_2..a_t, or None; first: the mask of P_1 (0 at the root)
+    def dfs(prefix: Seq, g: int, period: int, forbid: int):
+        # forbid: the OR of the masks of the prefix products P_1..P_t
         nonlocal visited, rank
-        depth = len(path)
+        depth = len(prefix)
         if depth > deepest:
             raise _too_deep(largest, deepest)
-        low = path[depth - period] if depth else 0
+        low = prefix[depth - period] if depth else 0
         below = depth + 1
-        if below == tail_depth:
+        if below == top:  # only leaves are left: walk the letters with a tail
             tried = n_mod - low
             if visited + tried > limit:
                 for _ in range(tried):
@@ -652,13 +634,15 @@ def _class_leaves(config: SearchConfig, sizes, prune: bool = True,
                 bit = row_bit[child]
                 if forbid >> bit & 1:
                     continue
+                if depth == ranked:
+                    rank += 1
+                    if (rank - 1) % config.shard_count != config.shard_index:
+                        continue
                 if below > deepest:
                     raise _too_deep(largest, deepest)
-                emit(out, (*path, a, u, v), period if a == low else below, eps,
-                     (below, child) if hit is None and first >> bit & 1 else hit)
+                emit(out, prefix + (a, u, v), period if a == low else below, eps)
             return
         out = outs[below]
-        deeper = below < top
         for a in range(low, n_mod):
             visited += 1
             if visited > limit:
@@ -672,22 +656,19 @@ def _class_leaves(config: SearchConfig, sizes, prune: bool = True,
                 if (rank - 1) % config.shard_count != config.shard_index:
                     continue
             p = period if a == low else below
-            child_hit = (below, child) if hit is None and first >> bit & 1 else hit
             if out is not None and tails[child]:
                 if below > deepest:
                     raise _too_deep(largest, deepest)
                 (u, v, eps), = tails[child]
-                emit(out, (*path, a, u, v), p, eps, child_hit)
-            if deeper and not whole >> bit & 1:
-                path.append(a)
-                dfs(child, p, forbid | masks[child], child_hit, first or first_masks[child])
-                path.pop()
+                emit(out, prefix + (a, u, v), p, eps)
+            if not whole >> bit & 1:
+                dfs(prefix + (a,), child, p, forbid | masks[child])
 
     if outs[0] is not None:  # size 2: the tails of the empty prefix
         for u, v, eps in tails[0]:
-            emit(outs[0], (u, v), 1, eps, None)
+            emit(outs[0], (u, v), 1, eps)
     if top:
-        dfs(0, 1, 0, None, 0)
+        dfs((), 0, 1, 0)
     return found
 
 
@@ -711,8 +692,7 @@ def classify(config: SearchConfig) -> ClassificationReport:
     nodes.  Only ``keep_witnesses`` (without ``irreducible_only``) needs
     every class, so only there does the DFS run unpruned; each reducible
     class then gets the witness ``find_decomposition`` gives its canonical
-    representative (read off the DFS path when it lies at rotation 0), and
-    ``total_classes`` is the number of classes listed.
+    representative, and ``total_classes`` is the number of classes listed.
     Otherwise the DFS is pruned on window continuants, its leaves are the
     irreducible classes with no split check, and ``total_classes`` comes
     from the Burnside count (``count_classes``, one pass for all
@@ -727,20 +707,19 @@ def classify(config: SearchConfig) -> ClassificationReport:
     totals = {}
     if counted and not all_classes:
         totals = _class_counts(n_mod, config.sizes, config.work_limit, config.allow_large)
-    leaves = _class_leaves(config, config.sizes, prune=not all_classes, witnesses=all_classes)
+    leaves = _class_leaves(config, config.sizes, prune=not all_classes)
     size_reports = []
     for size in sorted(config.sizes):
         found = leaves[size]
         irreducible = []
         witnesses = {}
         if all_classes and size >= 3:
-            for rep, sign, w in found:
-                if w is None:  # no split at rotation 0
-                    w = _split(rep, sign, n_mod)
-                    if w is None:
-                        irreducible.append(rep)
-                        continue
-                witnesses[rep] = w
+            for rep, sign in found:
+                w = _split(rep, sign, n_mod)
+                if w is None:
+                    irreducible.append(rep)
+                else:
+                    witnesses[rep] = w
         elif size >= 3:  # (0, 0), the one class of size 2, is not irreducible
             irreducible = [rep for rep, _ in found]
         if counted and all_classes:

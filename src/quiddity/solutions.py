@@ -272,30 +272,43 @@ def _split(seq: Seq, sign: int, n: int, first: int = 3, allowed=None) -> Witness
         for m in range(first, size):
             a = c[m - 2]
             p11, p12, p21, p22 = (a * p11 - p21) % n, (a * p12 - p22) % n, p11, p12
-            if p11 == minus_one or p11 == 1:
-                witness = _witness(c, m, p11, p12, p21, sign, n, idx, allowed)
-                if witness is not None:
-                    return witness
+            if p11 == minus_one:
+                eps = 1
+            elif p11 == 1:
+                eps = -1
+            else:
+                continue
+            x = eps * p12 % n
+            y = -eps * p21 % n
+            right = ((c[m - 1] - y) % n,) + c[m:] + ((c[0] - x) % n,)
+            if allowed is not None and right not in allowed:
+                continue
+            left = (x,) + c[1:m - 1] + (y,)
+            # sign(left) * sign(right) == -sign(seq); mod 2 every sign reads +1
+            return _witness(left, right, eps, -sign * eps if n > 2 else 1, idx)
     return None
 
 
-def _witness(c: Seq, m: int, p11: int, p12: int, p21: int, sign: int, n: int,
-             idx: int, allowed=None) -> Witness | None:
-    """The split at m of c = apply_dihedral(seq, idx), seq a solution of sign ``sign``.
+_new_object = object.__new__
 
-    (p11, p12, p21) are the entries of the product P of the window
-    c_2..c_{m-1}, with p11 = +/-1 (see ``find_decomposition``).  Returns
-    None when ``allowed`` is given and lacks the right part.
+
+def _witness(left: Seq, right: Seq, left_sign: int, right_sign: int,
+             transform: int) -> Witness:
+    """``Witness(left, right, left_sign, right_sign, transform)``, built faster.
+
+    The frozen dataclass's ``__init__`` sets each field through
+    ``object.__setattr__``; filling the new instance's dict gives an equal
+    Witness in a fraction of the time, which counts when a witness report
+    builds one per class.
     """
-    eps = 1 if p11 == n - 1 else -1
-    x = eps * p12 % n
-    y = -eps * p21 % n
-    right = ((c[m - 1] - y) % n,) + c[m:] + ((c[0] - x) % n,)
-    if allowed is not None and right not in allowed:
-        return None
-    left = (x,) + c[1:m - 1] + (y,)
-    # sign(left) * sign(right) == -sign(seq); mod 2 every sign reads +1
-    return Witness(left, right, eps, -sign * eps if n > 2 else 1, idx)
+    witness = _new_object(Witness)
+    fields = witness.__dict__
+    fields["left"] = left
+    fields["right"] = right
+    fields["left_sign"] = left_sign
+    fields["right_sign"] = right_sign
+    fields["transform"] = transform
+    return witness
 
 
 # Irreducible solutions over Z (integer mode) form a known finite family:

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -597,17 +598,24 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
-def test_reduce_splits_without_renormalizing(capsys, monkeypatch):
-    # reduce signs its input once; only the whitelist and size 2 go through
-    # find_decomposition
-    calls = []
-    real = cli.find_decomposition
-    monkeypatch.setattr(cli, "find_decomposition", lambda *args: calls.append(args) or real(*args))
-    assert run(capsys, "reduce", "-N", "5", "1,1,1,1,1,1")[:2] == (
-        0, "(1,1,1) (+) (0,1,1,1,0)  [dihedral transform 0]\n")
-    assert calls == []
-    assert run(capsys, "reduce", "-N", "5", "0,0")[0] == 2
-    assert len(calls) == 1
+def test_classify_pauses_the_collector_and_restores_it(capsys, monkeypatch):
+    # the witness report is built and printed with the cyclic collector
+    # held off; its state before the call comes back, also after an error
+    seen = []
+    real = cli._classify_report
+    monkeypatch.setattr(cli, "_classify_report",
+                        lambda *args: seen.append(gc.isenabled()) or real(*args))
+    assert gc.isenabled()
+    assert run(capsys, "classify", "-N", "5", "--sizes", "3..6", "--witnesses")[0] == 0
+    assert seen == [False] and gc.isenabled()
+    assert run(capsys, "classify", "-N", "5", "--sizes", "3..40", "--witnesses")[0] == 2
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        assert run(capsys, "classify", "-N", "5", "--sizes", "3..6")[0] == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def _timing_free(out):

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
@@ -17,6 +19,7 @@ from quiddity.modmat import (
     residue,
 )
 from quiddity.solutions import (
+    _witness,
     Witness,
     apply_dihedral,
     as_solution,
@@ -260,6 +263,20 @@ def test_witness_internal_consistency():
         assert solution_sign(w.right, n_mod) == w.right_sign
         image = apply_dihedral(normalize_seq(seq, n_mod), w.transform)
         assert oplus(w.left, w.right, n_mod) == image
+
+
+def test_fast_witness_is_the_dataclass_witness():
+    # the split scan fills the frozen instance's dict directly; the result
+    # must behave as the generated __init__'s would
+    fields = ((6, 3, 3, 6), (6, 3, 3, 6), -1, 1, 2)
+    fast, slow = _witness(*fields), Witness(*fields)
+    assert type(fast) is Witness
+    assert fast == slow and hash(fast) == hash(slow) and repr(fast) == repr(slow)
+    assert dataclasses.astuple(fast) == fields
+    assert pickle.loads(pickle.dumps(fast)) == slow
+    assert fast != Witness(*fields[:-1], 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fast.transform = 0
 
 
 def test_decomposition_whitelist():
