@@ -58,8 +58,12 @@ def _parse_seq(text: str) -> tuple[int, ...]:
 
 def _modulus(args) -> int:
     n = args.modulus
-    if n is None and os.environ.get(ENV_MODULUS):
-        n = int(os.environ[ENV_MODULUS])
+    text = os.environ.get(ENV_MODULUS)
+    if n is None and text:
+        try:
+            n = int(text)
+        except ValueError:
+            raise UsageError(f"{ENV_MODULUS} must be an integer, got {text!r}")
     if n is None:
         raise UsageError("no modulus given (use --modulus or " + ENV_MODULUS + ")")
     if n == 1 or n < 0:
@@ -207,6 +211,9 @@ def cmd_enumerate(args) -> int:
 
 def _classify_report(args, n: int):
     global ProcessPoolExecutor
+    if args.jobs > 1 and args.shard_count > 1:
+        raise UsageError("quiddity classify: argument --jobs: not allowed with --shard-count; "
+                         "--jobs deals out shards itself")
     config = SearchConfig(
         modulus=n, sizes=_parse_sizes(args),
         irreducible_only=args.irreducible_only,
@@ -214,7 +221,7 @@ def _classify_report(args, n: int):
         shard_count=args.shard_count,
         keep_witnesses=args.witnesses,
         allow_large=args.allow_large)
-    if args.jobs > 1 and config.shard_count == 1:
+    if args.jobs > 1:
         if ProcessPoolExecutor is None:
             from concurrent.futures import ProcessPoolExecutor
         config = replace(config, shard_depth=max(args.shard_depth, 1), shard_count=args.jobs)
@@ -296,9 +303,8 @@ def cmd_monomial(args) -> int:
     return 0 if report.passed else 1
 
 
-def _dissect_common(args, d) -> int:
-    # every builder has validated d against this quiddity already
-    q = _unchecked_quiddity(d)
+def _dissect_common(args, d, q) -> int:
+    # q: the quiddity the builder has validated d against
     payload = d.to_dict()
     payload["quiddity"] = list(q)
     if args.format == "svg":
@@ -320,7 +326,7 @@ def cmd_dissect(args) -> int:
         raise UsageError("dissection models exist for moduli 2, 3 and 4")
     if args.random is not None:
         d = random_dissection(args.random, MODULUS_KIND[n], args.seed)
-        return _dissect_common(args, d)
+        return _dissect_common(args, d, _unchecked_quiddity(d))
     if not args.seq:
         raise UsageError("give a sequence or --random N")
     seq = normalize_seq(_parse_seq(args.seq), n)
@@ -328,7 +334,7 @@ def cmd_dissect(args) -> int:
         d = build_dissection(seq, n)
     except ValueError as exc:
         raise UsageError(str(exc))
-    return _dissect_common(args, d)
+    return _dissect_common(args, d, seq)
 
 
 def cmd_triangulate(args) -> int:
@@ -338,15 +344,15 @@ def cmd_triangulate(args) -> int:
     seq = normalize_seq(_parse_seq(args.seq), n)
     try:
         if args.via_rewrite:
-            # the builder has validated d, so the rewrite takes its quiddity as is
+            # the builder has validated d against seq, so the rewrite takes seq as is
             d = build_dissection(seq, n)
             _require_weighted_first(d)
-            d = _eliminate_quads(d, _unchecked_quiddity(d))
+            d = _eliminate_quads(d, seq)
         else:
             d = triangulate(seq, n)
     except ValueError as exc:
         raise UsageError(str(exc))
-    return _dissect_common(args, d)
+    return _dissect_common(args, d, seq)
 
 
 def cmd_evidence(args) -> int:
@@ -448,8 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", "-n", type=int, required=True)
     p.add_argument("--alphabet", default=None, help="restrict entries, e.g. 2,3")
     p.add_argument("--shard-depth", type=_int_at_least(0), default=0)
-    p.add_argument("--shard-index", type=int, default=0)
-    p.add_argument("--shard-count", type=int, default=1)
+    p.add_argument("--shard-index", type=_int_at_least(0), default=0)
+    p.add_argument("--shard-count", type=_int_at_least(1), default=1)
     p.add_argument("--allow-large", action="store_true",
                    help="override the work budget (prints a warning)")
     p.set_defaults(func=cmd_enumerate)
@@ -462,8 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witnesses", action="store_true",
                    help="record a splitting witness for each reducible class")
     p.add_argument("--shard-depth", type=_int_at_least(0), default=0)
-    p.add_argument("--shard-index", type=int, default=0)
-    p.add_argument("--shard-count", type=int, default=1)
+    p.add_argument("--shard-index", type=_int_at_least(0), default=0)
+    p.add_argument("--shard-count", type=_int_at_least(1), default=1)
     p.add_argument("--jobs", type=_int_at_least(1), default=1,
                    help="fan shards out over processes")
     p.add_argument("--allow-large", action="store_true")
@@ -532,13 +538,8 @@ def main(argv=None) -> int:
         set_digits(0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except WorkLimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, WorkLimitExceeded, ValueError) as exc:
+        # before RuntimeError: WorkLimitExceeded is one
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

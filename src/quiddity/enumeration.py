@@ -119,20 +119,15 @@ def _window_masks(n: int):
 
 
 @lru_cache(maxsize=None)
-def _tail_table(n: int):
+def _tail_letters(n: int):
     """The letters that end a leaf, indexed like ``_group_tables``' elements.
 
-    ``table[g]`` lists, in increasing a, the (a, child, u, v, eps) with
-    child = step[a][g] and (u, v, eps) the one tail of child: the last
-    prefix letters a after a prefix of product g that complete a solution.
+    ``letters[g]`` lists, in increasing order, the a whose child
+    step[a][g] has a tail: the last prefix letters after a prefix of
+    product g that complete a solution.
     """
     _, step, tails = _group_tables(n)
-    table = [[] for _ in tails]
-    for a, row in enumerate(step):
-        for g, child in enumerate(row):
-            if tails[child]:
-                table[g].append((a, child, *tails[child][0]))
-    return table
+    return [tuple(a for a, row in enumerate(step) if tails[row[g]]) for g in range(len(tails))]
 
 
 @lru_cache(maxsize=None)
@@ -245,8 +240,18 @@ def enumerate_solutions(n_mod: int, size: int, alphabet=None,
     out: list[Seq] = []
     path: list[int] = []
     rows = [(a, step[a]) for a in alphabet]
+    # shards take the prefixes of depth max(shard_depth, 1), at most size - 2,
+    # round-robin on their DFS rank, which is their rank in product order; the
+    # root is ranked at size 2, so the empty prefix is shard 0's
+    ranked = size - 2 - min(max(shard_depth, 1), size - 2) if shard_count > 1 else -1
+    rank = 0
 
     def dfs(remaining: int, g: int):
+        nonlocal rank
+        if remaining == ranked:
+            rank += 1
+            if (rank - 1) % shard_count != shard_index:
+                return
         if remaining == 0:
             pairs = tails[g]
             if pairs:
@@ -261,21 +266,7 @@ def enumerate_solutions(n_mod: int, size: int, alphabet=None,
             dfs(remaining, row[g])
             path.pop()
 
-    if shard_count == 1:
-        dfs(size - 2, 0)
-    else:
-        # split by DFS prefix, round-robin on the prefix rank; a sharding
-        # depth of at least 1 keeps shards disjoint whenever a prefix exists
-        depth = min(max(shard_depth, 1), size - 2)
-        for rank, prefix in enumerate(iter_product(alphabet, repeat=depth)):
-            if rank % shard_count != shard_index:
-                continue
-            g = 0
-            for a in prefix:
-                g = step[a][g]
-            path[:] = list(prefix)
-            dfs(size - 2 - depth, g)
-            path.clear()
+    dfs(size - 2, 0)
     out.sort()
     return out
 
@@ -527,9 +518,11 @@ def _class_leaves(config: SearchConfig, sizes, prune: bool = True) -> dict[int, 
 
     One pass serves every size: the DFS runs down to depth max(sizes) - 2,
     and a prefix of depth d with a tail ends a leaf of size d + 2 when that
-    size is asked for.  At the deepest level only leaves are left, so the
-    DFS walks ``_tail_table``, the letters whose child has a tail, instead
-    of every letter.
+    size is asked for.  Every level runs one loop body over its letters:
+    above the deepest level every letter from the least the rule allows;
+    at the deepest level, where only leaves are left, ``_tail_letters``,
+    the letters whose child has a tail.  A node counts all its letters
+    once, whichever it walks.
 
     Unpruned, the leaves are all the classes.  Pruned, a prefix of depth d
     is cut as soon as a window ending at its last letter has continuant
@@ -553,9 +546,10 @@ def _class_leaves(config: SearchConfig, sizes, prune: bool = True) -> dict[int, 
     ``work_limit`` counts the prefixes the DFS tries, pruned ones included:
     pruned, as they are visited; unpruned, by ``_class_dfs_nodes`` before it
     starts.  Either count is the one of the largest size alone.  The DFS
-    recurses once per letter: unpruned, a run whose prefixes outgrow the
-    interpreter's recursion limit is refused before the search; pruned,
-    only when a path reaches that depth.  Sharding deals out the children
+    recurses once per letter, and one check as a node is entered refuses a
+    node past what the interpreter's recursion limit leaves room for:
+    unpruned, such a run is refused before the search too; pruned, only
+    when a path reaches that depth.  Sharding deals out the children
     of depth max(shard_depth, 1), at most the deepest level, that ``forbid``
     keeps round-robin on their DFS rank, whether they end a leaf or are
     entered; at the deepest level only those with a tail are walked.
@@ -576,7 +570,7 @@ def _class_leaves(config: SearchConfig, sizes, prune: bool = True) -> dict[int, 
             raise _too_deep(largest, deepest)
     _check_table(n_mod, config.work_limit, config.allow_large)
     _, step, tails = _group_tables(n_mod)
-    tail_table = _tail_table(n_mod)
+    tail_letters = _tail_letters(n_mod)
     row_bit, masks = _window_masks(n_mod)
     if not prune:
         masks = [0] * len(tails)
@@ -614,39 +608,25 @@ def _class_leaves(config: SearchConfig, sizes, prune: bool = True) -> dict[int, 
         # forbid: the OR of the masks of the prefix products P_1..P_t
         nonlocal visited, rank
         depth = len(prefix)
-        if depth > deepest:
+        if depth >= deepest:
             raise _too_deep(largest, deepest)
         low = prefix[depth - period] if depth else 0
         below = depth + 1
-        if below == top:  # only leaves are left: walk the letters with a tail
-            tried = n_mod - low
-            if visited + tried > limit:
-                for _ in range(tried):
-                    visited += 1
-                    if visited > limit:
-                        _check_work(visited, "search nodes", limit, config.allow_large)
-            else:
-                visited += tried
-            out = outs[below]
-            for a, child, u, v, eps in tail_table[g]:
-                if a < low:
-                    continue
-                bit = row_bit[child]
-                if forbid >> bit & 1:
-                    continue
-                if depth == ranked:
-                    rank += 1
-                    if (rank - 1) % config.shard_count != config.shard_index:
-                        continue
-                if below > deepest:
-                    raise _too_deep(largest, deepest)
-                emit(out, prefix + (a, u, v), period if a == low else below, eps)
-            return
+        tried = n_mod - low  # the letters low..N-1, with a tail or not
+        if visited + tried > limit:
+            for _ in range(tried):
+                visited += 1
+                if visited > limit:
+                    _check_work(visited, "search nodes", limit, config.allow_large)
+        else:
+            visited += tried
         out = outs[below]
-        for a in range(low, n_mod):
-            visited += 1
-            if visited > limit:
-                _check_work(visited, "search nodes", limit, config.allow_large)
+        # at the deepest level only leaves are left: walk the letters with a
+        # tail, which may start below low
+        letters = range(low, n_mod) if below < top else tail_letters[g]
+        for a in letters:
+            if a < low:
+                continue
             child = step[a][g]
             bit = row_bit[child]
             if forbid >> bit & 1:
@@ -657,11 +637,9 @@ def _class_leaves(config: SearchConfig, sizes, prune: bool = True) -> dict[int, 
                     continue
             p = period if a == low else below
             if out is not None and tails[child]:
-                if below > deepest:
-                    raise _too_deep(largest, deepest)
                 (u, v, eps), = tails[child]
                 emit(out, prefix + (a, u, v), p, eps)
-            if not whole >> bit & 1:
+            if below < top and not whole >> bit & 1:
                 dfs(prefix + (a,), child, p, forbid | masks[child])
 
     if outs[0] is not None:  # size 2: the tails of the empty prefix

@@ -54,6 +54,10 @@ def test_modulus_from_environment(capsys, monkeypatch):
     code, out, _ = run(capsys, "check", "1,1,1")
     assert code == 0
     assert "solution" in out
+    monkeypatch.setenv("QUIDDITY_MODULUS", "abc")
+    code, out, err = run(capsys, "check", "1,1,1")
+    assert (code, out) == (2, "")
+    assert err == "error: QUIDDITY_MODULUS must be an integer, got 'abc'\n"
 
 
 def test_missing_modulus(capsys, monkeypatch):
@@ -555,6 +559,17 @@ SIZES_ERROR = ("argument --sizes: expected LO..HI with LO <= HI "
     (("classify", "--modulus", "5", "--sizes", "3..x"), SIZES_ERROR.format("3..x")),
     (("classify", "--modulus", "5", "--sizes", "9..3"), SIZES_ERROR.format("9..3")),
     (("verify", "--modulus", "5", "--sizes", "3.."), SIZES_ERROR.format("3..")),
+    (("classify", "--modulus", "5", "--size", "4", "--shard-count", "0"),
+     "argument --shard-count: must be >= 1, got 0"),
+    (("enumerate", "--modulus", "5", "--size", "4", "--shard-count", "0"),
+     "argument --shard-count: must be >= 1, got 0"),
+    (("classify", "--modulus", "5", "--size", "4", "--shard-index", "-1"),
+     "argument --shard-index: must be >= 0, got -1"),
+    (("enumerate", "--modulus", "5", "--size", "4", "--shard-index", "-1"),
+     "argument --shard-index: must be >= 0, got -1"),
+    # --jobs deals out its own shards, so a shard count of its own is refused
+    (("classify", "--modulus", "5", "--size", "4", "--jobs", "2", "--shard-count", "3"),
+     "argument --jobs: not allowed with --shard-count"),
 ])
 def test_argument_errors_are_one_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -13,7 +13,7 @@ from quiddity.enumeration import (
     _group_tables,
     _irreducible_candidates,
     _least_of_reversal,
-    _tail_table,
+    _tail_letters,
     _window_masks,
     DEFAULT_WORK_LIMIT,
     SearchConfig,
@@ -144,6 +144,33 @@ def test_sharded_union_and_disjointness():
             union = sorted(s for p in parts for s in p)
             assert union == full
             assert len(union) == sum(len(p) for p in parts)
+
+
+def _prefix_rank_shard(full, alphabet, size, shard_depth, shard_index, shard_count):
+    """A shard by the prefix-rank scheme: the rank of the prefix of depth
+    max(shard_depth, 1), at most size - 2, in product order over the
+    alphabet, round-robin over the shards."""
+    depth = min(max(shard_depth, 1), size - 2)
+    ranks = {prefix: rank for rank, prefix in enumerate(product(alphabet, repeat=depth))}
+    return [s for s in full if ranks[s[:depth]] % shard_count == shard_index]
+
+
+def test_shards_follow_the_prefix_rank_scheme():
+    # the DFS ranks its nodes of the sharding depth in product order
+    for n_mod in range(2, 7):
+        for letters in (None, (0, 2), (-1, 1, 3)):
+            alphabet = (tuple(range(n_mod)) if letters is None
+                        else tuple(sorted({a % n_mod for a in letters})))
+            for size in range(2, 8):
+                full = enumerate_solutions(n_mod, size, letters)
+                for depth in range(6):
+                    for shard_count in (2, 3, 5):
+                        for i in range(shard_count):
+                            got = enumerate_solutions(n_mod, size, letters, shard_depth=depth,
+                                                      shard_index=i, shard_count=shard_count)
+                            assert got == _prefix_rank_shard(
+                                full, alphabet, size, depth, i, shard_count), (
+                                n_mod, letters, size, depth, shard_count, i)
 
 
 def test_sharding_size_two_edge():
@@ -586,14 +613,13 @@ def test_one_pass_counts_shared_prefixes_once(monkeypatch):
         assert visited == _list_window_candidates(config, top)[1] == nodes
 
 
-def test_tail_table_lists_the_letters_with_tails():
+def test_tail_letters_list_the_letters_with_tails():
     for n_mod in range(2, 10):
         _, step, tails = _group_tables(n_mod)
-        table = _tail_table(n_mod)
-        assert len(table) == len(tails)
-        for g, entries in enumerate(table):
-            assert entries == [(a, step[a][g], *tails[step[a][g]][0])
-                               for a in range(n_mod) if tails[step[a][g]]], (n_mod, g)
+        letters = _tail_letters(n_mod)
+        assert len(letters) == len(tails)
+        for g, row in enumerate(letters):
+            assert list(row) == [a for a in range(n_mod) if tails[step[a][g]]], (n_mod, g)
 
 
 @pytest.mark.parametrize("n_mod", (4, 6))
