@@ -197,6 +197,7 @@ def cmd_enumerate(args) -> int:
     if n < 2:
         raise UsageError("enumeration needs a modulus >= 2")
     alphabet = _parse_seq(args.alphabet) if args.alphabet else None
+    _check_shard_flags(args)
     sols = enumeration.enumerate_solutions(
         n, args.size, alphabet,
         shard_depth=args.shard_depth, shard_index=args.shard_index,
@@ -209,11 +210,23 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+def _check_shard_flags(args) -> None:
+    """Usage errors for shard flags that are each valid alone but not together."""
+    prog = f"quiddity {args.command}"
+    if getattr(args, "jobs", 1) > 1:
+        for flag, given in (("--shard-count", args.shard_count > 1),
+                            ("--shard-index", args.shard_index > 0)):
+            if given:
+                raise UsageError(f"{prog}: argument --jobs: not allowed with {flag}; "
+                                 "--jobs deals out shards itself")
+    if args.shard_index >= args.shard_count:
+        raise UsageError(f"{prog}: argument --shard-index: must be < --shard-count "
+                         f"({args.shard_count}), got {args.shard_index}")
+
+
 def _classify_report(args, n: int):
     global ProcessPoolExecutor
-    if args.jobs > 1 and args.shard_count > 1:
-        raise UsageError("quiddity classify: argument --jobs: not allowed with --shard-count; "
-                         "--jobs deals out shards itself")
+    _check_shard_flags(args)
     config = SearchConfig(
         modulus=n, sizes=_parse_sizes(args),
         irreducible_only=args.irreducible_only,
@@ -250,18 +263,22 @@ def cmd_classify(args) -> int:
 def _classify(args) -> int:
     n = _modulus(args)
     report = _classify_report(args, n)
-    lines = []
-    rows = []
-    for s in report.sizes:
-        head = f"n={s.size}:"
-        if s.total_classes is not None:
-            head += f" {s.total_classes} classes, {s.reducible_count} reducible,"
-        head += f" {len(s.irreducible)} irreducible"
-        lines.append(head)
-        for rep in s.irreducible:
-            lines.append("  " + ",".join(map(str, rep)))
-            rows.append((s.size,) + rep)
-    _emit(args, report.to_dict(), lines, csv_rows=rows)
+    # only the chosen format's output is built
+    if args.format == "json":
+        _emit(args, report.to_dict(), [])
+    elif args.format == "csv":
+        _emit(args, None, [], csv_rows=[(s.size,) + rep for s in report.sizes
+                                        for rep in s.irreducible])
+    else:
+        lines = []
+        for s in report.sizes:
+            head = f"n={s.size}:"
+            if s.total_classes is not None:
+                head += f" {s.total_classes} classes, {s.reducible_count} reducible,"
+            head += f" {len(s.irreducible)} irreducible"
+            lines.append(head)
+            lines.extend("  " + ",".join(map(str, rep)) for rep in s.irreducible)
+        _emit(args, None, lines)
     return 0
 
 
@@ -304,19 +321,22 @@ def cmd_monomial(args) -> int:
 
 
 def _dissect_common(args, d, q) -> int:
-    # q: the quiddity the builder has validated d against
-    payload = d.to_dict()
-    payload["quiddity"] = list(q)
+    # q: the quiddity the builder has validated d against; only the chosen
+    # format's output is built
     if args.format == "svg":
         print(_svg(d, q))
-        return 0
-    lines = [f"{d.kind} dissection of an {d.n}-gon; quiddity " + ",".join(map(str, q))]
-    for c in d.cells:
-        w = "" if c.weight is None else f" weight {c.weight}"
-        lines.append("  cell " + "-".join(map(str, c.vertices)) + w)
-    for a, b in d.pairs:
-        lines.append(f"  split pair: cells {a} and {b}")
-    _emit(args, payload, lines)
+    elif args.format == "json":
+        payload = d.to_dict()
+        payload["quiddity"] = list(q)
+        _emit(args, payload, [])
+    else:
+        lines = [f"{d.kind} dissection of an {d.n}-gon; quiddity " + ",".join(map(str, q))]
+        for c in d.cells:
+            w = "" if c.weight is None else f" weight {c.weight}"
+            lines.append("  cell " + "-".join(map(str, c.vertices)) + w)
+        for a, b in d.pairs:
+            lines.append(f"  split pair: cells {a} and {b}")
+        _emit(args, None, lines)
     return 0
 
 

@@ -26,11 +26,9 @@ from math import cos, pi, sin
 from .solutions import (
     Seq,
     _split,
-    apply_dihedral,
     canonicalize,
     dihedral_images,
     normalize_seq,
-    oplus,
     solution_sign,
 )
 
@@ -256,18 +254,21 @@ def _legal_spec(spec, kind: str) -> bool:
     return False
 
 
-def _outer_cells(n: int, spec, kind: str) -> tuple[Cell, ...]:
-    """The cells of the given spec outside the (n, 1) edge of an n-gon."""
+def _outer_cells(spec, kind: str, labels, m: int) -> tuple[Cell, ...]:
+    """The cells of the spec outside the (m, 1) edge, vertex v labelled ``labels[v - 1]``."""
     shape, arg = spec
     w = None if kind == KIND_PLAIN else arg
+    one, last, new = labels[0], labels[m - 1], labels[m]
     if shape == "triangle":
-        return (Cell((1, n, n + 1), w),)
+        return (Cell(tuple(sorted((one, last, new))), w),)
+    new2 = labels[m + 1]
     if shape == "quad":
-        return (Cell((1, n, n + 1, n + 2), w),)
-    if arg == 0:  # diagonal (n, n+2): glues (0, 2, 0, 2)
-        return (Cell((n, n + 1, n + 2), 2), Cell((1, n, n + 2), 2))
-    # diagonal (1, n+1): glues (2, 0, 2, 0)
-    return (Cell((1, n, n + 1), 2), Cell((1, n + 1, n + 2), 2))
+        return (Cell(tuple(sorted((one, last, new, new2))), w),)
+    if arg == 0:  # diagonal (m, m+2): glues (0, 2, 0, 2)
+        halves = ((last, new, new2), (one, last, new2))
+    else:  # diagonal (1, m+1): glues (2, 0, 2, 0)
+        halves = ((one, last, new), (one, new, new2))
+    return tuple(Cell(tuple(sorted(v)), 2) for v in halves)
 
 
 def attach_cell(d: Dissection, spec) -> Dissection:
@@ -283,7 +284,8 @@ def attach_cell(d: Dissection, spec) -> Dissection:
     if spec[0] == "split_quad":
         i = len(d.cells)
         pairs += ((i, i + 1),)
-    return Dissection(grown, d.kind, d.cells + _outer_cells(d.n, spec, d.kind), pairs)
+    outer = _outer_cells(spec, d.kind, range(1, grown + 1), d.n)
+    return Dissection(grown, d.kind, d.cells + outer, pairs)
 
 
 def relabel(d: Dissection, transform: int) -> Dissection:
@@ -291,14 +293,8 @@ def relabel(d: Dissection, transform: int) -> Dissection:
     n = d.n
     if not 0 <= transform < 2 * n:
         raise ValueError("transform index out of range")
-
-    def new_label(v: int) -> int:
-        p = v - 1
-        if transform < n:
-            return (p - transform) % n + 1
-        return (n - 1 - p - (transform - n)) % n + 1
-
-    cells = tuple(Cell(tuple(sorted(new_label(v) for v in c.vertices)), c.weight)
+    labels = _moved(list(range(1, n + 1)), transform)
+    cells = tuple(Cell(tuple(sorted(labels[v - 1] for v in c.vertices)), c.weight)
                   for c in d.cells)
     return Dissection(n, d.kind, cells, d.pairs)
 
@@ -393,40 +389,39 @@ def _moved(labels: list[int], t: int) -> list[int]:
     return rev[t - n:] + rev[:t - n]
 
 
-def _relabelled(c: Cell, labels: list[int]) -> Cell:
-    return Cell(tuple(sorted(labels[v - 1] for v in c.vertices)), c.weight)
-
-
 def _assemble(kind: str, levels, core: Seq) -> Dissection:
     """The dissection the recursive builder makes from the peeled levels.
 
-    ``levels`` lists (target, spec) from the outside in, and ``core`` is the
-    innermost target, realized from the base table.  The recursion attaches
-    each level's cell to the dissection of the next target and relabels the
-    grown polygon by the first dihedral transform that maps its quiddity,
-    the next target glued with the cell's base solution, onto the level's
-    target.  Here those transforms are composed top-down into one label map
-    per level, and every cell is relabelled once, in the recursion's cell
-    and pair order: base cells first, then the cells from the inside out.
+    ``levels`` lists (target, spec, t) from the outside in, where the peel
+    split the target rotated by t; ``core`` is the innermost target, from
+    the base table.  The recursion attaches each cell to the dissection of
+    the next target, a polygon whose quiddity is that rotation, and
+    relabels it by the least transform back onto the target: the rotation
+    r = (n - t) mod p, with p the target's least period.  Composed
+    top-down, these give one label map per level, and each cell is made
+    once from its final labels, in the recursion's cell and pair order:
+    base cells first, then the cells from the inside out.
     """
-    n_mod = KIND_MODULUS[kind]
-    targets = [target for target, _ in levels] + [core]
-    labels = list(range(1, len(targets[0]) + 1))
+    size = len(levels[0][0]) if levels else len(core)
+    labels = list(range(1, size + 1))
     outer = []
-    for (target, spec), inner in zip(levels, targets[1:]):
-        grown = oplus(inner, cell_base_solution(spec, kind), n_mod)
-        labels = _moved(labels, _first_transform(grown, target))
-        outer.append([_relabelled(c, labels) for c in _outer_cells(len(inner), spec, kind)])
-        labels = labels[:len(inner)]
-    base = _base_cases(n_mod)[canonicalize(core)]
+    for target, spec, t in levels:
+        if t:  # r = (n - t) mod p = -t mod p, as p divides n
+            packed = bytes(target)
+            labels = _moved(labels, -t % (packed * 2).find(packed, 1))
+        m = len(target) - (1 if spec[0] == "triangle" else 2)
+        outer.append(_outer_cells(spec, kind, labels, m))
+        labels = labels[:m]
+    base = _base_cases(KIND_MODULUS[kind])[canonicalize(core)]
     labels = _moved(labels, _first_transform(_unchecked_quiddity(base), core))
-    cells = [_relabelled(c, labels) for c in base.cells]
+    cells = [Cell(tuple(sorted(labels[v - 1] for v in c.vertices)), c.weight)
+             for c in base.cells]
     pairs = list(base.pairs)
     for new in reversed(outer):
         if len(new) == 2:  # a split quadrilateral's paired triangles
             pairs.append((len(cells), len(cells) + 1))
         cells.extend(new)
-    return Dissection(len(targets[0]), kind, tuple(cells), tuple(pairs))
+    return Dissection(size, kind, tuple(cells), tuple(pairs))
 
 
 def _checked(d: Dissection, seq: Seq, what: str) -> Dissection:
@@ -473,7 +468,7 @@ def build_dissection(seq, n_mod: int) -> Dissection:
             raise RuntimeError(
                 f"no attachable split for {cur} mod {n_mod}; the classification "
                 "guarantees one, so this is a bug")
-        levels.append((cur, _spec_for(witness.right, kind)))
+        levels.append((cur, _spec_for(witness.right, kind), witness.transform))
         cur, sign = witness.left, witness.left_sign
     return _checked(_assemble(kind, levels, cur), seq, "build_dissection")
 
@@ -484,9 +479,11 @@ def triangulate(seq, n_mod: int) -> Dissection:
     Preconditions: mod 2 and mod 3 need a nonzero entry, mod 4 an entry
     +/-1 (the all-twos square famously has no triangulation).  Works by
     peeling one +/-1 entry as an outer triangle, in a loop down to a
-    triangle; when the peeled remainder degenerates, another position is
-    tried, which always succeeds for these moduli.  The cells are then
-    placed in one pass, and the result is validated once against the input.
+    triangle; the first rotation whose remainder does not degenerate gives
+    the ear, which always exists for these moduli.  A reflection peels the
+    ear of the rotation ending at the same vertex, with the remainder
+    reversed, so rotations alone are scanned.  The cells are then placed
+    in one pass, and the result is validated once against the input.
     """
     if n_mod not in MODULUS_KIND:
         raise ValueError("dissection models exist for moduli 2, 3 and 4 only")
@@ -502,8 +499,8 @@ def triangulate(seq, n_mod: int) -> Dissection:
     cur = seq
     while len(cur) > 3:
         n = len(cur)
-        for t in range(2 * n):
-            c = apply_dihedral(cur, t)
+        for t in range(n):
+            c = cur[t:] + cur[:t]
             eps = c[-1]
             if eps not in units:
                 continue
@@ -515,7 +512,7 @@ def triangulate(seq, n_mod: int) -> Dissection:
             raise RuntimeError(
                 f"no peelable position in {cur} mod {n_mod}; the triangulation "
                 "argument guarantees one, so this is a bug")
-        levels.append((cur, ("triangle", None if kind == KIND_PLAIN else eps)))
+        levels.append((cur, ("triangle", None if kind == KIND_PLAIN else eps), t))
         cur = rest
     return _checked(_assemble(kind, levels, cur), seq, "triangulate")
 

@@ -570,6 +570,16 @@ SIZES_ERROR = ("argument --sizes: expected LO..HI with LO <= HI "
     # --jobs deals out its own shards, so a shard count of its own is refused
     (("classify", "--modulus", "5", "--size", "4", "--jobs", "2", "--shard-count", "3"),
      "argument --jobs: not allowed with --shard-count"),
+    # and so is a shard index of its own
+    (("classify", "--modulus", "5", "--size", "4", "--jobs", "2", "--shard-index", "1"),
+     "argument --jobs: not allowed with --shard-index"),
+    # a shard index names one of the --shard-count shards
+    (("classify", "--modulus", "5", "--size", "4", "--shard-count", "3", "--shard-index", "3"),
+     "argument --shard-index: must be < --shard-count (3), got 3"),
+    (("classify", "--modulus", "5", "--size", "4", "--shard-index", "1"),
+     "argument --shard-index: must be < --shard-count (1), got 1"),
+    (("enumerate", "--modulus", "5", "--size", "4", "--shard-count", "2", "--shard-index", "5"),
+     "argument --shard-index: must be < --shard-count (2), got 5"),
 ])
 def test_argument_errors_are_one_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -577,6 +587,13 @@ def test_argument_errors_are_one_line(capsys, argv, message):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: quiddity")
     assert message in err
+
+
+def test_library_shard_index_errors_stay_value_errors():
+    with pytest.raises(ValueError, match="shard index out of range"):
+        SearchConfig(modulus=5, sizes=(4,), shard_index=1)
+    with pytest.raises(ValueError, match="shard index out of range"):
+        enumerate_solutions(5, 4, shard_count=2, shard_index=2)
 
 
 def test_sizes_range_and_list_agree(capsys):

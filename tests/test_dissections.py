@@ -523,27 +523,67 @@ def test_peel_threads_the_witness_sign(n_mod, monkeypatch):
     assert periodic > 20
 
 
+def _count_calls(monkeypatch, counts, module, name):
+    """Count calls of ``module.name`` into ``counts``, also when the module lacks it."""
+    fn = getattr(module, name, None)
+
+    def wrapper(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper, raising=False)
+
+
 @pytest.mark.parametrize("size", [5, 1000])
 @pytest.mark.parametrize("n_mod", [2, 3, 4])
 def test_peel_normalizes_and_signs_once(n_mod, size, monkeypatch):
     seq = _glued(random.Random(size + n_mod), n_mod, size)
     counts = {}
-
-    def counting(module, name):
-        fn = getattr(module, name, None)
-
-        def wrapper(*args, **kwargs):
-            counts[name] = counts.get(name, 0) + 1
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper, raising=False)
-
-    counting(dissections, "find_decomposition")
-    counting(solutions, "find_decomposition")
-    counting(dissections, "normalize_seq")
-    counting(dissections, "solution_sign")
+    _count_calls(monkeypatch, counts, dissections, "find_decomposition")
+    _count_calls(monkeypatch, counts, solutions, "find_decomposition")
+    _count_calls(monkeypatch, counts, dissections, "normalize_seq")
+    _count_calls(monkeypatch, counts, dissections, "solution_sign")
     build_dissection(seq, n_mod)
     assert counts == {"normalize_seq": 1, "solution_sign": 1}
+
+
+@pytest.mark.parametrize("n_mod", [2, 3, 4])
+def test_assembly_rotates_by_the_period(n_mod, monkeypatch):
+    # a level peeled at rotation t > 0 of a periodic target is relabelled by
+    # -t modulo the period, the least transform the recursion picks
+    levels_seen = []
+    assemble = dissections._assemble
+
+    def spy(kind, levels, core):
+        levels_seen.extend(levels)
+        return assemble(kind, levels, core)
+
+    monkeypatch.setattr(dissections, "_assemble", spy)
+    for seq in _periodic_solutions(n_mod):
+        if len(seq) > 30:
+            continue
+        assert build_dissection(seq, n_mod) == _reference_build_dissection(seq, n_mod)
+        if _triangulable(seq, n_mod):
+            assert triangulate(seq, n_mod) == _reference_triangulate(seq, n_mod)
+    periodic = sum(t > 0 and (bytes(target) * 2).find(bytes(target), 1) < len(target)
+                   for target, _, t in levels_seen)
+    assert periodic > 0
+
+
+@pytest.mark.parametrize("n_mod", [2, 3, 4])
+def test_assembly_glues_and_searches_nothing_per_level(n_mod, monkeypatch):
+    rng = random.Random(700 + n_mod)
+    seq = _glued(rng, n_mod, 1000)
+    while not _triangulable(seq, n_mod):
+        seq = _glued(rng, n_mod, 1000)
+    counts = {}
+    for name in ("oplus", "_first_transform", "validate"):
+        _count_calls(monkeypatch, counts, dissections, name)
+    for build in (build_dissection, triangulate):
+        counts.clear()
+        build(seq, n_mod)
+        # one transform search, for the core from the base table
+        assert counts == {"_first_transform": 1, "validate": 1}, build.__name__
 
 
 def test_build_rejects_non_solution():
