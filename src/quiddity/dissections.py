@@ -20,11 +20,14 @@ from __future__ import annotations
 
 import functools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from math import cos, pi, sin
+from operator import itemgetter
 
 from .solutions import (
     Seq,
+    _new_object,
     _split,
     canonicalize,
     dihedral_images,
@@ -44,6 +47,21 @@ MODULUS_KIND = {m: k for k, m in KIND_MODULUS.items()}
 class Cell:
     vertices: tuple[int, ...]
     weight: int | None = None
+
+
+def _cell(vertices: tuple[int, ...], weight: int | None) -> Cell:
+    """``Cell(vertices, weight)``, built faster.
+
+    The frozen dataclass's ``__init__`` sets each field through
+    ``object.__setattr__``; filling the new instance's dict gives an equal
+    Cell in about half the time, which counts when the builders place
+    thousands of cells.
+    """
+    cell = _new_object(Cell)
+    fields = cell.__dict__
+    fields["vertices"] = vertices
+    fields["weight"] = weight
+    return cell
 
 
 @dataclass(frozen=True)
@@ -75,8 +93,13 @@ def from_dict(d: dict) -> Dissection:
 
 
 def _cell_edges(vertices: tuple[int, ...]):
-    k = len(vertices)
-    return [tuple(sorted((vertices[i], vertices[(i + 1) % k]))) for i in range(k)]
+    """The edges of a cell with increasing vertices, each an increasing pair.
+
+    The vertices must be sorted, as in every validated cell: then the edges
+    come in boundary order, (v0, v1), ..., (v[k-2], v[k-1]) and last the
+    closing edge (v0, v[k-1]).
+    """
+    return [*zip(vertices, vertices[1:]), (vertices[0], vertices[-1])]
 
 
 def _is_side(edge: tuple[int, int], n: int) -> bool:
@@ -85,40 +108,56 @@ def _is_side(edge: tuple[int, int], n: int) -> bool:
 
 
 def validate(d: Dissection) -> list[str]:
-    """All invariant violations, empty when the dissection is well formed."""
+    """All invariant violations, empty when the dissection is well formed.
+
+    A cell of 3 or 4 vertices passes when its labels increase strictly
+    inside 1..n: one chained comparison says they are distinct, sorted and
+    in range, and the cell's edges join one flat list.  Only a cell that
+    fails runs the three separate checks, in order, to pick its message.
+    One Counter then counts the edges, and the polygon sides among them are
+    counted as they are classified; the sides are looked up one by one only
+    when fewer than n were seen, to name the uncovered ones.
+    """
     bad: list[str] = []
     if d.kind not in KIND_MODULUS:
         return [f"unknown kind {d.kind!r}"]
     n = d.n
     if n < 3:
         bad.append(f"polygon needs at least 3 vertices, got {n}")
-    edge_use: dict[tuple[int, int], int] = {}
+    edges: list[tuple[int, int]] = []
     cover = 0
     for i, c in enumerate(d.cells):
         v = c.vertices
-        if len(v) not in (3, 4) or len(set(v)) != len(v):
+        k = len(v)
+        if k == 3:
+            a, b, e = v
+            if 1 <= a < b < e <= n:
+                edges += ((a, b), (b, e), (a, e))
+                cover += 1
+                continue
+        elif k == 4:
+            a, b, e, f = v
+            if 1 <= a < b < e < f <= n:
+                edges += ((a, b), (b, e), (e, f), (a, f))
+                cover += 2
+                continue
+        if k not in (3, 4) or len(set(v)) != k:
             bad.append(f"cell {i} must list 3 or 4 distinct vertices: {v}")
-            continue
-        if list(v) != sorted(v):
+        elif list(v) != sorted(v):
             bad.append(f"cell {i} vertices must be sorted (convex cyclic order): {v}")
-            continue
-        if v[0] < 1 or v[-1] > n:
+        else:
             bad.append(f"cell {i} has labels outside 1..{n}: {v}")
-            continue
-        cover += len(v) - 2
-        # v is sorted, so its edges are already ordered pairs
-        for e in zip(v, v[1:]):
-            edge_use[e] = edge_use.get(e, 0) + 1
-        e = (v[0], v[-1])
-        edge_use[e] = edge_use.get(e, 0) + 1
     if not bad:
         if cover != n - 2:
             bad.append(f"cells cover {cover} triangle-equivalents, polygon needs {n - 2}")
+        edge_use = Counter(edges)
         wrong = []
         diagonals = []
+        sides = 0
         for e, count in edge_use.items():
             a, b = e
             if b - a == 1 or (a == 1 and b == n):
+                sides += 1
                 if count != 1:
                     wrong.append((e, "side", count, 1))
             else:
@@ -127,10 +166,11 @@ def validate(d: Dissection) -> list[str]:
                     wrong.append((e, "diagonal", count, 2))
         for e, what, count, want in sorted(wrong):
             bad.append(f"{what} {e} borders {count} cells, expected {want}")
-        for v in range(1, n + 1):
-            side = (v, v + 1) if v < n else (1, n)
-            if side not in edge_use:
-                bad.append(f"polygon side {side} not covered by any cell")
+        if sides < n:  # every label lies in 1..n, so each side seen is a distinct one
+            for v in range(1, n + 1):
+                side = (v, v + 1) if v < n else (1, n)
+                if side not in edge_use:
+                    bad.append(f"polygon side {side} not covered by any cell")
         crossing = _find_crossing(diagonals)
         if crossing:
             bad.append(f"diagonals {crossing[0]} and {crossing[1]} cross")
@@ -145,8 +185,11 @@ def _find_crossing(diagonals):
     diagonal still open at a must contain (a, b).  The open ones sit on a
     stack, innermost on top, so only the top needs comparing.
     """
+    # two stable sorts by C-level keys give the (a, -b) order
+    ordered = sorted(diagonals, key=itemgetter(1), reverse=True)
+    ordered.sort(key=itemgetter(0))
     open_: list[tuple[int, int]] = []
-    for a, b in sorted(diagonals, key=lambda e: (e[0], -e[1])):
+    for a, b in ordered:
         while open_ and open_[-1][1] <= a:
             open_.pop()
         if open_ and open_[-1][1] < b:
@@ -260,15 +303,15 @@ def _outer_cells(spec, kind: str, labels, m: int) -> tuple[Cell, ...]:
     w = None if kind == KIND_PLAIN else arg
     one, last, new = labels[0], labels[m - 1], labels[m]
     if shape == "triangle":
-        return (Cell(tuple(sorted((one, last, new))), w),)
+        return (_cell(tuple(sorted((one, last, new))), w),)
     new2 = labels[m + 1]
     if shape == "quad":
-        return (Cell(tuple(sorted((one, last, new, new2))), w),)
+        return (_cell(tuple(sorted((one, last, new, new2))), w),)
     if arg == 0:  # diagonal (m, m+2): glues (0, 2, 0, 2)
         halves = ((last, new, new2), (one, last, new2))
     else:  # diagonal (1, m+1): glues (2, 0, 2, 0)
         halves = ((one, last, new), (one, new, new2))
-    return tuple(Cell(tuple(sorted(v)), 2) for v in halves)
+    return tuple(_cell(tuple(sorted(v)), 2) for v in halves)
 
 
 def attach_cell(d: Dissection, spec) -> Dissection:
@@ -303,7 +346,9 @@ def relabel(d: Dissection, transform: int) -> Dissection:
 # constructive builders
 
 
+@functools.cache
 def _base_cases(n_mod: int) -> dict[Seq, Dissection]:
+    """The realization table of the size-3 and 4 classes, built once per modulus."""
     kind = MODULUS_KIND[n_mod]
 
     def t(*cells, pairs=()):
@@ -403,18 +448,20 @@ def _assemble(kind: str, levels, core: Seq) -> Dissection:
     base cells first, then the cells from the inside out.
     """
     size = len(levels[0][0]) if levels else len(core)
+    # a level's map is labels[:n]; entries past n are left over from the
+    # outer levels, and the list is cut only where a rotation needs it exact
     labels = list(range(1, size + 1))
     outer = []
     for target, spec, t in levels:
+        n = len(target)
         if t:  # r = (n - t) mod p = -t mod p, as p divides n
             packed = bytes(target)
-            labels = _moved(labels, -t % (packed * 2).find(packed, 1))
-        m = len(target) - (1 if spec[0] == "triangle" else 2)
+            labels = _moved(labels[:n], -t % (packed * 2).find(packed, 1))
+        m = n - (1 if spec[0] == "triangle" else 2)
         outer.append(_outer_cells(spec, kind, labels, m))
-        labels = labels[:m]
     base = _base_cases(KIND_MODULUS[kind])[canonicalize(core)]
-    labels = _moved(labels, _first_transform(_unchecked_quiddity(base), core))
-    cells = [Cell(tuple(sorted(labels[v - 1] for v in c.vertices)), c.weight)
+    labels = _moved(labels[:len(core)], _first_transform(_unchecked_quiddity(base), core))
+    cells = [_cell(tuple(sorted(labels[v - 1] for v in c.vertices)), c.weight)
              for c in base.cells]
     pairs = list(base.pairs)
     for new in reversed(outer):
@@ -500,10 +547,10 @@ def triangulate(seq, n_mod: int) -> Dissection:
     while len(cur) > 3:
         n = len(cur)
         for t in range(n):
-            c = cur[t:] + cur[:t]
-            eps = c[-1]
+            eps = cur[t - 1]  # the last entry of the rotation by t
             if eps not in units:
                 continue
+            c = cur[t:] + cur[:t] if t else cur
             rest = ((c[0] - eps) % n_mod,) + c[1:n - 2] + ((c[n - 2] - eps) % n_mod,)
             good = any(a in units for a in rest) if n_mod == 4 else any(rest)
             if good:

@@ -45,7 +45,7 @@ def as_solution(seq, n: int) -> Solution:
 
 def normalize_seq(seq, n: int) -> Seq:
     check_modulus(n)
-    return tuple(residue(a, n) for a in seq)
+    return tuple([a % n for a in seq]) if n else tuple(seq)
 
 
 # ---------------------------------------------------------------------------
@@ -251,21 +251,29 @@ def _split(seq: Seq, sign: int, n: int, first: int = 3, allowed=None) -> Witness
 
     ``sign`` is the solution's sign; ``first`` and ``allowed`` are the first
     split and the set of allowed right parts that a whitelist fixes (no
-    restriction when ``allowed`` is None).
+    restriction when ``allowed`` is None).  Rotation 0 scans ``seq`` itself,
+    and a later rotation is copied once, so a scan that stops at its first
+    rotation copies nothing.  The product S of a skipped window is
+    multiplied out inline, as the modulus is known to be valid.
     """
     size = len(seq)
     minus_one = n - 1
     for idx in range(size):
-        c = seq[idx:] + seq[:idx]
-        if idx and c == seq:
-            break  # seq has period idx, so the later rotations repeat
+        if idx:
+            c = seq[idx:] + seq[:idx]
+            if c == seq:
+                break  # seq has period idx, so the later rotations repeat
+        else:
+            c = seq
         # P for the window c_2, ..., c_{first-2}, the product before step m = first
         if first == 3:
             p11, p12, p21, p22 = 1, 0, 0, 1  # empty at m = 2
         else:
             # the whole product S * P * G(c_1) is sign * Id, where
             # S = G(c_n) ... G(c_{first-1}), so P = sign * S^-1 * G(c_1)^-1
-            s11, s12, s21, s22 = generator_product(c[first - 2:], n)
+            s11, s12, s21, s22 = 1, 0, 0, 1
+            for a in c[first - 2:]:
+                s11, s12, s21, s22 = (a * s11 - s21) % n, (a * s12 - s22) % n, s11, s12
             c1 = c[0]
             p11, p12, p21, p22 = (sign * s12 % n, sign * (s22 - s12 * c1) % n,
                                   -sign * s11 % n, sign * (s11 * c1 - s21) % n)

@@ -1,7 +1,7 @@
 import itertools
 import random
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -15,6 +15,7 @@ from quiddity.dissections import (
     Dissection,
     _attachable_classes,
     _base_cases,
+    _cell,
     _cell_edges,
     _find_crossing,
     _is_side,
@@ -85,6 +86,37 @@ def test_validate_split_pairing():
 def test_validate_coverage():
     d = Dissection(5, KIND_PLAIN, (tri(1, 2, 3),))
     assert validate(d)
+
+
+def test_fast_cell_is_a_frozen_cell():
+    for v, w in (((1, 2, 3), None), ((1, 2, 3, 4), 0), ((2, 5, 7), 3), ((1, 3, 4, 6), 2)):
+        fast = _cell(v, w)
+        assert type(fast) is Cell
+        assert fast == Cell(v, w) and hash(fast) == hash(Cell(v, w))
+        assert (fast.vertices, fast.weight, repr(fast)) == (v, w, repr(Cell(v, w)))
+        with pytest.raises(FrozenInstanceError):
+            fast.weight = 1
+        with pytest.raises(FrozenInstanceError):
+            fast.vertices = (1, 2, 3)
+    assert _cell((1, 2, 3), 1) != _cell((1, 2, 3), 2)
+
+
+def test_cell_edges_in_boundary_order():
+    # sorted cells only: each edge comes out as an increasing pair
+    for k in (3, 4):
+        for v in itertools.combinations(range(1, 8), k):
+            want = [tuple(sorted((v[i], v[(i + 1) % k]))) for i in range(k)]
+            assert _cell_edges(v) == want
+
+
+@pytest.mark.parametrize("n_mod", [2, 3, 4])
+def test_base_cases_built_once(n_mod):
+    table = _base_cases(n_mod)
+    assert _base_cases(n_mod) is table
+    assert set(table) == {canonicalize(w) for w in table}
+    for key, d in table.items():
+        assert d.modulus == n_mod
+        assert quiddity(d) == key
 
 
 def _reference_crossings(d):
@@ -256,6 +288,17 @@ def _corrupted(d, rng):
         yield replace(d, pairs=d.pairs + d.pairs[:1])
         a, b = d.pairs[0]
         yield replace(d, pairs=((a, (b + 1) % len(cells)),) + d.pairs[1:])
+    # cells that fail the one-comparison test, one per check behind it: a
+    # label 0 or n + 1 in an otherwise increasing cell, a repeated vertex,
+    # too few or too many vertices
+    v = c.vertices
+    for damaged in ((0,) + v[1:], v[:-1] + (d.n + 1,), v[:1] + v[:-1], v[:2], (1, 2, 3, 4, 5)):
+        yield replace(d, cells=tuple(cells[:i] + [Cell(damaged, c.weight)] + cells[i + 1:]))
+    # a boundary cell dropped, so some polygon sides are not covered
+    ears = [j for j, cell in enumerate(cells)
+            if any(_is_side(e, d.n) for e in _cell_edges(cell.vertices))]
+    j = rng.choice(ears)
+    yield replace(d, cells=tuple(cells[:j] + cells[j + 1:]))
 
 
 def _assert_same_messages(d):
@@ -278,7 +321,7 @@ def test_validate_messages_match_reference():
             _assert_same_messages(build_dissection(seq, n_mod))
             if _triangulable(seq, n_mod):
                 _assert_same_messages(triangulate(seq, n_mod))
-    assert broken > 2500
+    assert broken > 4500
     for d in (Dissection(2, KIND_PLAIN, ()), Dissection(3, "bogus", ()),
               Dissection(4, KIND_FIRST, (Cell((0, 1, 2, 5), 0),)),
               Dissection(5, KIND_PLAIN, (tri(1, 1, 2), Cell((1, 2, 3, 4, 5)), tri(3, 4, 5)))):
