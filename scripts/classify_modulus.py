@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from quiddity.cli import _sizes_arg
-from quiddity.enumeration import SearchConfig, classify
+from quiddity.enumeration import DEFAULT_WORK_LIMIT, SearchConfig, classify
 
 
 class _Parser(argparse.ArgumentParser):
@@ -26,14 +26,15 @@ def main():
     ap.add_argument("modulus", type=int)
     ap.add_argument("--sizes", type=_sizes_arg, default="3..8", help="e.g. 3..8 or 3,4,5")
     ap.add_argument("--irreducible-only", action="store_true")
-    ap.add_argument("--allow-large", action="store_true")
+    ap.add_argument("--allow-large", dest="work_limit", action="store_const", const=None,
+                    default=DEFAULT_WORK_LIMIT, help="run with no work budget")
     ap.add_argument("--json", type=Path, default=None, help="also dump the report here")
     args = ap.parse_args()
 
     try:
         config = SearchConfig(
             modulus=args.modulus, sizes=args.sizes,
-            irreducible_only=args.irreducible_only, allow_large=args.allow_large)
+            irreducible_only=args.irreducible_only, work_limit=args.work_limit)
     except ValueError as exc:
         ap.error(str(exc))
     report = classify(config)

@@ -49,11 +49,11 @@ class UsageError(Exception):
     pass
 
 
-def _parse_seq(text: str) -> tuple[int, ...]:
+def _parse_seq(text: str, where: str = "") -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.strip().split(","))
     except ValueError:
-        raise UsageError(f"expected comma-separated integers, got {text.strip()!r}")
+        raise UsageError(f"{where}expected comma-separated integers, got {text.strip()!r}")
 
 
 def _modulus(args) -> int:
@@ -196,12 +196,14 @@ def cmd_enumerate(args) -> int:
     n = _modulus(args)
     if n < 2:
         raise UsageError("enumeration needs a modulus >= 2")
-    alphabet = _parse_seq(args.alphabet) if args.alphabet else None
+    # an empty --alphabet is an error, not every letter
+    alphabet = None if args.alphabet is None else _parse_seq(
+        args.alphabet, "quiddity enumerate: argument --alphabet: ")
     _check_shard_flags(args)
     sols = enumeration.enumerate_solutions(
         n, args.size, alphabet,
         shard_depth=args.shard_depth, shard_index=args.shard_index,
-        shard_count=args.shard_count, allow_large=args.allow_large)
+        shard_count=args.shard_count, work_limit=args.work_limit)
     payload = {"modulus": n, "n": args.size, "count": len(sols),
                "solutions": [list(s) for s in sols]}
     _emit(args, payload,
@@ -233,7 +235,7 @@ def _classify_report(args, n: int):
         shard_depth=args.shard_depth, shard_index=args.shard_index,
         shard_count=args.shard_count,
         keep_witnesses=args.witnesses,
-        allow_large=args.allow_large)
+        work_limit=args.work_limit)
     if args.jobs > 1:
         if ProcessPoolExecutor is None:
             from concurrent.futures import ProcessPoolExecutor
@@ -284,12 +286,12 @@ def _classify(args) -> int:
 
 def cmd_verify(args) -> int:
     n = _modulus(args)
-    sizes = None
-    if args.sizes is not None or args.size is not None:
-        sizes = _parse_sizes(args)
-    report = enumeration.verify_expected(n, sizes, allow_large=args.allow_large)
-    lines = [f"modulus {n}, sizes {report.sizes[0]}..{report.sizes[-1]}: "
-             + ("PASS" if report.passed else "FAIL")]
+    given = args.sizes is not None or args.size is not None
+    report = enumeration.verify_expected(n, _parse_sizes(args) if given else None, args.work_limit)
+    sizes = report.sizes  # sorted, each once: LO..HI when contiguous
+    scanned = (f"{sizes[0]}..{sizes[-1]}" if sizes[-1] - sizes[0] + 1 == len(sizes)
+               else ",".join(map(str, sizes)))
+    lines = [f"modulus {n}, sizes {scanned}: " + ("PASS" if report.passed else "FAIL")]
     for s in report.missing:
         lines.append("missing: " + ",".join(map(str, s)))
     for s in report.extra:
@@ -379,7 +381,7 @@ def cmd_evidence(args) -> int:
     n = _modulus(args)
     if n < 2:
         raise UsageError("evidence scans need a modulus >= 2")
-    report = enumeration.evidence_scan(n, args.n_max, allow_large=args.allow_large)
+    report = enumeration.evidence_scan(n, args.n_max, args.work_limit)
     lines = [f"modulus {n}, scanned sizes 3..{report.n_max} ({report.note})"]
     for size, count in sorted(report.per_size.items()):
         lines.append(f"  n={size}: {count} irreducible classes")
@@ -445,6 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
                  description="solution calculus for the +/-identity "
                              "congruence on products of elementary matrices")
     sub = ap.add_subparsers(dest="command", required=True)
+    no_budget = dict(dest="work_limit", action="store_const", const=None,
+                     default=enumeration.DEFAULT_WORK_LIMIT,
+                     help="override the work budget (prints a warning)")
 
     p = sub.add_parser("check", help="test whether a sequence is a solution")
     _add_common(p)
@@ -476,8 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shard-depth", type=_int_at_least(0), default=0)
     p.add_argument("--shard-index", type=_int_at_least(0), default=0)
     p.add_argument("--shard-count", type=_int_at_least(1), default=1)
-    p.add_argument("--allow-large", action="store_true",
-                   help="override the work budget (prints a warning)")
+    p.add_argument("--allow-large", **no_budget)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("classify", help="canonical classes per size, with irreducibility")
@@ -492,14 +496,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shard-count", type=_int_at_least(1), default=1)
     p.add_argument("--jobs", type=_int_at_least(1), default=1,
                    help="fan shards out over processes")
-    p.add_argument("--allow-large", action="store_true")
+    p.add_argument("--allow-large", **no_budget)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("verify", help="compare classification against the packaged lists")
     _add_common(p)
     p.add_argument("--size", type=int, default=None)
     p.add_argument("--sizes", type=_sizes_arg, default=None)
-    p.add_argument("--allow-large", action="store_true")
+    p.add_argument("--allow-large", **no_budget)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("monomial", help="constant-tuple solutions")
@@ -526,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evidence", help="finiteness-conjecture scan (evidence only)")
     _add_common(p)
     p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--allow-large", action="store_true")
+    p.add_argument("--allow-large", **no_budget)
     p.set_defaults(func=cmd_evidence)
 
     return ap
@@ -549,7 +553,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "allow_large", False):
+    if getattr(args, "work_limit", 0) is None:  # --allow-large, on a search command
         print("warning: work budget override active", file=sys.stderr)
     # class counts can run past the interpreter's default 4,300 digits
     set_digits = getattr(sys, "set_int_max_str_digits", None)  # Python >= 3.10.7

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
 from itertools import product as iter_product
-from math import isqrt
+from math import inf, isqrt
 
 from .modmat import (
     IDENTITY,
@@ -175,14 +175,15 @@ def _totient(m: int) -> int:
     return out - out // m if m > 1 else out
 
 
-def _check_work(count: int, unit: str, work_limit: int, allow_large: bool):
-    if count > work_limit and not allow_large:
+def _check_work(count: int, unit: str, work_limit: int | None):
+    """Refuse a search of ``count`` units over ``work_limit``; None is no budget."""
+    if work_limit is not None and count > work_limit:
         raise WorkLimitExceeded(
             f"search needs at least {count} {unit}, over the budget of {work_limit}; "
             "pass the large-search override to run it anyway")
 
 
-def _check_table(n_mod: int, work_limit: int, allow_large: bool):
+def _check_table(n_mod: int, work_limit: int | None):
     """Refuse, before it is built, a group table over the budget.
 
     The generators reach all of SL2(Z/NZ), so the table has
@@ -190,9 +191,11 @@ def _check_table(n_mod: int, work_limit: int, allow_large: bool):
     by every later search mod N, so a budget below the default still lets
     it build up to the default.
     """
+    if work_limit is None:
+        return
     entries = sl2_group_order(n_mod) * n_mod
     limit = max(work_limit, DEFAULT_WORK_LIMIT)
-    if entries > limit and not allow_large:
+    if entries > limit:
         raise WorkLimitExceeded(
             f"the group table mod {n_mod} needs {entries} step entries, over the budget "
             f"of {limit}; pass the large-search override to build it anyway")
@@ -208,13 +211,13 @@ def _recursion_headroom() -> int:
 
 def enumerate_solutions(n_mod: int, size: int, alphabet=None,
                         shard_depth: int = 0, shard_index: int = 0, shard_count: int = 1,
-                        work_limit: int = DEFAULT_WORK_LIMIT,
-                        allow_large: bool = False) -> list[Seq]:
+                        work_limit: int | None = DEFAULT_WORK_LIMIT) -> list[Seq]:
     """All size-``size`` solution tuples mod ``n_mod``, sorted.
 
     ``alphabet`` restricts every entry to the given residues (default: all).
     Sharding splits the fixed-depth DFS prefixes round-robin; the shards are
     disjoint and their union over all indices is the full result.
+    ``work_limit`` bounds the prefix probes and the group table; None is no budget.
     """
     check_modulus(n_mod)
     if n_mod < 2:
@@ -229,8 +232,8 @@ def enumerate_solutions(n_mod: int, size: int, alphabet=None,
         alphabet = tuple(sorted({a % n_mod for a in alphabet}))
         if not alphabet:
             return []
-    _check_work(len(alphabet) ** (size - 2), "prefix probes", work_limit, allow_large)
-    _check_table(n_mod, work_limit, allow_large)
+    _check_work(len(alphabet) ** (size - 2), "prefix probes", work_limit)
+    _check_table(n_mod, work_limit)
 
     _, step, tails = _group_tables(n_mod)
     allowed = None
@@ -271,8 +274,7 @@ def enumerate_solutions(n_mod: int, size: int, alphabet=None,
     return out
 
 
-def count_classes(n_mod: int, size: int, work_limit: int = DEFAULT_WORK_LIMIT,
-                  allow_large: bool = False) -> int:
+def count_classes(n_mod: int, size: int, work_limit: int | None = DEFAULT_WORK_LIMIT) -> int:
     """Number of dihedral classes of size-``size`` solutions mod ``n_mod``.
 
     Counts without listing, by the Cauchy-Frobenius lemma: the class count
@@ -294,18 +296,18 @@ def count_classes(n_mod: int, size: int, work_limit: int = DEFAULT_WORK_LIMIT,
       (w, reverse w) for the other size/2.  Palindrome products are grown
       from the middle, p -> G(a) p G(a), through ``_dihedral_tables``.
 
-    ``work_limit`` bounds the DP table steps, counted before it starts.
+    ``work_limit`` bounds the DP table steps, counted before it starts; None is no budget.
     """
     check_modulus(n_mod)
     if n_mod < 2:
         raise ValueError("counting needs a modulus >= 2")
     if size < 2:
         raise ValueError("solutions exist only for size >= 2")
-    return _class_counts(n_mod, (size,), work_limit, allow_large)[size]
+    return _class_counts(n_mod, (size,), work_limit)[size]
 
 
-def _class_counts(n_mod: int, sizes, work_limit: int = DEFAULT_WORK_LIMIT,
-                  allow_large: bool = False) -> dict[int, int]:
+def _class_counts(n_mod: int, sizes,
+                  work_limit: int | None = DEFAULT_WORK_LIMIT) -> dict[int, int]:
     """``count_classes`` for every size in ``sizes`` (all >= 2), in one pass.
 
     The rotation walk runs once, up to the largest size, and the odd and the
@@ -320,7 +322,7 @@ def _class_counts(n_mod: int, sizes, work_limit: int = DEFAULT_WORK_LIMIT,
     odd_steps = (top - 1) // 2
     even_steps = max((size // 2 for size in sizes if size % 2 == 0), default=0)
     _check_work((top + odd_steps + even_steps) * sl2_group_order(n_mod) * n_mod, "table steps",
-                work_limit, allow_large)
+                work_limit)
     elements, step, _ = _group_tables(n_mod)
     plus_minus, orders, mirror = _dihedral_tables(n_mod)
     fixed = dict.fromkeys(sizes, 0)
@@ -375,6 +377,8 @@ def enumerate_naive(n_mod: int, size: int) -> list[Seq]:
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """One ``classify`` run; ``sizes`` is kept sorted, each size once."""
+
     modulus: int
     sizes: tuple[int, ...]
     irreducible_only: bool = False
@@ -382,8 +386,7 @@ class SearchConfig:
     shard_index: int = 0
     shard_count: int = 1
     keep_witnesses: bool = False
-    work_limit: int = DEFAULT_WORK_LIMIT
-    allow_large: bool = False
+    work_limit: int | None = DEFAULT_WORK_LIMIT
 
     def __post_init__(self):
         check_modulus(self.modulus)
@@ -391,6 +394,7 @@ class SearchConfig:
             raise ValueError("classification needs a modulus >= 2")
         if not self.sizes or min(self.sizes) < 2:
             raise ValueError("sizes must all be >= 2")
+        object.__setattr__(self, "sizes", tuple(sorted(set(self.sizes))))
         if not (0 <= self.shard_index < self.shard_count):
             raise ValueError("shard index out of range")
 
@@ -493,28 +497,23 @@ def _least_of_reversal(word: Seq) -> bool:
     return True
 
 
-def _irreducible_candidates(config: SearchConfig, size: int,
-                            prune: bool = True) -> list[tuple[Seq, int]]:
-    """The leaves of the orderly class DFS for one size: ``_class_leaves`` at ``size``."""
-    return _class_leaves(config, (size,), prune)[size]
-
-
-def _class_leaves(config: SearchConfig, sizes, prune: bool = True) -> dict[int, list]:
+def _class_leaves(config: SearchConfig, sizes, prune: bool = True) -> tuple[dict[int, list], int]:
     """The leaves of the orderly class DFS for every size in ``sizes``, in one pass.
 
-    Returns, per size, the canonical forms with their signs, sorted.  The
-    DFS builds each class's canonical form (see ``canonicalize``) and no
-    other word of the class, so every class it reaches has one leaf.  A
-    canonical form is a necklace (the least of its rotations), and every
-    prefix of a necklace is a prenecklace.  So the DFS grows prenecklaces
-    only, by the rule of Fredricksen, Kessler and Maiorana: if p is the
-    period of the prefix a_1..a_t (the length of its longest Lyndon
-    prefix), the next letter is >= a_{t+1-p}; an equal letter keeps p, a
-    larger one makes the period t + 1.  The two tail letters, solved from
-    the group table, obey the same rule.  A leaf is kept when p divides its
-    size, so the word is a necklace, and the word is <= every rotation of
-    its reversal: it is then the least word of its dihedral class (Cattell,
-    Ruskey, Sawada, Serra and Miers, J. Algorithms 2000).
+    Returns, per size, the canonical forms with their signs, sorted, and the
+    number of search nodes tried.  The DFS builds each class's canonical
+    form (see ``canonicalize``) and no other word of the class, so every
+    class it reaches has one leaf.  A canonical form is a necklace (the
+    least of its rotations), and every prefix of a necklace is a
+    prenecklace.  So the DFS grows prenecklaces only, by the rule of
+    Fredricksen, Kessler and Maiorana: if p is the period of the prefix
+    a_1..a_t (the length of its longest Lyndon prefix), the next letter is
+    >= a_{t+1-p}; an equal letter keeps p, a larger one makes the period
+    t + 1.  The two tail letters, solved from the group table, obey the same
+    rule.  A leaf is kept when p divides its size, so the word is a
+    necklace, and the word is <= every rotation of its reversal: it is then
+    the least word of its dihedral class (Cattell, Ruskey, Sawada, Serra and
+    Miers, J. Algorithms 2000).
 
     One pass serves every size: the DFS runs down to depth max(sizes) - 2,
     and a prefix of depth d with a tail ends a leaf of size d + 2 when that
@@ -543,12 +542,14 @@ def _class_leaves(config: SearchConfig, sizes, prune: bool = True) -> dict[int, 
     positions 1..size-2, where the DFS checked every window of length
     1..size-3.
 
-    ``work_limit`` counts the prefixes the DFS tries, pruned ones included:
-    pruned, as they are visited; unpruned, by ``_class_dfs_nodes`` before it
-    starts.  Either count is the one of the largest size alone.  The DFS
-    recurses once per letter, and one check as a node is entered refuses a
-    node past what the interpreter's recursion limit leaves room for:
-    unpruned, such a run is refused before the search too; pruned, only
+    ``work_limit`` bounds the count of prefixes tried, pruned ones
+    included: each node adds its letters to the count and tests it against
+    the budget once, and None never stops it.  Unpruned, ``_class_dfs_nodes`` checks the
+    count up front too, summed only up to the budget.  Either count is the
+    one of the largest size alone.  The DFS recurses once per letter, and
+    one check as a node is entered refuses a node past what the
+    interpreter's recursion limit leaves room for: unpruned, such a run is
+    refused before the search too, after any budget check; pruned, only
     when a path reaches that depth.  Sharding deals out the children
     of depth max(shard_depth, 1), at most the deepest level, that ``forbid``
     keeps round-robin on their DFS rank, whether they end a leaf or are
@@ -561,21 +562,20 @@ def _class_leaves(config: SearchConfig, sizes, prune: bool = True) -> dict[int, 
     largest = max(sizes)
     top = largest - 2
     deepest = _recursion_headroom()
+    budget = config.work_limit
     if not prune:
-        # a search too deep to run is refused below, so its count stops at the budget
-        cap = None if config.allow_large and top <= deepest else config.work_limit
-        _check_work(_class_dfs_nodes(n_mod, top, cap), "search nodes",
-                    config.work_limit, config.allow_large)
+        if budget is not None:  # the sum stops at its first partial sum over the budget
+            _check_work(_class_dfs_nodes(n_mod, top, budget), "search nodes", budget)
         if top > deepest:
             raise _too_deep(largest, deepest)
-    _check_table(n_mod, config.work_limit, config.allow_large)
+    _check_table(n_mod, budget)
     _, step, tails = _group_tables(n_mod)
     tail_letters = _tail_letters(n_mod)
     row_bit, masks = _window_masks(n_mod)
     if not prune:
         masks = [0] * len(tails)
     whole = masks[0]  # the window of the whole prefix
-    limit = config.work_limit
+    limit = inf if budget is None else budget
     found: dict[int, list] = {size: [] for size in sizes}
     outs = [found.get(depth + 2) for depth in range(top + 1)]  # by the leaf's prefix depth
     ranked = -1
@@ -612,14 +612,9 @@ def _class_leaves(config: SearchConfig, sizes, prune: bool = True) -> dict[int, 
             raise _too_deep(largest, deepest)
         low = prefix[depth - period] if depth else 0
         below = depth + 1
-        tried = n_mod - low  # the letters low..N-1, with a tail or not
-        if visited + tried > limit:
-            for _ in range(tried):
-                visited += 1
-                if visited > limit:
-                    _check_work(visited, "search nodes", limit, config.allow_large)
-        else:
-            visited += tried
+        visited += n_mod - low  # the letters low..N-1, with a tail or not
+        if visited > limit:
+            _check_work(limit + 1, "search nodes", limit)
         out = outs[below]
         # at the deepest level only leaves are left: walk the letters with a
         # tail, which may start below low
@@ -647,7 +642,7 @@ def _class_leaves(config: SearchConfig, sizes, prune: bool = True) -> dict[int, 
             emit(outs[0], (u, v), 1, eps)
     if top:
         dfs((), 0, 1, 0)
-    return found
+    return found, visited
 
 
 def _too_deep(size: int, deepest: int) -> ValueError:
@@ -675,8 +670,9 @@ def classify(config: SearchConfig) -> ClassificationReport:
     irreducible classes with no split check, and ``total_classes`` comes
     from the Burnside count (``count_classes``, one pass for all
     sizes, its table steps checked against the same budget before any
-    search starts).  ``total_classes`` and ``reducible_count`` are None
-    with ``irreducible_only`` and in a single shard of a sharded search.
+    search starts).  ``work_limit`` None runs either search with no budget.
+    ``total_classes`` and ``reducible_count`` are None with
+    ``irreducible_only`` and in a single shard of a sharded search.
     """
     t0 = time.perf_counter()
     n_mod = config.modulus
@@ -684,10 +680,10 @@ def classify(config: SearchConfig) -> ClassificationReport:
     counted = not config.irreducible_only and config.shard_count == 1
     totals = {}
     if counted and not all_classes:
-        totals = _class_counts(n_mod, config.sizes, config.work_limit, config.allow_large)
-    leaves = _class_leaves(config, config.sizes, prune=not all_classes)
+        totals = _class_counts(n_mod, config.sizes, config.work_limit)
+    leaves, _ = _class_leaves(config, config.sizes, prune=not all_classes)
     size_reports = []
-    for size in sorted(config.sizes):
+    for size in config.sizes:
         found = leaves[size]
         irreducible = []
         witnesses = {}
@@ -754,25 +750,25 @@ class VerifyReport:
         }
 
 
-def verify_expected(n_mod: int, sizes=None, work_limit: int = DEFAULT_WORK_LIMIT,
-                    allow_large: bool = False) -> VerifyReport:
+def verify_expected(n_mod: int, sizes=None,
+                    work_limit: int | None = DEFAULT_WORK_LIMIT) -> VerifyReport:
     """Compare the classified irreducibles against the packaged reference list.
 
-    The comparison is orbit-level set equality over the scanned sizes:
-    a class is compared through its canonical representative, so the
-    reference presentation (which lists some classes through several
-    rotations) cannot skew the diff.
+    The comparison is orbit-level set equality over the scanned sizes,
+    which the report keeps sorted, each size once: a class is compared
+    through its canonical representative, so the reference presentation
+    (which lists some classes through several rotations) cannot skew the
+    diff.  ``work_limit`` is the search budget; None means no budget.
     """
     expected = reference_classes(n_mod)
-    sizes = tuple(sizes) if sizes is not None else default_verify_sizes(n_mod)
-    report = classify(SearchConfig(
-        modulus=n_mod, sizes=sizes, irreducible_only=True,
-        work_limit=work_limit, allow_large=allow_large))
+    config = SearchConfig(n_mod, default_verify_sizes(n_mod) if sizes is None else tuple(sizes),
+                          irreducible_only=True, work_limit=work_limit)
+    report = classify(config)
     found = report.irreducible_classes()
-    want = {rep for size, reps in expected.items() if size in sizes for rep in reps}
+    want = {rep for size, reps in expected.items() if size in config.sizes for rep in reps}
     missing = sorted(want - found, key=lambda s: (len(s), s))
     extra = sorted(found - want, key=lambda s: (len(s), s))
-    return VerifyReport(n_mod, sizes, not missing and not extra, missing, extra, report)
+    return VerifyReport(n_mod, config.sizes, not missing and not extra, missing, extra, report)
 
 
 @dataclass
@@ -799,9 +795,8 @@ class EvidenceReport:
 
 
 def evidence_scan(n_mod: int, n_max: int | None = None,
-                  work_limit: int = DEFAULT_WORK_LIMIT,
-                  allow_large: bool = False) -> EvidenceReport:
-    """Classify sizes 3..n_max (default N+3) and summarize irreducible counts."""
+                  work_limit: int | None = DEFAULT_WORK_LIMIT) -> EvidenceReport:
+    """Irreducible counts of sizes 3..n_max (default N+3); ``work_limit`` None: no budget."""
     check_modulus(n_mod)
     if n_mod < 2:
         raise ValueError("evidence scan needs a modulus >= 2")
@@ -811,7 +806,7 @@ def evidence_scan(n_mod: int, n_max: int | None = None,
         raise ValueError(f"n_max must be >= 3, got {n_max}")
     report = classify(SearchConfig(
         modulus=n_mod, sizes=tuple(range(3, n_max + 1)), irreducible_only=True,
-        work_limit=work_limit, allow_large=allow_large))
+        work_limit=work_limit))
     per_size = {s.size: len(s.irreducible) for s in report.sizes}
     with_any = [s for s, c in per_size.items() if c]
     return EvidenceReport(n_mod, n_max, per_size, max(with_any) if with_any else None)
@@ -845,9 +840,9 @@ def merge_shards(config: SearchConfig, reports) -> ClassificationReport:
         for s in rep.sizes:
             witnesses.setdefault(s.size, {}).update(s.witnesses)
     totals = {} if config.irreducible_only else _class_counts(
-        config.modulus, config.sizes, config.work_limit, config.allow_large)
+        config.modulus, config.sizes, config.work_limit)
     sizes = []
-    for size in sorted(config.sizes):
+    for size in config.sizes:
         sizes.append(_size_report(size, sorted(merged.get(size, ())), totals.get(size),
                                   witnesses.get(size)))
     return ClassificationReport(config.modulus, sizes, sum(r.elapsed_s for r in reports))

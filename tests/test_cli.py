@@ -5,7 +5,6 @@ import random
 import subprocess
 import sys
 import time
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -266,8 +265,8 @@ def test_large_modulus_refused_before_the_group_table(capsys):
 
 
 def test_classify_witness_past_recursion_limit_fails_at_once(capsys):
-    # allowed, the search would still need size - 2 nested frames; the node
-    # count before the refusal stops at the budget
+    # allowed, the search would still need size - 2 nested frames; with no
+    # budget, no nodes are counted before the refusal
     for size in (1200, 60000):
         start = time.perf_counter()
         code, out, err = run(capsys, "classify", "--modulus", "2", "--size", str(size),
@@ -316,10 +315,16 @@ def test_classify_count_beyond_digit_limit(capsys):
         sys.set_int_max_str_digits(original)
 
 
+def _with_budget(monkeypatch, work_limit):
+    """Run the CLI's classify searches under ``work_limit``, whatever budget it passes."""
+    monkeypatch.setattr(cli, "SearchConfig",
+                        lambda **kwargs: SearchConfig(**{**kwargs, "work_limit": work_limit}))
+
+
 def test_classify_count_work_guard(capsys, monkeypatch):
     # the count needs 49,152 table steps and stops the run before the DFS,
     # which would try 537 nodes and fit
-    monkeypatch.setattr(cli, "SearchConfig", partial(SearchConfig, work_limit=600))
+    _with_budget(monkeypatch, 600)
     code, out, err = run(capsys, "classify", "--modulus", "8", "--size", "11")
     assert code == 2
     assert out == ""
@@ -329,12 +334,13 @@ def test_classify_count_work_guard(capsys, monkeypatch):
 def test_classify_irreducible_only_work_guard(capsys, monkeypatch):
     # the pruned DFS for N = 8, n = 11 tries 537 prefixes; a budget of 536
     # stops it, as the 4M default stops a search too large to run in a test
-    monkeypatch.setattr(cli, "SearchConfig", partial(SearchConfig, work_limit=536))
+    _with_budget(monkeypatch, 536)
     code, out, err = run(capsys, "classify", "--modulus", "8", "--size", "11",
                          "--irreducible-only")
     assert code == 2
     assert out == ""
-    assert len(err.splitlines()) == 1 and "budget" in err
+    assert err == ("error: search needs at least 537 search nodes, over the budget of 536; "
+                   "pass the large-search override to run it anyway\n")
 
 
 def test_verify_pass(capsys):
@@ -580,6 +586,9 @@ SIZES_ERROR = ("argument --sizes: expected LO..HI with LO <= HI "
      "argument --shard-index: must be < --shard-count (1), got 1"),
     (("enumerate", "--modulus", "5", "--size", "4", "--shard-count", "2", "--shard-index", "5"),
      "argument --shard-index: must be < --shard-count (2), got 5"),
+    # an empty alphabet is not the unrestricted one
+    (("enumerate", "--modulus", "5", "--size", "4", "--alphabet", ""),
+     "argument --alphabet: expected comma-separated integers, got ''"),
 ])
 def test_argument_errors_are_one_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -607,6 +616,42 @@ def test_sizes_range_and_list_agree(capsys):
         reports.append(payload)
     assert reports[0] == reports[1]
     assert [entry["n"] for entry in reports[0]["sizes"]] == [3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_classify_sizes_sorted_and_unique(capsys, fmt, jobs):
+    # a repeated or unordered --sizes list prints each size once, in order
+    outs = []
+    for sizes in ("5,5,4", "4,5"):
+        code, out, err = run(capsys, "classify", "--modulus", "5", "--sizes", sizes,
+                             "--format", fmt, "--jobs", jobs)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            payload = json.loads(out)
+            payload.pop("elapsed_s")
+            assert [entry["n"] for entry in payload["sizes"]] == [4, 5]
+            out = payload
+        outs.append(out)
+    assert outs[0] == outs[1]
+    if fmt == "text":
+        assert [line[:4] for line in outs[0].splitlines() if line.startswith("n=")] == [
+            "n=4:", "n=5:"]
+
+
+@pytest.mark.parametrize("sizes, shown, listed", [
+    ("6,4,4", "4,6", [4, 6]),
+    ("5,3,4", "3..5", [3, 4, 5]),
+    ("4,4", "4..4", [4]),
+])
+def test_verify_sizes_sorted_and_unique(capsys, sizes, shown, listed):
+    # the header shows LO..HI only for a contiguous range, and the list otherwise
+    code, out, err = run(capsys, "verify", "--modulus", "5", "--sizes", sizes)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == f"modulus 5, sizes {shown}: PASS"
+    code, out, err = run(capsys, "verify", "--modulus", "5", "--sizes", sizes, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["sizes"] == listed
 
 
 def test_help_exits_zero(capsys):

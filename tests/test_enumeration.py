@@ -11,7 +11,6 @@ from quiddity.enumeration import (
     _class_dfs_nodes,
     _class_leaves,
     _group_tables,
-    _irreducible_candidates,
     _least_of_reversal,
     _tail_letters,
     _window_masks,
@@ -131,7 +130,7 @@ def test_work_guard():
         enumerate_solutions(6, 12)
     with pytest.raises(WorkLimitExceeded):
         enumerate_solutions(3, 6, work_limit=10)
-    assert enumerate_solutions(3, 6, work_limit=10, allow_large=True)
+    assert enumerate_solutions(3, 6, work_limit=None) == enumerate_solutions(3, 6)
 
 
 def test_sharded_union_and_disjointness():
@@ -207,12 +206,12 @@ def test_sharded_classify_merges_to_full(monkeypatch):
             # every class has one leaf, so the shards' class sets are pairwise
             # disjoint and their union is the serial list
             for size in config.sizes:
-                parts = [_irreducible_candidates(replace(sharded, shard_index=i), size,
-                                                 prune=False)
+                parts = [_class_leaves(replace(sharded, shard_index=i), (size,),
+                                       prune=False)[0][size]
                          for i in range(shard_count)]
                 union = sorted(leaf for part in parts for leaf in part)
                 assert len(set(union)) == len(union), (shard_count, depth, size)
-                assert union == _irreducible_candidates(config, size, prune=False)
+                assert union == _class_leaves(config, (size,), prune=False)[0][size]
     # merge_shards counts the classes of every size through one shared count
     counts = []
     real = enumeration._class_counts
@@ -253,7 +252,7 @@ def test_sharded_irreducible_merges_to_serial(n_mod, sizes, shard_count):
                        for sh in shards), depth
 
 
-def test_witness_work_counts_search_nodes(monkeypatch):
+def test_witness_work_counts_search_nodes():
     # the unpruned DFS for N = 5, n = 7 tries each prenecklace of length
     # 1..5 once: 5 + 15 + 55 + 205 + 829 = 1,109 prefixes
     nodes = sum(_prenecklaces(5, d) for d in range(1, 6))
@@ -262,15 +261,12 @@ def test_witness_work_counts_search_nodes(monkeypatch):
     want = classify(config).to_json(with_timing=False)
     with pytest.raises(WorkLimitExceeded, match=f"{nodes} search nodes"):
         classify(replace(config, work_limit=nodes - 1))
-    assert classify(replace(config, work_limit=nodes - 1, allow_large=True)).to_json(
-        with_timing=False) == want
-    # the count checked up front is the number of nodes the DFS visits: with
-    # no budget, every visit past the first check reports its running count
-    # (under the override, the up-front count does not stop at the budget)
-    checks = []
-    monkeypatch.setattr(enumeration, "_check_work", lambda count, *rest: checks.append(count))
-    classify(replace(config, work_limit=0, allow_large=True))
-    assert checks == [nodes] + list(range(1, nodes + 1))
+    assert classify(replace(config, work_limit=None)).to_json(with_timing=False) == want
+    # the count checked up front is the number of nodes the DFS visits, with
+    # a budget or with none
+    assert _class_dfs_nodes(5, 5) == nodes
+    for limit in (nodes, None):
+        assert _class_leaves(replace(config, work_limit=limit), (7,), prune=False)[1] == nodes
 
 
 def test_class_dfs_nodes_counts_prenecklaces():
@@ -310,7 +306,7 @@ def test_irreducible_work_counts_search_nodes():
     assert classify(config).sizes[0].irreducible == []
     with pytest.raises(WorkLimitExceeded, match="search nodes"):
         classify(replace(config, work_limit=nodes - 1))
-    assert classify(replace(config, work_limit=nodes - 1, allow_large=True)).sizes[0].irreducible == []
+    assert classify(replace(config, work_limit=None)).sizes[0].irreducible == []
 
 
 @pytest.mark.parametrize("n_mod", range(2, 10))
@@ -326,7 +322,7 @@ def test_class_dfs_leaves_are_the_classes(n_mod):
     # the raw leaf list, with no dedupe, is every class once in canonical
     # form, with the sign of the solution; a leaf's split is its class's
     for size in range(2, 10):
-        leaves = _irreducible_candidates(SearchConfig(n_mod, (size,)), size, prune=False)
+        leaves = _class_leaves(SearchConfig(n_mod, (size,)), (size,), prune=False)[0][size]
         want = sorted({canonicalize(s) for s in enumerate_solutions(n_mod, size)})
         assert [rep for rep, _ in leaves] == want, (n_mod, size)
         for rep, sign in leaves:
@@ -402,7 +398,7 @@ def test_count_classes_work_counts_table_steps():
     assert count_classes(5, 6, work_limit=steps) == 40
     with pytest.raises(WorkLimitExceeded, match="table steps"):
         count_classes(5, 6, work_limit=steps - 1)
-    assert count_classes(5, 6, work_limit=steps - 1, allow_large=True) == 40
+    assert count_classes(5, 6, work_limit=None) == 40
 
 
 def test_classification_deterministic():
@@ -552,46 +548,33 @@ def _list_window_candidates(config: SearchConfig, size: int, prune: bool = True)
     return leaves, visited
 
 
-def _visits(monkeypatch, config: SearchConfig, size: int, prune: bool):
-    """The leaves of the class DFS and the prefixes it tried, read off its budget checks."""
-    checks = [0]
-    monkeypatch.setattr(enumeration, "_check_work", lambda count, *rest: checks.append(count))
-    leaves = _irreducible_candidates(replace(config, work_limit=0, allow_large=True), size, prune)
-    monkeypatch.undo()
-    return leaves, checks[-1]
+def _visits(config: SearchConfig, size: int, prune: bool):
+    """The leaves of the class DFS for one size and the prefixes it tried, with no budget."""
+    leaves, visited = _class_leaves(replace(config, work_limit=None), (size,), prune)
+    return leaves[size], visited
 
 
 @pytest.mark.parametrize("n_mod", range(2, 11))
-def test_bitmask_dfs_matches_window_lists(monkeypatch, n_mod):
+def test_bitmask_dfs_matches_window_lists(n_mod):
     # the same children tried and cut: equal leaves and equal node counts
     for size in range(3, 12 if n_mod <= 8 else 11):
         config = SearchConfig(n_mod, (size,))
         want = _list_window_candidates(config, size)
-        assert _visits(monkeypatch, config, size, prune=True) == want, (n_mod, size)
+        assert _visits(config, size, prune=True) == want, (n_mod, size)
     for size in range(3, 8):
         config = SearchConfig(n_mod, (size,))
-        leaves, visited = _list_window_candidates(config, size, prune=False)
-        # unpruned, the checks are the up-front count and then every visit
-        assert _visits(monkeypatch, config, size, prune=False) == (leaves, visited)
-
-
-def _one_pass(monkeypatch, config: SearchConfig, sizes, prune: bool):
-    """``_class_leaves`` over ``sizes`` and the prefixes it tried, read off its budget checks."""
-    checks = [0]
-    monkeypatch.setattr(enumeration, "_check_work", lambda count, *rest: checks.append(count))
-    leaves = _class_leaves(replace(config, work_limit=0, allow_large=True), sizes, prune)
-    monkeypatch.undo()
-    return leaves, checks[-1]
+        want = _list_window_candidates(config, size, prune=False)
+        assert _visits(config, size, prune=False) == want, (n_mod, size)
 
 
 @pytest.mark.parametrize("n_mod", range(2, 11))
-def test_one_pass_matches_per_size_window_lists(monkeypatch, n_mod):
+def test_one_pass_matches_per_size_window_lists(n_mod):
     # one pass over sizes lo..S lists, at every size, the leaves of the
     # per-size oracle, and tries the nodes the oracle tries for S alone
     for prune, sizes in ((True, range(3, 12 if n_mod <= 8 else 11)), (False, range(2, 9))):
         sizes = tuple(sizes)
         config = SearchConfig(n_mod, sizes)
-        leaves, visited = _one_pass(monkeypatch, config, sizes, prune)
+        leaves, visited = _class_leaves(replace(config, work_limit=None), sizes, prune)
         assert sorted(leaves) == list(sizes)
         for size in sizes:
             want, tried = _list_window_candidates(config, size, prune)
@@ -599,18 +582,82 @@ def test_one_pass_matches_per_size_window_lists(monkeypatch, n_mod):
         assert visited == tried, (n_mod, prune)
 
 
-def test_one_pass_counts_shared_prefixes_once(monkeypatch):
+def test_one_pass_counts_shared_prefixes_once():
     # N = 6, sizes 3..9, unpruned: the prenecklaces of length 1..7, where
     # one DFS per size tried 77,202 nodes
     config = SearchConfig(6, tuple(range(3, 10)), keep_witnesses=True)
-    _, visited = _one_pass(monkeypatch, config, config.sizes, prune=False)
+    _, visited = _class_leaves(config, config.sizes, prune=False)
     assert visited == _class_dfs_nodes(6, 7) == 61864
     assert sum(_class_dfs_nodes(6, size - 2) for size in config.sizes) == 77202
     # pruned: the tree of the largest size alone
     for n_mod, top, nodes in ((9, 10, 4690), (8, 11, 537)):
         config = SearchConfig(n_mod, tuple(range(3, top + 1)))
-        _, visited = _one_pass(monkeypatch, config, config.sizes, prune=True)
+        _, visited = _class_leaves(config, config.sizes, prune=True)
         assert visited == _list_window_candidates(config, top)[1] == nodes
+
+
+class _Counted(int):
+    """An int that counts the comparisons made against it.
+
+    In ``x > c`` or ``x >= c`` with x a plain int, Python tries the
+    subclass's reflected ``__lt__`` or ``__le__`` first, so a budget or a
+    recursion depth of this type counts every test made against it.
+    """
+
+    def __new__(cls, value):
+        self = super().__new__(cls, value)
+        self.tests = 0
+        return self
+
+    def __lt__(self, other):
+        self.tests += 1
+        return int(self) < other
+
+    def __le__(self, other):
+        self.tests += 1
+        return int(self) <= other
+
+
+@pytest.mark.parametrize("n_mod", range(5, 12))
+def test_budget_is_tested_once_per_node(monkeypatch, n_mod):
+    # the DFS tests its depth once per node entered; it may test the budget
+    # once more per node, plus once for the group table and once as it
+    # raises, but never once per letter
+    sizes = tuple(range(3, 13))
+    _, nodes = _class_leaves(SearchConfig(n_mod, sizes), sizes)
+    headroom = enumeration._recursion_headroom()
+    for limit in (nodes, nodes - 1, nodes // 2, 1):
+        depth, budget = _Counted(headroom), _Counted(limit)
+        monkeypatch.setattr(enumeration, "_recursion_headroom", lambda: depth)
+        try:
+            _, visited = _class_leaves(SearchConfig(n_mod, sizes, work_limit=budget), sizes)
+            assert visited == nodes == limit
+        except WorkLimitExceeded:
+            assert limit < nodes
+        assert 0 < budget.tests <= depth.tests + 2, (n_mod, limit, budget.tests, depth.tests)
+
+
+@pytest.mark.parametrize("n_mod", range(5, 12))
+def test_no_budget_walks_the_same_tree(n_mod):
+    # work_limit None gives the leaves and the node count of a finite
+    # budget that the search fits in, pruned and unpruned
+    for prune, sizes in ((True, tuple(range(3, 13))), (False, tuple(range(2, 8)))):
+        config = SearchConfig(n_mod, sizes)
+        free = _class_leaves(replace(config, work_limit=None), sizes, prune)
+        assert free == _class_leaves(replace(config, work_limit=free[1]), sizes, prune)
+        assert free == _class_leaves(config, sizes, prune)
+        with pytest.raises(WorkLimitExceeded):
+            _class_leaves(replace(config, work_limit=free[1] - 1), sizes, prune)
+
+
+@pytest.mark.parametrize("n_mod, size, limit", [(8, 11, 536), (8, 11, 0), (11, 12, 1000),
+                                                (9, 12, 3000)])
+def test_pruned_over_budget_message(n_mod, size, limit):
+    with pytest.raises(WorkLimitExceeded) as caught:
+        classify(SearchConfig(n_mod, (size,), irreducible_only=True, work_limit=limit))
+    assert str(caught.value) == (
+        f"search needs at least {limit + 1} search nodes, over the budget of {limit}; "
+        "pass the large-search override to run it anyway")
 
 
 def test_tail_letters_list_the_letters_with_tails():
@@ -628,12 +675,12 @@ def test_multi_size_shards_are_disjoint_and_merge_exactly(n_mod, witnesses):
     sizes = tuple(range(2, 9))
     config = SearchConfig(n_mod, sizes, keep_witnesses=witnesses)
     serial = classify(config).to_json(with_timing=False)
-    serial_leaves = _class_leaves(config, sizes, prune=not witnesses)
+    serial_leaves, _ = _class_leaves(config, sizes, prune=not witnesses)
     # depths 6 and 7 rank the children of the deepest level, in the tail walk
     for shard_count in (2, 3):
         for depth in range(8):
             sharded = replace(config, shard_depth=depth, shard_count=shard_count)
-            parts = [_class_leaves(replace(sharded, shard_index=i), sizes, prune=not witnesses)
+            parts = [_class_leaves(replace(sharded, shard_index=i), sizes, prune=not witnesses)[0]
                      for i in range(shard_count)]
             for size in sizes:
                 union = sorted(leaf for part in parts for leaf in part[size])
@@ -683,7 +730,7 @@ def test_pruned_leaves_need_no_split_check():
     for n_mod in range(2, 12):
         for size in range(3, 13 if n_mod <= 9 else 12):
             config = SearchConfig(n_mod, (size,), irreducible_only=True)
-            for rep, sign in _irreducible_candidates(config, size):
+            for rep, sign in _class_leaves(config, (size,))[0][size]:
                 assert _split(rep, sign, n_mod) is None, (n_mod, rep)
 
 
@@ -695,14 +742,14 @@ def test_group_table_covers_sl2():
 def test_group_table_budget_checked_before_build(monkeypatch):
     # N = 50: |SL2| = 90,000 elements times 50 letters, over the 4M default
     assert sl2_group_order(50) * 50 == 4_500_000 > DEFAULT_WORK_LIMIT
-    _check_table(40, DEFAULT_WORK_LIMIT, False)  # 1,843,200 entries
-    _check_table(50, 4_500_000, False)
-    _check_table(50, 0, True)
+    _check_table(40, DEFAULT_WORK_LIMIT)  # 1,843,200 entries
+    _check_table(50, 4_500_000)
+    _check_table(50, None)
     # the table is cached for the process, so a smaller budget still builds
     # a table within the default (the N = 8 search below fits 537 nodes)
-    _check_table(8, 536, False)
+    _check_table(8, 536)
     with pytest.raises(WorkLimitExceeded, match="4500000 step entries"):
-        _check_table(50, 4_499_999, False)
+        _check_table(50, 4_499_999)
     monkeypatch.setattr(enumeration, "_group_tables", lambda n: pytest.fail("table built"))
     with pytest.raises(WorkLimitExceeded, match="4500000 step entries"):
         enumerate_solutions(50, 3)
@@ -726,11 +773,16 @@ def test_class_dfs_refuses_paths_past_the_recursion_limit(monkeypatch):
     with pytest.raises(ValueError, match="size 12 needs a class search 10 letters deep"):
         classify(SearchConfig(9, (12,), irreducible_only=True))
     assert classify(SearchConfig(2, (5000,), irreducible_only=True)).sizes[0].irreducible == []
-    # unpruned: refused before the search, after the node budget, whose
-    # count stops at the budget even under the override
-    checks = []
-    monkeypatch.setattr(enumeration, "_check_work", lambda count, *rest: checks.append(count))
-    config = SearchConfig(3, (8,), keep_witnesses=True, work_limit=10, allow_large=True)
-    with pytest.raises(ValueError, match="size 8 needs a class search 6 letters deep"):
+    # unpruned: refused before the search.  A budget is checked first, and
+    # its count stops at the budget; a budget the count fits lets the depth
+    # refusal through, and with no budget nothing is counted
+    assert _class_dfs_nodes(3, 6, cap=10) == 23
+    config = SearchConfig(3, (8,), keep_witnesses=True, work_limit=10)
+    with pytest.raises(WorkLimitExceeded, match="at least 23 search nodes"):
         classify(config)
-    assert checks == [_class_dfs_nodes(3, 6, cap=10)] == [23]
+    deep = "size 8 needs a class search 6 letters deep"
+    with pytest.raises(ValueError, match=deep):
+        classify(replace(config, work_limit=DEFAULT_WORK_LIMIT))
+    monkeypatch.setattr(enumeration, "_class_dfs_nodes", lambda *args: pytest.fail("counted"))
+    with pytest.raises(ValueError, match=deep):
+        classify(replace(config, work_limit=None))
