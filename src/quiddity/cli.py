@@ -167,8 +167,8 @@ def cmd_reduce(args) -> int:
     if solution_sign(seq, n) is None:
         raise UsageError(f"{','.join(map(str, seq))} is not a solution mod {n}")
     whitelist = None
-    if args.right:
-        right = normalize_seq(_parse_seq(args.right), n)
+    if args.right is not None:  # an empty --right is a usage error, not no restriction
+        right = normalize_seq(_parse_seq(args.right, "quiddity reduce: argument --right: "), n)
         if len(right) < 3 or solution_sign(right, n) is None:
             raise UsageError(f"--right {','.join(map(str, right))} is not a "
                              f"solution of size >= 3 mod {n}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from math import cos, pi, sin
 from operator import itemgetter
@@ -28,7 +28,6 @@ from operator import itemgetter
 from .solutions import (
     Seq,
     _new_object,
-    _split,
     canonicalize,
     dihedral_images,
     normalize_seq,
@@ -50,12 +49,8 @@ class Cell:
 
 
 def _cell(vertices: tuple[int, ...], weight: int | None) -> Cell:
-    """``Cell(vertices, weight)``, built faster.
-
-    The frozen dataclass's ``__init__`` sets each field through
-    ``object.__setattr__``; filling the new instance's dict gives an equal
-    Cell in about half the time, which counts when the builders place
-    thousands of cells.
+    """``Cell(vertices, weight)`` in about half the time, by filling the dict
+    that the frozen dataclass's ``__init__`` fills through ``object.__setattr__``.
     """
     cell = _new_object(Cell)
     fields = cell.__dict__
@@ -100,11 +95,6 @@ def _cell_edges(vertices: tuple[int, ...]):
     closing edge (v0, v[k-1]).
     """
     return [*zip(vertices, vertices[1:]), (vertices[0], vertices[-1])]
-
-
-def _is_side(edge: tuple[int, int], n: int) -> bool:
-    a, b = edge
-    return b - a == 1 or (a == 1 and b == n)
 
 
 def validate(d: Dissection) -> list[str]:
@@ -216,10 +206,7 @@ def _check_weights(d: Dissection) -> list[str]:
             if w not in legal:
                 bad.append(f"cell {i}: weight {w} illegal mod 3 for this shape")
         else:
-            if tri:
-                legal = (2,) if i in paired else (1, 3)
-            else:
-                legal = (0, 2)
+            legal = ((2,) if i in paired else (1, 3)) if tri else (0, 2)
             if w not in legal:
                 bad.append(f"cell {i}: weight {w} illegal mod 4 for this shape")
                 if tri and w == 2:
@@ -256,10 +243,7 @@ def _unchecked_quiddity(d: Dissection) -> Seq:
     n_mod = d.modulus
     acc = [0] * (d.n + 1)
     for c in d.cells:
-        if d.kind == KIND_PLAIN:
-            amount = 1 if len(c.vertices) == 3 else 0
-        else:
-            amount = c.weight
+        amount = (1 if len(c.vertices) == 3 else 0) if d.kind == KIND_PLAIN else c.weight
         for v in c.vertices:
             acc[v] += amount
     return tuple(a % n_mod for a in acc[1:])
@@ -274,11 +258,9 @@ def cell_base_solution(spec, kind: str) -> Seq:
     n_mod = KIND_MODULUS[kind]
     shape, arg = spec
     if shape == "triangle":
-        w = 1 if kind == KIND_PLAIN else arg
-        return (w % n_mod,) * 3
+        return ((1 if kind == KIND_PLAIN else arg) % n_mod,) * 3
     if shape == "quad":
-        w = 0 if kind == KIND_PLAIN else arg
-        return (w % n_mod,) * 4
+        return ((0 if kind == KIND_PLAIN else arg) % n_mod,) * 4
     if shape == "split_quad":
         return (0, 2, 0, 2) if arg == 0 else (2, 0, 2, 0)
     raise ValueError(f"unknown cell spec {spec!r}")
@@ -325,8 +307,7 @@ def attach_cell(d: Dissection, spec) -> Dissection:
     grown = d.n + (1 if spec[0] == "triangle" else 2)
     pairs = d.pairs
     if spec[0] == "split_quad":
-        i = len(d.cells)
-        pairs += ((i, i + 1),)
+        pairs += ((len(d.cells), len(d.cells) + 1),)
     outer = _outer_cells(spec, d.kind, range(1, grown + 1), d.n)
     return Dissection(grown, d.kind, d.cells + outer, pairs)
 
@@ -389,12 +370,6 @@ def _attachable_classes(n_mod: int) -> list[Seq]:
     return [(1, 1, 1), (3, 3, 3), (0, 0, 0, 0), (2, 2, 2, 2), (0, 2, 0, 2)]
 
 
-@functools.cache
-def _attachable_images(n_mod: int) -> frozenset[Seq]:
-    """Every dihedral image of the attachable classes: the right parts a peel allows."""
-    return frozenset(img for w in _attachable_classes(n_mod) for img in dihedral_images(w))
-
-
 def _spec_for(part: Seq, kind: str):
     if len(part) == 3:
         return ("triangle", None if kind == KIND_PLAIN else part[0])
@@ -405,20 +380,65 @@ def _spec_for(part: Seq, kind: str):
     return ("quad", None if kind == KIND_PLAIN else part[0])
 
 
-def _first_transform(got: Seq, target: Seq) -> int:
-    """The least t with apply_dihedral(got, t) == target.
+@functools.cache
+def _ears(n_mod: int):
+    """The right parts a peel allows, by their middle letters: (quads, triangles).
 
-    Entries are residues mod 2..4, so each tuple packs into bytes and the
-    search over rotations is one substring find.
+    ``quads[(a, b)]`` and ``triangles[a]`` give (spec, middle length, first
+    letter, last letter) of the attachable class image with those middle
+    letters, which a rotation splits off exactly when it ends in them (see
+    README); no two images of one length share them.
     """
-    want = bytes(target)
-    t = (bytes(got) * 2).find(want)
-    if t >= 0:
-        return t
-    t = (bytes(got[::-1]) * 2).find(want)
-    if t >= 0:
-        return len(got) + t
-    raise RuntimeError(f"quiddity {got} not equivalent to target {target}")
+    quads, triangles = {}, {}
+    for part in {img for w in _attachable_classes(n_mod) for img in dihedral_images(w)}:
+        table, key = (quads, part[1:3]) if len(part) == 4 else (triangles, part[1])
+        table[key] = (_spec_for(part, MODULUS_KIND[n_mod]), len(part) - 2, part[0], part[-1])
+    return quads, triangles
+
+
+def _least_period(word: bytearray) -> int:
+    """The least p > 0 whose rotation of the word is the word; it divides n.
+
+    Every multiple of it that divides n is one too, so n drops each of its
+    prime factors q, found by trial division, while p / q stays one.
+    """
+    n = p = rest = len(word)
+    q = 2
+    while rest > 1:
+        if rest % q:
+            q = q + 1 if q * q < rest else rest  # past sqrt(rest), rest is prime
+        else:
+            rest //= q
+            if word[p // q:] == word[:n - p // q]:
+                p //= q
+    return p
+
+
+def _cut(word: bytearray, t: int, pops: int, head: int, tail: int, n_mod: int) -> int:
+    """Split the part (head, ..., tail) off the word's rotation by t, in place.
+
+    The part's ``pops`` middle letters end that rotation; the word becomes
+    the left part, less head on its last letter and tail on its first.  A
+    bytearray drops its front in place, so rotating moves t letters.
+    Returns the level's r = -t mod p, p the word's least period.
+    """
+    r = 0
+    if t:
+        word += word[:t]
+        del word[:t]
+        r = -t % _least_period(word)
+    del word[-pops:]
+    word[-1] = (word[-1] - head) % n_mod
+    word[0] = (word[0] - tail) % n_mod
+    return r
+
+
+def _first_transform(got: Seq, target: Seq) -> int:
+    """The least t with apply_dihedral(got, t) == target, for a 3- or 4-letter core."""
+    images = dihedral_images(got)
+    if target not in images:
+        raise RuntimeError(f"quiddity {got} not equivalent to target {target}")
+    return images.index(target)
 
 
 def _moved(labels: list[int], t: int) -> list[int]:
@@ -437,30 +457,27 @@ def _moved(labels: list[int], t: int) -> list[int]:
 def _assemble(kind: str, levels, core: Seq) -> Dissection:
     """The dissection the recursive builder makes from the peeled levels.
 
-    ``levels`` lists (target, spec, t) from the outside in, where the peel
-    split the target rotated by t; ``core`` is the innermost target, from
-    the base table.  The recursion attaches each cell to the dissection of
-    the next target, a polygon whose quiddity is that rotation, and
-    relabels it by the least transform back onto the target: the rotation
-    r = (n - t) mod p, with p the target's least period.  Composed
-    top-down, these give one label map per level, and each cell is made
-    once from its final labels, in the recursion's cell and pair order:
-    base cells first, then the cells from the inside out.
+    ``levels`` lists (n, spec, r) from the outside in: the peel split the
+    spec's cell off the n-letter target's rotation by t, and r = -t mod p,
+    p the target's least period, is the least transform back onto the
+    target; ``core`` is the innermost target, from the base table.  The
+    recursion attaches each cell to the dissection of the next target and
+    relabels it by r.  Composed top-down, these give one label map per
+    level, a deque rotated by r and popped down to the next level's.  Each
+    cell is made once from its final labels, in the recursion's cell and
+    pair order: base cells, then the rest from the inside out.
     """
-    size = len(levels[0][0]) if levels else len(core)
-    # a level's map is labels[:n]; entries past n are left over from the
-    # outer levels, and the list is cut only where a rotation needs it exact
-    labels = list(range(1, size + 1))
+    size = levels[0][0] if levels else len(core)
+    labels = deque(range(1, size + 1))
     outer = []
-    for target, spec, t in levels:
-        n = len(target)
-        if t:  # r = (n - t) mod p = -t mod p, as p divides n
-            packed = bytes(target)
-            labels = _moved(labels[:n], -t % (packed * 2).find(packed, 1))
+    for n, spec, r in levels:
+        labels.rotate(r)
         m = n - (1 if spec[0] == "triangle" else 2)
         outer.append(_outer_cells(spec, kind, labels, m))
+        for _ in range(n - m):
+            labels.pop()
     base = _base_cases(KIND_MODULUS[kind])[canonicalize(core)]
-    labels = _moved(labels[:len(core)], _first_transform(_unchecked_quiddity(base), core))
+    labels = _moved(list(labels), _first_transform(_unchecked_quiddity(base), core))
     cells = [_cell(tuple(sorted(labels[v - 1] for v in c.vertices)), c.weight)
              for c in base.cells]
     pairs = list(base.pairs)
@@ -485,15 +502,12 @@ def build_dissection(seq, n_mod: int) -> Dissection:
     """A dissection whose quiddity is exactly the given solution.
 
     Size 3/4 classes come from a fixed realization table.  A larger
-    solution is peeled in a loop: each step splits off an attachable part
-    (the cells that can sit on one edge) and continues with the rest, down
-    to the table.  Each step runs ``find_decomposition``'s whitelisted scan
-    on the rest as the previous step left it, normalized, with the sign its
-    witness gives, so the input is normalized and its sign computed once
-    (mod 2 that sign may read -1, the same residue as +1).  The cells are
-    then placed in one pass, and the result is validated once against the
-    input.  The split always exists for moduli 2..4, so a search failure is
-    reported as a bug, never mapped to a quiet error.
+    solution is peeled in a loop down to the table: each step splits off
+    ``find_decomposition``'s whitelisted right part, an attachable cell,
+    at the first rotation t that ends in such a part's middle letters (see
+    ``_ears``).  The cells are then placed in one pass, and the result is
+    validated once against the input.  The split always exists for moduli
+    2..4, so a search failure is reported as a bug.
     """
     if n_mod not in MODULUS_KIND:
         raise ValueError("dissection models exist for moduli 2, 3 and 4 only")
@@ -501,23 +515,25 @@ def build_dissection(seq, n_mod: int) -> Dissection:
     seq = normalize_seq(seq, n_mod)
     if len(seq) < 3:
         raise ValueError("dissections need size >= 3")
-    sign = solution_sign(seq, n_mod)
-    if sign is None:
+    if solution_sign(seq, n_mod) is None:
         raise ValueError(f"{seq} is not a solution mod {n_mod}")
-    allowed = _attachable_images(n_mod)
-    longest = max(map(len, _attachable_classes(n_mod)))
+    quads, triangles = _ears(n_mod)
+    word = bytearray(seq)
     levels = []
-    cur = seq
-    while len(cur) > 4:
-        # a right part of length k comes from the split m = len(cur) + 2 - k
-        witness = _split(cur, sign, n_mod, max(3, len(cur) + 2 - longest), allowed)
-        if witness is None:
+    while len(word) > 4:
+        before, last = word[-2], word[-1]  # the rotation by t ends before, last
+        for t, first in enumerate(word):
+            ear = quads.get((before, last)) or triangles.get(last)
+            if ear:
+                break
+            before, last = last, first
+        else:
             raise RuntimeError(
-                f"no attachable split for {cur} mod {n_mod}; the classification "
+                f"no attachable split for {tuple(word)} mod {n_mod}; the classification "
                 "guarantees one, so this is a bug")
-        levels.append((cur, _spec_for(witness.right, kind), witness.transform))
-        cur, sign = witness.left, witness.left_sign
-    return _checked(_assemble(kind, levels, cur), seq, "build_dissection")
+        spec, pops, head, tail = ear
+        levels.append((len(word), spec, _cut(word, t, pops, head, tail, n_mod)))
+    return _checked(_assemble(kind, levels, tuple(word)), seq, "build_dissection")
 
 
 def triangulate(seq, n_mod: int) -> Dissection:
@@ -526,11 +542,11 @@ def triangulate(seq, n_mod: int) -> Dissection:
     Preconditions: mod 2 and mod 3 need a nonzero entry, mod 4 an entry
     +/-1 (the all-twos square famously has no triangulation).  Works by
     peeling one +/-1 entry as an outer triangle, in a loop down to a
-    triangle; the first rotation whose remainder does not degenerate gives
-    the ear, which always exists for these moduli.  A reflection peels the
-    ear of the rotation ending at the same vertex, with the remainder
-    reversed, so rotations alone are scanned.  The cells are then placed
-    in one pass, and the result is validated once against the input.
+    triangle; the first rotation whose remainder keeps a +/-1 entry gives
+    the ear, which always exists for these moduli, and a running count of
+    those entries decides it from the three letters a peel changes.  A
+    reflection peels the ear of the rotation ending at the same vertex, so
+    rotations alone are scanned.  The result is validated once.
     """
     if n_mod not in MODULUS_KIND:
         raise ValueError("dissection models exist for moduli 2, 3 and 4 only")
@@ -538,30 +554,29 @@ def triangulate(seq, n_mod: int) -> Dissection:
     seq = normalize_seq(seq, n_mod)
     if solution_sign(seq, n_mod) is None:
         raise ValueError(f"{seq} is not a solution mod {n_mod}")
-    units = (1,) if n_mod == 2 else (1, n_mod - 1)
-    ok = any(a in units for a in seq) if n_mod == 4 else any(seq)
-    if not ok:
+    unit = [a in (1, n_mod - 1) for a in range(n_mod)]  # mod 2 and 3: a nonzero
+    good = sum(unit[a] for a in seq)
+    if not good:
         raise ValueError(f"{seq} mod {n_mod} admits no all-triangle dissection")
+    word = bytearray(seq)
     levels = []
-    cur = seq
-    while len(cur) > 3:
-        n = len(cur)
-        for t in range(n):
-            eps = cur[t - 1]  # the last entry of the rotation by t
-            if eps not in units:
-                continue
-            c = cur[t:] + cur[:t] if t else cur
-            rest = ((c[0] - eps) % n_mod,) + c[1:n - 2] + ((c[n - 2] - eps) % n_mod,)
-            good = any(a in units for a in rest) if n_mod == 4 else any(rest)
-            if good:
-                break
+    while len(word) > 3:
+        before, last = word[-2], word[-1]  # the rotation by t ends before, last
+        for t, first in enumerate(word):  # and starts first
+            if unit[last]:  # the rest is first - last, ..., before - last
+                rest = (good - 1 - unit[first] - unit[before]
+                        + unit[(first - last) % n_mod] + unit[(before - last) % n_mod])
+                if rest:
+                    break
+            before, last = last, first
         else:
             raise RuntimeError(
-                f"no peelable position in {cur} mod {n_mod}; the triangulation "
+                f"no peelable position in {tuple(word)} mod {n_mod}; the triangulation "
                 "argument guarantees one, so this is a bug")
-        levels.append((cur, ("triangle", None if kind == KIND_PLAIN else eps), t))
-        cur = rest
-    return _checked(_assemble(kind, levels, cur), seq, "triangulate")
+        spec = ("triangle", None if kind == KIND_PLAIN else last)
+        levels.append((len(word), spec, _cut(word, t, 1, last, last, n_mod)))
+        good = rest
+    return _checked(_assemble(kind, levels, tuple(word)), seq, "triangulate")
 
 
 def eliminate_quads(d: Dissection) -> Dissection:
@@ -658,47 +673,32 @@ def random_dissection(n: int, kind: str, seed: int) -> Dissection:
         k = len(chain)
         if k < 3:
             return
-        shape = "triangle" if k == 3 else rng.choice(["triangle", "quad"])
-        if shape == "triangle":
+        if k == 3 or rng.choice(["triangle", "quad"]) == "triangle":
             i = rng.randrange(1, k - 1)
-            picks = (chain[0], chain[i], chain[-1])
-            _emit_triangle(picks)
+            _emit_triangle((chain[0], chain[i], chain[-1]))
             fill(chain[:i + 1])
             fill(chain[i:])
         else:
             i, j = sorted(rng.sample(range(1, k - 1), 2))
-            picks = (chain[0], chain[i], chain[j], chain[-1])
-            _emit_quad(picks)
+            _emit_quad((chain[0], chain[i], chain[j], chain[-1]))
             fill(chain[:i + 1])
             fill(chain[i:j + 1])
             fill(chain[j:])
 
     def _emit_triangle(v):
-        v = tuple(sorted(v))
-        if kind == KIND_PLAIN:
-            cells.append(Cell(v, None))
-        elif kind == KIND_FIRST:
-            cells.append(Cell(v, rng.choice((1, 2))))
-        else:
-            cells.append(Cell(v, rng.choice((1, 3))))
+        w = None if kind == KIND_PLAIN else rng.choice((1, KIND_MODULUS[kind] - 1))
+        cells.append(Cell(tuple(sorted(v)), w))
 
     def _emit_quad(v):
         v = tuple(sorted(v))
-        if kind == KIND_PLAIN:
-            cells.append(Cell(v, None))
-        elif kind == KIND_FIRST:
-            cells.append(Cell(v, 0))
+        choice = rng.choice(("w0", "w2", "split")) if kind == KIND_SECOND else "w0"
+        if choice == "split":
+            a, b, c, e = v
+            t1, t2 = rng.choice((((a, b, c), (a, c, e)), ((a, b, e), (b, c, e))))
+            pairs.append((len(cells), len(cells) + 1))
+            cells.extend((Cell(t1, 2), Cell(t2, 2)))
         else:
-            choice = rng.choice(("w0", "w2", "split"))
-            if choice == "split":
-                a, b, c, e = v
-                t1, t2 = rng.choice((((a, b, c), (a, c, e)), ((a, b, e), (b, c, e))))
-                idx = len(cells)
-                cells.append(Cell(t1, 2))
-                cells.append(Cell(t2, 2))
-                pairs.append((idx, idx + 1))
-            else:
-                cells.append(Cell(v, 0 if choice == "w0" else 2))
+            cells.append(Cell(v, None if kind == KIND_PLAIN else 0 if choice == "w0" else 2))
 
     fill(list(range(1, n + 1)))
     d = Dissection(n, kind, tuple(cells), tuple(pairs))

@@ -218,6 +218,8 @@ def enumerate_solutions(n_mod: int, size: int, alphabet=None,
     Sharding splits the fixed-depth DFS prefixes round-robin; the shards are
     disjoint and their union over all indices is the full result.
     ``work_limit`` bounds the prefix probes and the group table; None is no budget.
+    The DFS recurses once per letter, so after the probe budget a size past
+    what the interpreter's recursion limit leaves room for is refused.
     """
     check_modulus(n_mod)
     if n_mod < 2:
@@ -233,6 +235,9 @@ def enumerate_solutions(n_mod: int, size: int, alphabet=None,
         if not alphabet:
             return []
     _check_work(len(alphabet) ** (size - 2), "prefix probes", work_limit)
+    deepest = _recursion_headroom()
+    if size - 2 > deepest:
+        raise _too_deep(size, deepest, "prefix search")
     _check_table(n_mod, work_limit)
 
     _, step, tails = _group_tables(n_mod)
@@ -645,8 +650,8 @@ def _class_leaves(config: SearchConfig, sizes, prune: bool = True) -> tuple[dict
     return found, visited
 
 
-def _too_deep(size: int, deepest: int) -> ValueError:
-    return ValueError(f"size {size} needs a class search {size - 2} letters deep, past the "
+def _too_deep(size: int, deepest: int, search: str = "class search") -> ValueError:
+    return ValueError(f"size {size} needs a {search} {size - 2} letters deep, past the "
                       f"{deepest} that the interpreter's recursion limit leaves room for")
 
 

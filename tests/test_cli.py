@@ -278,6 +278,21 @@ def test_classify_witness_past_recursion_limit_fails_at_once(capsys):
         assert line.startswith(f"error: size {size} needs a class search {size - 2} letters deep")
 
 
+def test_enumerate_past_recursion_limit_fails_at_once(capsys):
+    # the prefix DFS would need size - 2 nested frames: refused before it
+    # starts, with or without a budget, instead of an internal RecursionError
+    for flags, warned in ((("--allow-large",), True), (("--alphabet", "1"), False)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "enumerate", "--modulus", "2", "--size", "5000", *flags)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        if warned:
+            assert lines.pop(0) == "warning: work budget override active"
+        (line,) = lines
+        assert line.startswith("error: size 5000 needs a prefix search 4998 letters deep")
+
+
 def test_classify_beyond_enumeration_budget(capsys):
     # enumerating would take 7^10 prefix probes, over the 4M budget
     code, out, err = run(capsys, "classify", "--modulus", "7", "--size", "12",
@@ -589,6 +604,9 @@ SIZES_ERROR = ("argument --sizes: expected LO..HI with LO <= HI "
     # an empty alphabet is not the unrestricted one
     (("enumerate", "--modulus", "5", "--size", "4", "--alphabet", ""),
      "argument --alphabet: expected comma-separated integers, got ''"),
+    # and an empty --right is not the unrestricted split search
+    (("reduce", "--modulus", "9", "3,3,3,3,3,3", "--right", ""),
+     "argument --right: expected comma-separated integers, got ''"),
 ])
 def test_argument_errors_are_one_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)

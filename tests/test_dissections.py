@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import FrozenInstanceError, replace
 
@@ -18,7 +19,6 @@ from quiddity.dissections import (
     _cell,
     _cell_edges,
     _find_crossing,
-    _is_side,
     _spec_for,
     attach_cell,
     build_dissection,
@@ -37,6 +37,7 @@ from quiddity.enumeration import enumerate_solutions
 from quiddity.solutions import (
     apply_dihedral,
     canonicalize,
+    dihedral_images,
     find_decomposition,
     is_solution,
     normalize_seq,
@@ -117,6 +118,11 @@ def test_base_cases_built_once(n_mod):
     for key, d in table.items():
         assert d.modulus == n_mod
         assert quiddity(d) == key
+
+
+def _is_side(edge, n):
+    a, b = edge
+    return b - a == 1 or (a == 1 and b == n)
 
 
 def _reference_crossings(d):
@@ -541,28 +547,67 @@ def _peel_inputs(n_mod):
     yield (0, 1, 0, 1) * 15
 
 
+def _period(seq):
+    packed = bytes(seq)
+    return (packed * 2).find(packed, 1)
+
+
+def _replayed(seq, levels, n_mod):
+    """(target, spec, t) of each peeled level, rebuilt from the (n, spec, r) records.
+
+    The peel's rotation t is below the target's least period p, so
+    t = -r mod p; the spec's glued part ends that rotation with its middle
+    letters.  Returns the levels and the innermost target.
+    """
+    kind = MODULUS_KIND[n_mod]
+    replay = []
+    target = seq
+    for n, spec, r in levels:
+        assert n == len(target)
+        t = -r % _period(target)
+        c = target[t:] + target[:t]
+        part = cell_base_solution(spec, kind)
+        m = n + 2 - len(part)
+        assert c[m:] == part[1:-1]
+        replay.append((target, spec, t))
+        target = ((c[0] - part[-1]) % n_mod,) + c[1:m - 1] + ((c[m - 1] - part[0]) % n_mod,)
+    return replay, target
+
+
+def _spy_levels(monkeypatch):
+    """The (levels, core) of every ``_assemble`` call, in call order."""
+    seen = []
+    assemble = dissections._assemble
+
+    def spy(kind, levels, core):
+        seen.append((levels, core))
+        return assemble(kind, levels, core)
+
+    monkeypatch.setattr(dissections, "_assemble", spy)
+    return seen
+
+
 @pytest.mark.parametrize("n_mod", [2, 3, 4])
-def test_peel_threads_the_witness_sign(n_mod, monkeypatch):
-    calls = []
-
-    def spy(seq, sign, n, first, allowed):
-        witness = solutions._split(seq, sign, n, first, allowed)
-        calls.append((seq, sign, witness))
-        return witness
-
-    monkeypatch.setattr(dissections, "_split", spy)
+def test_peel_levels_are_the_whitelisted_splits(n_mod, monkeypatch):
+    # the letter-local ear of each level is the split find_decomposition's
+    # whitelisted scan returns: the same right part, rotation and left part
+    kind = MODULUS_KIND[n_mod]
+    seen = _spy_levels(monkeypatch)
     periodic = 0
     for seq in _peel_inputs(n_mod):
         if not is_solution(seq, n_mod):
             continue
-        calls.clear()
         build_dissection(seq, n_mod)
-        assert calls or len(seq) <= 4
-        for cur, sign, witness in calls:
-            assert witness == find_decomposition(cur, n_mod, _attachable_classes(n_mod))
-            assert sign % n_mod == solution_sign(cur, n_mod) % n_mod
-            # a rotation that repeats the sequence stops _split's scan early
-            periodic += (bytes(cur) * 2).find(bytes(cur), 1) < len(cur)
+        levels, core = seen.pop()
+        replay, inner = _replayed(seq, levels, n_mod)
+        assert inner == core
+        assert replay or len(seq) <= 4
+        lefts = [target for target, _, _ in replay[1:]] + [core]
+        for (target, spec, t), left in zip(replay, lefts):
+            witness = find_decomposition(target, n_mod, _attachable_classes(n_mod))
+            assert (spec, t) == (_spec_for(witness.right, kind), witness.transform)
+            assert witness.left == left
+            periodic += _period(target) < len(target)
     assert periodic > 20
 
 
@@ -594,23 +639,59 @@ def test_peel_normalizes_and_signs_once(n_mod, size, monkeypatch):
 def test_assembly_rotates_by_the_period(n_mod, monkeypatch):
     # a level peeled at rotation t > 0 of a periodic target is relabelled by
     # -t modulo the period, the least transform the recursion picks
-    levels_seen = []
-    assemble = dissections._assemble
-
-    def spy(kind, levels, core):
-        levels_seen.extend(levels)
-        return assemble(kind, levels, core)
-
-    monkeypatch.setattr(dissections, "_assemble", spy)
+    seen = _spy_levels(monkeypatch)
+    periodic = 0
     for seq in _periodic_solutions(n_mod):
         if len(seq) > 30:
             continue
-        assert build_dissection(seq, n_mod) == _reference_build_dissection(seq, n_mod)
+        builds = [(build_dissection, _reference_build_dissection)]
         if _triangulable(seq, n_mod):
-            assert triangulate(seq, n_mod) == _reference_triangulate(seq, n_mod)
-    periodic = sum(t > 0 and (bytes(target) * 2).find(bytes(target), 1) < len(target)
-                   for target, _, t in levels_seen)
+            builds.append((triangulate, _reference_triangulate))
+        for build, reference in builds:
+            assert build(seq, n_mod) == reference(seq, n_mod)
+            levels, _ = seen.pop()
+            replay, _ = _replayed(seq, levels, n_mod)
+            periodic += sum(t > 0 and _period(target) < len(target)
+                            for target, _, t in replay)
     assert periodic > 0
+
+
+@pytest.mark.parametrize("n_mod", [2, 3, 4])
+def test_ear_tables_are_unambiguous(n_mod):
+    # no two attachable quads share their middle pair, and no two triangles
+    # their letter, so a rotation's last letters name at most one part
+    kind = MODULUS_KIND[n_mod]
+    images = {img for w in _attachable_classes(n_mod) for img in dihedral_images(w)}
+    quads = [part for part in images if len(part) == 4]
+    triangles = [part for part in images if len(part) == 3]
+    assert len({part[1:3] for part in quads}) == len(quads)
+    assert len({part[1] for part in triangles}) == len(triangles)
+    assert dissections._ears(n_mod) == (
+        {part[1:3]: (_spec_for(part, kind), 2, part[0], part[-1]) for part in quads},
+        {part[1]: (_spec_for(part, kind), 1, part[0], part[-1]) for part in triangles})
+
+
+def test_least_period_is_the_first_repeat():
+    words = [w for n in range(1, 13) for w in itertools.product(range(2), repeat=n)]
+    words += [w for n in range(1, 8) for w in itertools.product(range(3), repeat=n)]
+    words += [(0, 1, 0, 1) * 15, (1, 2, 0) * 35, (0,) * 97, (0,) * 96 + (1,)]
+    for word in words:
+        assert dissections._least_period(bytearray(word)) == _period(word), word
+
+
+@pytest.mark.parametrize("n_mod", [2, 3, 4])
+def test_builders_keep_linear_memory(n_mod):
+    # the word, the level records and the label map take O(n), about 4 MB
+    # here; keeping every level's whole word, about n^2 / 2 letters, takes 75+ MB
+    seq = quiddity(random_dissection(5000, MODULUS_KIND[n_mod], n_mod))
+    for build in (build_dissection, triangulate):
+        tracemalloc.start()
+        try:
+            build(seq, n_mod)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000_000, (build.__name__, peak)
 
 
 @pytest.mark.parametrize("n_mod", [2, 3, 4])

@@ -762,6 +762,17 @@ def test_group_table_budget_checked_before_build(monkeypatch):
         count_classes(50, 4)
 
 
+def test_enumeration_refuses_sizes_past_the_recursion_limit(monkeypatch):
+    # the one-letter alphabet makes one path of size - 2 letters, so only the
+    # depth limits it; the probe budget is checked first
+    monkeypatch.setattr(enumeration, "_recursion_headroom", lambda: 10)
+    assert enumerate_solutions(2, 12, alphabet=(1,)) == [(1,) * 12]
+    with pytest.raises(ValueError, match="size 13 needs a prefix search 11 letters deep"):
+        enumerate_solutions(2, 13, alphabet=(1,))
+    with pytest.raises(WorkLimitExceeded):
+        enumerate_solutions(2, 13, work_limit=10)
+
+
 def test_class_dfs_refuses_paths_past_the_recursion_limit(monkeypatch):
     want = {size: classify(SearchConfig(9, (size,), irreducible_only=True)).to_json(
         with_timing=False) for size in (7, 12)}
