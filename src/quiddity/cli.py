@@ -442,6 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ``parse_args`` returns a fresh namespace on each call, so the shared
     parser carries no state between calls; callers must not modify it.
+    Its ``subcommands`` map each command name to that command's parser.
     """
     ap = _Parser(prog="quiddity",
                  description="solution calculus for the +/-identity "
@@ -533,6 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-large", **no_budget)
     p.set_defaults(func=cmd_evidence)
 
+    ap.subcommands = sub.choices
     return ap
 
 
@@ -545,11 +547,23 @@ def _shield_negative_seqs(argv):
     return [" " + tok if _NEGATIVE_SEQ.match(tok) else tok for tok in argv]
 
 
+def _parse_args(argv):
+    """``build_parser().parse_args(argv)``; a named command's own parser reads the rest once."""
+    parser = build_parser()
+    command = parser.subcommands.get(argv[0]) if argv else None
+    if command is None:  # no arguments, -h or an unknown command
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(_shield_negative_seqs(list(argv)))
+        args = _parse_args(_shield_negative_seqs(list(argv)))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

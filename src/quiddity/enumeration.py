@@ -19,14 +19,12 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
 from itertools import product as iter_product
-from math import inf, isqrt
+from math import gcd, inf, isqrt
 
 from .modmat import (
     IDENTITY,
     check_modulus,
-    generator,
     generator_product,
-    mat_mul,
     pm_identity_sign,
     residue,
     sl2_group_order,
@@ -53,39 +51,38 @@ class WorkLimitExceeded(RuntimeError):
 
 @lru_cache(maxsize=None)
 def _group_tables(n: int):
-    """BFS closure of the generator factors inside SL2(Z/NZ).
+    """SL2(Z/NZ) as index tables, built from S = G(0) and T = [[1, 1], [0, 1]].
 
     Returns (elements, step, tails): ``step[a][g]`` is the index of
     generator(a) * elements[g], and ``tails[g]`` lists the (a_{n-1}, a_n,
     eps) triples completing any prefix whose product is elements[g] to a
     solution of sign eps.  At most one triple per element: both signs would
     need p11 = 1 = -1, and mod 2 only eps = +1 is tried.
+
+    S and T generate SL2(Z) (Serre, A Course in Arithmetic, VII.1), which
+    maps onto SL2(Z/NZ) (Shimura, Introduction to the Arithmetic Theory of
+    Automorphic Functions, Lemma 1.38): a BFS from the identity (index 0) along
+    S (r1; r2) = (-r2; r1) and T (r1; r2) = (r1 + r2; r2) reaches every
+    element.  As G(a) = T^a S, step[0] is the S row and step[a] = T step[a - 1].
     """
     index = {IDENTITY: 0}
     elements = [IDENTITY]
-    gens = [generator(a, n) for a in range(n)]
-    step = [[] for _ in range(n)]
-    head = 0
-    while head < len(elements):
-        m = elements[head]
-        for a in range(n):
-            t = mat_mul(gens[a], m, n)
-            j = index.get(t)
+    s_row, t_row = [], []
+    for p11, p12, p21, p22 in elements:  # the list grows as the BFS finds elements
+        for row, child in ((s_row, (-p21 % n, -p22 % n, p11, p12)),
+                           (t_row, ((p11 + p21) % n, (p12 + p22) % n, p21, p22))):
+            j = index.get(child)
             if j is None:
-                j = len(elements)
-                index[t] = j
-                elements.append(t)
-            step[a].append(j)
-        head += 1
+                j = index[child] = len(elements)
+                elements.append(child)
+            row.append(j)
+    step = [s_row]
+    for _ in range(1, n):
+        step.append([t_row[x] for x in step[-1]])
     minus_one = residue(-1, n)
     signs = (1,) if minus_one == 1 else (1, -1)
-    tails = []
-    for p11, p12, p21, _ in elements:
-        pairs = []
-        for eps in signs:
-            if (eps * p11 - minus_one) % n == 0:
-                pairs.append(((-eps * p21) % n, (eps * p12) % n, eps))
-        tails.append(tuple(pairs))
+    tails = [tuple(((-eps * p21) % n, (eps * p12) % n, eps) for eps in signs
+                   if (eps * p11 - minus_one) % n == 0) for p11, p12, p21, _ in elements]
     return elements, step, tails
 
 
@@ -124,10 +121,15 @@ def _tail_letters(n: int):
 
     ``letters[g]`` lists, in increasing order, the a whose child
     step[a][g] has a tail: the last prefix letters after a prefix of
-    product g that complete a solution.
+    product g that complete a solution.  The child G(a) g has
+    p11 = a g11 - g21, and it has a tail iff p11 = +/-1, so the letters
+    depend only on the first column of g and are solved once per column.
     """
-    _, step, tails = _group_tables(n)
-    return [tuple(a for a, row in enumerate(step) if tails[row[g]]) for g in range(len(tails))]
+    elements, _, _ = _group_tables(n)
+    units = {1 % n, n - 1}
+    by_column = [tuple(a for a in range(n) if (a * g11 - g21) % n in units)
+                 for g11 in range(n) for g21 in range(n)]
+    return [by_column[g11 * n + g21] for g11, _, g21, _ in elements]
 
 
 @lru_cache(maxsize=None)
@@ -138,19 +140,32 @@ def _dihedral_tables(n: int):
     order of each element modulo +/-Id (least k >= 1 with g^k = +/-Id), and
     ``mirror[a][p]``, the index of generator(a) * elements[p] * generator(a)
     for every element p fixed by tau (see ``count_classes``).
+
+    By Cayley-Hamilton g^k = U_{k-1} g - U_{k-2} Id, with U_{-1} = 0, U_0 = 1
+    and U_k = t U_{k-1} - U_{k-2} for the trace t.  That is +/-Id iff
+    U_{k-1} = 0 mod N/c, c = gcd(g12, g21, g11 - g22, N), and
+    U_{k-1} g11 - U_{k-2} = +/-1, which then depends only on g11 mod c: the
+    order is found once per class (t, c, g11 mod c).
     """
     elements, step, _ = _group_tables(n)
-    index = {g: i for i, g in enumerate(elements)}
-    plus_minus = frozenset(index[(x, 0, 0, x)] for x in (1 % n, n - 1))
+    index = dict(zip(elements, range(len(elements))))
+    units = {1 % n, n - 1}
+    plus_minus = frozenset(index[(x, 0, 0, x)] for x in units)
+    by_class: dict[tuple[int, int, int], int] = {}
     orders = []
-    for g in elements:
-        k, m = 1, g
-        while pm_identity_sign(m, n) is None:
-            k, m = k + 1, mat_mul(m, g, n)
+    for g11, g12, g21, g22 in elements:
+        c = gcd(g12, g21, g11 - g22, n)
+        t, r = (g11 + g22) % n, g11 % c
+        k = by_class.get((t, c, r))
+        if k is None:
+            prev, cur, k = 0, 1, 1  # U_{k-2}, U_{k-1}
+            while cur % (n // c) or (cur * r - prev) % n not in units:
+                prev, cur, k = cur, (t * cur - prev) % n, k + 1
+            by_class[t, c, r] = k
         orders.append(k)
     # tau(G(a) p) = p G(a) when tau(p) = p, so G(a) p G(a) = G(a) tau(G(a) p)
     tau = [index[(a, -c % n, -b % n, d)] for a, b, c, d in elements]
-    mirror = [[row[tau[row[p]]] for p in range(len(elements))] for row in step]
+    mirror = [[row[tau[x]] for x in row] for row in step]
     return plus_minus, tuple(orders), mirror
 
 
@@ -731,8 +746,12 @@ def reference_classes(n_mod: int) -> dict[int, set[Seq]]:
 
 
 def default_verify_sizes(n_mod: int) -> tuple[int, ...]:
-    top = max(8, max(reference_classes(n_mod)))
-    return tuple(range(3, top + 1))
+    return _verify_sizes(reference_classes(n_mod))
+
+
+def _verify_sizes(by_size: dict[int, set[Seq]]) -> tuple[int, ...]:
+    """Sizes 3..max(8, the largest reference size), for ``reference_classes``' output."""
+    return tuple(range(3, max(8, max(by_size)) + 1))
 
 
 @dataclass
@@ -766,7 +785,7 @@ def verify_expected(n_mod: int, sizes=None,
     diff.  ``work_limit`` is the search budget; None means no budget.
     """
     expected = reference_classes(n_mod)
-    config = SearchConfig(n_mod, default_verify_sizes(n_mod) if sizes is None else tuple(sizes),
+    config = SearchConfig(n_mod, _verify_sizes(expected) if sizes is None else tuple(sizes),
                           irreducible_only=True, work_limit=work_limit)
     report = classify(config)
     found = report.irreducible_classes()

@@ -564,7 +564,7 @@ SIZES_ERROR = ("argument --sizes: expected LO..HI with LO <= HI "
                "or a comma-separated list, got '{}'")
 
 
-@pytest.mark.parametrize("argv, message", [
+ARGUMENT_ERRORS = [
     (("enumerate", "--modulus", "5"), "required: --size"),
     (("classify", "--modulus", "5", "--size", "three"), "invalid int value: 'three'"),
     (("verify", "--modulus", "5", "--format", "xml"), "invalid choice: 'xml'"),
@@ -607,7 +607,10 @@ SIZES_ERROR = ("argument --sizes: expected LO..HI with LO <= HI "
     # and an empty --right is not the unrestricted split search
     (("reduce", "--modulus", "9", "3,3,3,3,3,3", "--right", ""),
      "argument --right: expected comma-separated integers, got ''"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, message", ARGUMENT_ERRORS)
 def test_argument_errors_are_one_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -752,3 +755,33 @@ def test_parser_reuse_matches_fresh_calls(capsys, first, second):
     if first[0] == "classify":
         assert any("witnesses" in entry for entry in json.loads(got[0][1])["sizes"])
         assert all("witnesses" not in entry for entry in json.loads(got[1][1])["sizes"])
+
+
+VALID_CALLS = {
+    "check": ("check", "-N", "5", "2,2,2,2,2"),
+    "sum": ("sum", "-N", "5", "1,1,1", "1,1,1", "--format", "json"),
+    "canon": ("canon", "-N", "5", "2,2,2,2,2"),
+    "reduce": ("reduce", "-N", "5", "-1,-1,-1"),
+    "enumerate": ("enumerate", "-N", "5", "--size", "4", "--format", "csv"),
+    "classify": CLASSIFY_5,
+    "verify": ("verify", "-N", "5"),
+    "monomial": ("monomial", "-N", "5", "--k", "2"),
+    "dissect": ("dissect", "-N", "3", "--random", "6"),
+    "triangulate": ("triangulate", "-N", "3", "1,1,1"),
+    "evidence": ("evidence", "-N", "5"),
+}
+
+
+def test_valid_calls_cover_every_command():
+    assert set(VALID_CALLS) == set(cli.build_parser().subcommands)
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in ARGUMENT_ERRORS]
+                         + list(VALID_CALLS.values())
+                         + [(name, "--help") for name in VALID_CALLS]
+                         + [(), ("--help",), ("check", "-N", "5", "--bogus", "1,1,1")])
+def test_direct_command_parse_matches_the_full_parser(capsys, monkeypatch, argv):
+    # main hands a named command's arguments to that command's parser alone
+    direct = _call(capsys, argv)
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+    assert _call(capsys, argv) == direct

@@ -10,6 +10,7 @@ from quiddity.enumeration import (
     _class_counts,
     _class_dfs_nodes,
     _class_leaves,
+    _dihedral_tables,
     _group_tables,
     _least_of_reversal,
     _tail_letters,
@@ -28,7 +29,15 @@ from quiddity.enumeration import (
     reference_classes,
     verify_expected,
 )
-from quiddity.modmat import generator_product, mat_mul, sl2_group_order
+from quiddity.modmat import (
+    IDENTITY,
+    generator,
+    generator_product,
+    mat_det,
+    mat_mul,
+    pm_identity_sign,
+    sl2_group_order,
+)
 from quiddity.solutions import (
     _split,
     canonicalize,
@@ -739,6 +748,31 @@ def test_group_table_covers_sl2():
         assert len(_group_tables(n_mod)[0]) == sl2_group_order(n_mod), n_mod
 
 
+def _power_order(g, n_mod: int) -> int:
+    """Least k >= 1 with g^k = +/-Id, by repeated multiplication."""
+    k, m = 1, g
+    while pm_identity_sign(m, n_mod) is None:
+        k, m = k + 1, mat_mul(m, g, n_mod)
+    return k
+
+
+@pytest.mark.parametrize("n_mod", [*range(2, 17), 18, 20, 24])
+def test_group_tables_match_oracles(n_mod):
+    # the two-generator BFS and the order classes against the N-generator
+    # products and the power loop
+    elements, step, _ = _group_tables(n_mod)
+    _, orders, _ = _dihedral_tables(n_mod)
+    assert elements[0] == IDENTITY
+    assert len(elements) == len(set(elements)) == sl2_group_order(n_mod)
+    assert all(mat_det(g, n_mod) == 1 % n_mod for g in elements)
+    index = {g: i for i, g in enumerate(elements)}
+    assert len(step) == n_mod
+    for a, row in enumerate(step):
+        gen = generator(a, n_mod)
+        assert row == [index[mat_mul(gen, g, n_mod)] for g in elements], (n_mod, a)
+    assert list(orders) == [_power_order(g, n_mod) for g in elements], n_mod
+
+
 def test_group_table_budget_checked_before_build(monkeypatch):
     # N = 50: |SL2| = 90,000 elements times 50 letters, over the 4M default
     assert sl2_group_order(50) * 50 == 4_500_000 > DEFAULT_WORK_LIMIT
@@ -797,3 +831,12 @@ def test_class_dfs_refuses_paths_past_the_recursion_limit(monkeypatch):
     monkeypatch.setattr(enumeration, "_class_dfs_nodes", lambda *args: pytest.fail("counted"))
     with pytest.raises(ValueError, match=deep):
         classify(replace(config, work_limit=None))
+
+
+def test_verify_loads_its_reference_list_once(monkeypatch):
+    calls = []
+    real = enumeration.load_reference
+    monkeypatch.setattr(enumeration, "load_reference", lambda n: calls.append(n) or real(n))
+    report = verify_expected(7)
+    assert report.passed and calls == [7]
+    assert enumeration.default_verify_sizes(7) == report.sizes == tuple(range(3, 10))
