@@ -343,6 +343,8 @@ def _dissect_common(args, d, q) -> int:
 
 
 def cmd_dissect(args) -> int:
+    if args.seq is not None and args.random is not None:
+        raise UsageError("quiddity dissect: argument --random: not allowed with a sequence")
     n = _modulus(args)
     if n not in MODULUS_KIND:
         raise UsageError("dissection models exist for moduli 2, 3 and 4")
@@ -487,8 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="canonical classes per size, with irreducibility")
     _add_common(p, formats=("text", "json", "csv"))
-    p.add_argument("--size", type=int, default=None)
-    p.add_argument("--sizes", type=_sizes_arg, default=None, help="e.g. 3..8 or 3,4,5")
+    sizes = p.add_mutually_exclusive_group()
+    sizes.add_argument("--size", type=int, default=None)
+    sizes.add_argument("--sizes", type=_sizes_arg, default=None, help="e.g. 3..8 or 3,4,5")
     p.add_argument("--irreducible-only", action="store_true")
     p.add_argument("--witnesses", action="store_true",
                    help="record a splitting witness for each reducible class")
@@ -502,8 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="compare classification against the packaged lists")
     _add_common(p)
-    p.add_argument("--size", type=int, default=None)
-    p.add_argument("--sizes", type=_sizes_arg, default=None)
+    sizes = p.add_mutually_exclusive_group()
+    sizes.add_argument("--size", type=int, default=None)
+    sizes.add_argument("--sizes", type=_sizes_arg, default=None)
     p.add_argument("--allow-large", **no_budget)
     p.set_defaults(func=cmd_verify)
 

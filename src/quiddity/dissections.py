@@ -253,42 +253,37 @@ def _unchecked_quiddity(d: Dissection) -> Seq:
 # attaching a cell on the (n, 1) edge
 
 
+# Each kind's cells by spec, with the solution a cell glues on: every
+# dihedral image of a glued part is listed, so the peel reads its ears here.
+_CELLS = {
+    KIND_PLAIN: {("triangle", None): (1, 1, 1), ("quad", None): (0, 0, 0, 0)},
+    KIND_FIRST: {("triangle", 1): (1, 1, 1), ("triangle", 2): (2, 2, 2),
+                 ("quad", 0): (0, 0, 0, 0)},
+    KIND_SECOND: {("triangle", 1): (1, 1, 1), ("triangle", 3): (3, 3, 3),
+                  ("quad", 0): (0, 0, 0, 0), ("quad", 2): (2, 2, 2, 2),
+                  ("split_quad", 0): (0, 2, 0, 2), ("split_quad", 1): (2, 0, 2, 0)},
+}
+
+
 def cell_base_solution(spec, kind: str) -> Seq:
     """The solution glued onto the quiddity when a cell of this spec is attached."""
-    n_mod = KIND_MODULUS[kind]
-    shape, arg = spec
-    if shape == "triangle":
-        return ((1 if kind == KIND_PLAIN else arg) % n_mod,) * 3
-    if shape == "quad":
-        return ((0 if kind == KIND_PLAIN else arg) % n_mod,) * 4
-    if shape == "split_quad":
-        return (0, 2, 0, 2) if arg == 0 else (2, 0, 2, 0)
-    raise ValueError(f"unknown cell spec {spec!r}")
+    try:
+        return _CELLS[kind][spec]
+    except (KeyError, TypeError):
+        raise ValueError(f"cell spec {spec!r} not legal for kind {kind}") from None
 
 
-def _legal_spec(spec, kind: str) -> bool:
-    shape, arg = spec
-    if kind == KIND_PLAIN:
-        return shape in ("triangle", "quad") and arg is None
-    if kind == KIND_FIRST:
-        return (shape == "triangle" and arg in (1, 2)) or (shape == "quad" and arg == 0)
-    if kind == KIND_SECOND:
-        return ((shape == "triangle" and arg in (1, 3))
-                or (shape == "quad" and arg in (0, 2))
-                or (shape == "split_quad" and arg in (0, 1)))
-    return False
-
-
-def _outer_cells(spec, kind: str, labels, m: int) -> tuple[Cell, ...]:
+def _outer_cells(spec, labels, m: int) -> tuple[Cell, ...]:
     """The cells of the spec outside the (m, 1) edge, vertex v labelled ``labels[v - 1]``."""
+    # a triangle's or quad's argument is its weight, None in a plain spec;
+    # a split quad's picks its diagonal
     shape, arg = spec
-    w = None if kind == KIND_PLAIN else arg
     one, last, new = labels[0], labels[m - 1], labels[m]
     if shape == "triangle":
-        return (_cell(tuple(sorted((one, last, new))), w),)
+        return (_cell(tuple(sorted((one, last, new))), arg),)
     new2 = labels[m + 1]
     if shape == "quad":
-        return (_cell(tuple(sorted((one, last, new, new2))), w),)
+        return (_cell(tuple(sorted((one, last, new, new2))), arg),)
     if arg == 0:  # diagonal (m, m+2): glues (0, 2, 0, 2)
         halves = ((last, new, new2), (one, last, new2))
     else:  # diagonal (1, m+1): glues (2, 0, 2, 0)
@@ -302,13 +297,11 @@ def attach_cell(d: Dissection, spec) -> Dissection:
     The new vertices take the next labels, so the new quiddity equals the
     old one glued with the cell's base solution.
     """
-    if not _legal_spec(spec, d.kind):
-        raise ValueError(f"cell spec {spec!r} not legal for kind {d.kind}")
-    grown = d.n + (1 if spec[0] == "triangle" else 2)
+    grown = d.n + len(cell_base_solution(spec, d.kind)) - 2
     pairs = d.pairs
     if spec[0] == "split_quad":
         pairs += ((len(d.cells), len(d.cells) + 1),)
-    outer = _outer_cells(spec, d.kind, range(1, grown + 1), d.n)
+    outer = _outer_cells(spec, range(1, grown + 1), d.n)
     return Dissection(grown, d.kind, d.cells + outer, pairs)
 
 
@@ -362,37 +355,19 @@ def _base_cases(n_mod: int) -> dict[Seq, Dissection]:
     }
 
 
-def _attachable_classes(n_mod: int) -> list[Seq]:
-    if n_mod == 2:
-        return [(1, 1, 1), (0, 0, 0, 0)]
-    if n_mod == 3:
-        return [(1, 1, 1), (2, 2, 2), (0, 0, 0, 0)]
-    return [(1, 1, 1), (3, 3, 3), (0, 0, 0, 0), (2, 2, 2, 2), (0, 2, 0, 2)]
-
-
-def _spec_for(part: Seq, kind: str):
-    if len(part) == 3:
-        return ("triangle", None if kind == KIND_PLAIN else part[0])
-    if part == (0, 2, 0, 2):
-        return ("split_quad", 0)
-    if part == (2, 0, 2, 0):
-        return ("split_quad", 1)
-    return ("quad", None if kind == KIND_PLAIN else part[0])
-
-
 @functools.cache
 def _ears(n_mod: int):
     """The right parts a peel allows, by their middle letters: (quads, triangles).
 
     ``quads[(a, b)]`` and ``triangles[a]`` give (spec, middle length, first
-    letter, last letter) of the attachable class image with those middle
-    letters, which a rotation splits off exactly when it ends in them (see
-    README); no two images of one length share them.
+    letter, last letter) of the ``_CELLS`` part with those middle letters,
+    which a rotation splits off exactly when it ends in them (see README);
+    no two parts of one length share them.
     """
     quads, triangles = {}, {}
-    for part in {img for w in _attachable_classes(n_mod) for img in dihedral_images(w)}:
+    for spec, part in _CELLS[MODULUS_KIND[n_mod]].items():
         table, key = (quads, part[1:3]) if len(part) == 4 else (triangles, part[1])
-        table[key] = (_spec_for(part, MODULUS_KIND[n_mod]), len(part) - 2, part[0], part[-1])
+        table[key] = (spec, len(part) - 2, part[0], part[-1])
     return quads, triangles
 
 
@@ -473,7 +448,7 @@ def _assemble(kind: str, levels, core: Seq) -> Dissection:
     for n, spec, r in levels:
         labels.rotate(r)
         m = n - (1 if spec[0] == "triangle" else 2)
-        outer.append(_outer_cells(spec, kind, labels, m))
+        outer.append(_outer_cells(spec, labels, m))
         for _ in range(n - m):
             labels.pop()
     base = _base_cases(KIND_MODULUS[kind])[canonicalize(core)]
@@ -554,7 +529,8 @@ def triangulate(seq, n_mod: int) -> Dissection:
     seq = normalize_seq(seq, n_mod)
     if solution_sign(seq, n_mod) is None:
         raise ValueError(f"{seq} is not a solution mod {n_mod}")
-    unit = [a in (1, n_mod - 1) for a in range(n_mod)]  # mod 2 and 3: a nonzero
+    triangles = _ears(n_mod)[1]  # keyed by the +/-1 letters; mod 2 and 3, the nonzero ones
+    unit = [a in triangles for a in range(n_mod)]
     good = sum(unit[a] for a in seq)
     if not good:
         raise ValueError(f"{seq} mod {n_mod} admits no all-triangle dissection")
@@ -573,8 +549,7 @@ def triangulate(seq, n_mod: int) -> Dissection:
             raise RuntimeError(
                 f"no peelable position in {tuple(word)} mod {n_mod}; the triangulation "
                 "argument guarantees one, so this is a bug")
-        spec = ("triangle", None if kind == KIND_PLAIN else last)
-        levels.append((len(word), spec, _cut(word, t, 1, last, last, n_mod)))
+        levels.append((len(word), triangles[last][0], _cut(word, t, 1, last, last, n_mod)))
         good = rest
     return _checked(_assemble(kind, levels, tuple(word)), seq, "triangulate")
 

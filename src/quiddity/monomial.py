@@ -87,15 +87,15 @@ def square_constant_solution(l: int) -> tuple[int, Seq]:
     return n_mod, seq
 
 
-def prime_power_constant_solution(l: int, exp: int,
-                                  mult_budget: int = DEFAULT_MULT_BUDGET) -> tuple[int, Seq]:
+def prime_power_constant_solution(l: int, exp: int) -> tuple[int, Seq]:
     """For N = l^exp (exp >= 2) the 2*l^(exp-1)-tuple (l, ..., l) is a solution."""
     if l < 2 or exp < 2:
         raise ValueError("need l >= 2 and exponent >= 2")
     n_mod = l ** exp
     size = 2 * l ** (exp - 1)
-    if size > mult_budget:
-        raise ValueError(f"{size} generator multiplications exceed the budget {mult_budget}")
+    if size > DEFAULT_MULT_BUDGET:
+        raise ValueError(
+            f"{size} generator multiplications exceed the budget {DEFAULT_MULT_BUDGET}")
     seq = (l,) * size
     if pm_identity_sign(generator_product(seq, n_mod), n_mod) is None:
         raise RuntimeError("prime-power constant family failed its solution check")

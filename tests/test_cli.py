@@ -607,6 +607,14 @@ ARGUMENT_ERRORS = [
     # and an empty --right is not the unrestricted split search
     (("reduce", "--modulus", "9", "3,3,3,3,3,3", "--right", ""),
      "argument --right: expected comma-separated integers, got ''"),
+    # one size or a list of sizes, not both
+    (("classify", "--modulus", "5", "--size", "3", "--sizes", "3..5"),
+     "argument --sizes: not allowed with argument --size"),
+    (("verify", "--modulus", "5", "--sizes", "3..5", "--size", "3"),
+     "argument --size: not allowed with argument --sizes"),
+    # a random dissection is built instead of a sequence's, not besides it
+    (("dissect", "--modulus", "3", "1,1,1", "--random", "5"),
+     "argument --random: not allowed with a sequence"),
 ]
 
 

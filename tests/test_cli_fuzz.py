@@ -76,11 +76,10 @@ argvs = st.one_of(
           ("--irreducible-only", None), ("--witnesses", None),
           ("--shard-depth", naturals), ("--shard-index", naturals), ("--shard-count", positives),
           ("--jobs", st.sampled_from(["1", "2"])), ("--allow-large", None)),
-    _argv("verify", PLAIN, ("--size", sizes), ("--sizes", size_ranges),
-          ("--allow-large", None)),
+    _argv("verify", PLAIN, ("--size", sizes), ("--allow-large", None)),
+    _argv("verify", PLAIN, ("--sizes", size_ranges), ("--allow-large", None)),
     _argv("monomial", PLAIN, ("--k", st.integers(-2, 12).map(str))),
-    _argv("dissect", PICTURES, seqs, ("--random", st.integers(-1, 8).map(str)),
-          ("--seed", small)),
+    _argv("dissect", PICTURES, seqs, ("--seed", small)),
     _argv("dissect", PICTURES, ("--random", st.integers(-1, 8).map(str)), ("--seed", small)),
     _argv("triangulate", PICTURES, seqs, ("--via-rewrite", None)),
     _argv("evidence", PLAIN, ("--n-max", sizes), ("--allow-large", None)),

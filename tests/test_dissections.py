@@ -14,12 +14,11 @@ from quiddity.dissections import (
     MODULUS_KIND,
     Cell,
     Dissection,
-    _attachable_classes,
+    _CELLS,
     _base_cases,
     _cell,
     _cell_edges,
     _find_crossing,
-    _spec_for,
     attach_cell,
     build_dissection,
     cell_base_solution,
@@ -371,6 +370,38 @@ def _specs(kind):
             ("split_quad", 0), ("split_quad", 1)]
 
 
+def _spec_of(part, kind):
+    """The spec of the kind's cell that glues ``part``."""
+    return next(spec for spec, glued in _CELLS[kind].items() if glued == part)
+
+
+@pytest.mark.parametrize("kind", list(KIND_MODULUS))
+def test_cell_table_lists_each_kinds_cells(kind):
+    # every part a cell glues is a solution, one per spec, and the parts of
+    # a kind are closed under the dihedral group, so the ears find them all
+    n_mod = KIND_MODULUS[kind]
+    cells = _CELLS[kind]
+    assert list(cells) == _specs(kind)
+    parts = set(cells.values())
+    assert len(parts) == len(cells)
+    for part in parts:
+        assert is_solution(part, n_mod)
+        assert set(dihedral_images(part)) <= parts
+
+
+@pytest.mark.parametrize("spec, kind", [
+    (("triangle", 5), KIND_FIRST),
+    (("split_quad", 7), KIND_SECOND),
+    (("quad", 1), KIND_PLAIN),
+    (("triangle", 1), "bogus"),
+])
+def test_illegal_cell_specs_are_value_errors(spec, kind):
+    with pytest.raises(ValueError, match="not legal"):
+        cell_base_solution(spec, kind)
+    with pytest.raises(ValueError, match="not legal"):
+        attach_cell(Dissection(3, kind, (tri(1, 2, 3),)), spec)
+
+
 def test_attach_glues_base_solution():
     for kind, n_mod in KIND_MODULUS.items():
         for seed in range(40):
@@ -456,13 +487,13 @@ def _reference_build_dissection(seq, n_mod: int) -> Dissection:
     if len(seq) <= 4:
         base = _base_cases(n_mod)[canonicalize(seq)]
         return _reference_match_exact(base, seq)
-    witness = find_decomposition(seq, n_mod, _attachable_classes(n_mod))
+    witness = find_decomposition(seq, n_mod, list(_CELLS[kind].values()))
     if witness is None:
         raise RuntimeError(
             f"no attachable split for {seq} mod {n_mod}; the classification "
             "guarantees one, so this is a bug")
     inner = _reference_build_dissection(witness.left, n_mod)
-    grown = attach_cell(inner, _spec_for(witness.right, kind))
+    grown = attach_cell(inner, _spec_of(witness.right, kind))
     return _reference_match_exact(grown, seq)
 
 
@@ -604,8 +635,8 @@ def test_peel_levels_are_the_whitelisted_splits(n_mod, monkeypatch):
         assert replay or len(seq) <= 4
         lefts = [target for target, _, _ in replay[1:]] + [core]
         for (target, spec, t), left in zip(replay, lefts):
-            witness = find_decomposition(target, n_mod, _attachable_classes(n_mod))
-            assert (spec, t) == (_spec_for(witness.right, kind), witness.transform)
+            witness = find_decomposition(target, n_mod, list(_CELLS[kind].values()))
+            assert (spec, t) == (_spec_of(witness.right, kind), witness.transform)
             assert witness.left == left
             periodic += _period(target) < len(target)
     assert periodic > 20
@@ -660,15 +691,14 @@ def test_assembly_rotates_by_the_period(n_mod, monkeypatch):
 def test_ear_tables_are_unambiguous(n_mod):
     # no two attachable quads share their middle pair, and no two triangles
     # their letter, so a rotation's last letters name at most one part
-    kind = MODULUS_KIND[n_mod]
-    images = {img for w in _attachable_classes(n_mod) for img in dihedral_images(w)}
-    quads = [part for part in images if len(part) == 4]
-    triangles = [part for part in images if len(part) == 3]
-    assert len({part[1:3] for part in quads}) == len(quads)
-    assert len({part[1] for part in triangles}) == len(triangles)
+    cells = _CELLS[MODULUS_KIND[n_mod]]
+    quads = {spec: part for spec, part in cells.items() if len(part) == 4}
+    triangles = {spec: part for spec, part in cells.items() if len(part) == 3}
+    assert len({part[1:3] for part in quads.values()}) == len(quads)
+    assert len({part[1] for part in triangles.values()}) == len(triangles)
     assert dissections._ears(n_mod) == (
-        {part[1:3]: (_spec_for(part, kind), 2, part[0], part[-1]) for part in quads},
-        {part[1]: (_spec_for(part, kind), 1, part[0], part[-1]) for part in triangles})
+        {part[1:3]: (spec, 2, part[0], part[-1]) for spec, part in quads.items()},
+        {part[1]: (spec, 1, part[0], part[-1]) for spec, part in triangles.items()})
 
 
 def test_least_period_is_the_first_repeat():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quiddity.dissections import _attachable_classes
+from quiddity.dissections import _CELLS, MODULUS_KIND
 from quiddity.enumeration import enumerate_solutions
 from quiddity.modmat import (
     IDENTITY,
@@ -385,7 +385,7 @@ def test_decomposition_matches_reference_on_tuples():
 
 def test_decomposition_matches_reference_with_whitelists():
     for n_mod in (2, 3, 4):
-        whitelist = _attachable_classes(n_mod)
+        whitelist = list(_CELLS[MODULUS_KIND[n_mod]].values())
         for size in range(3, 8):
             for seq in enumerate_solutions(n_mod, size):
                 _agrees_with_reference(seq, n_mod, whitelist)
