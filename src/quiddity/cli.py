@@ -2,8 +2,9 @@
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success or a
 passing verification, 1 a verification mismatch, 2 usage errors (including
-searches over the work budget without --allow-large), 3 an internal failure
-(such as a builder's "this is a bug" error).
+searches over the work budget without --allow-large, and searches that run
+out of memory), 3 an internal failure (such as a builder's "this is a bug"
+error).
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def _modulus(args) -> int:
     return n
 
 
-def _parse_sizes(args) -> tuple[int, ...]:
+def _parse_sizes(args) -> range | tuple[int, ...]:
     if args.size is not None:
         return (args.size,)
     if args.sizes is not None:
@@ -199,11 +200,7 @@ def cmd_enumerate(args) -> int:
     # an empty --alphabet is an error, not every letter
     alphabet = None if args.alphabet is None else _parse_seq(
         args.alphabet, "quiddity enumerate: argument --alphabet: ")
-    _check_shard_flags(args)
-    sols = enumeration.enumerate_solutions(
-        n, args.size, alphabet,
-        shard_depth=args.shard_depth, shard_index=args.shard_index,
-        shard_count=args.shard_count, work_limit=args.work_limit)
+    sols = enumeration.enumerate_solutions(n, args.size, alphabet, work_limit=args.work_limit)
     payload = {"modulus": n, "n": args.size, "count": len(sols),
                "solutions": [list(s) for s in sols]}
     _emit(args, payload,
@@ -214,15 +211,14 @@ def cmd_enumerate(args) -> int:
 
 def _check_shard_flags(args) -> None:
     """Usage errors for shard flags that are each valid alone but not together."""
-    prog = f"quiddity {args.command}"
-    if getattr(args, "jobs", 1) > 1:
+    if args.jobs > 1:
         for flag, given in (("--shard-count", args.shard_count > 1),
                             ("--shard-index", args.shard_index > 0)):
             if given:
-                raise UsageError(f"{prog}: argument --jobs: not allowed with {flag}; "
+                raise UsageError(f"quiddity classify: argument --jobs: not allowed with {flag}; "
                                  "--jobs deals out shards itself")
     if args.shard_index >= args.shard_count:
-        raise UsageError(f"{prog}: argument --shard-index: must be < --shard-count "
+        raise UsageError("quiddity classify: argument --shard-index: must be < --shard-count "
                          f"({args.shard_count}), got {args.shard_index}")
 
 
@@ -232,14 +228,13 @@ def _classify_report(args, n: int):
     config = SearchConfig(
         modulus=n, sizes=_parse_sizes(args),
         irreducible_only=args.irreducible_only,
-        shard_depth=args.shard_depth, shard_index=args.shard_index,
-        shard_count=args.shard_count,
+        shard_index=args.shard_index, shard_count=args.shard_count,
         keep_witnesses=args.witnesses,
         work_limit=args.work_limit)
     if args.jobs > 1:
         if ProcessPoolExecutor is None:
             from concurrent.futures import ProcessPoolExecutor
-        config = replace(config, shard_depth=max(args.shard_depth, 1), shard_count=args.jobs)
+        config = replace(config, shard_count=args.jobs)
         # the shard count, not the pool size, fixes the merged report; a fork
         # pool starts all its workers at once, so never more than the CPUs
         with ProcessPoolExecutor(max_workers=min(args.jobs, os.cpu_count() or 1)) as pool:
@@ -402,12 +397,16 @@ def _add_common(p, formats=("text", "json")):
     p.add_argument("--format", choices=formats, default="text")
 
 
-def _sizes_arg(text: str) -> tuple[int, ...]:
-    """``--sizes`` value: a range ``LO..HI`` or a list ``3,4,5``."""
+def _sizes_arg(text: str) -> range | tuple[int, ...]:
+    """``--sizes`` value: a range ``LO..HI`` or a list ``3,4,5``.
+
+    A range stays a ``range``, so a huge one is refused by its length
+    before it is listed.
+    """
     try:
         if ".." in text:
             lo, hi = text.split("..")
-            sizes = tuple(range(int(lo), int(hi) + 1))
+            sizes = range(int(lo), int(hi) + 1)
         else:
             sizes = tuple(int(s) for s in text.split(","))
     except ValueError:
@@ -481,9 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, formats=("text", "json", "csv"))
     p.add_argument("--size", "-n", type=int, required=True)
     p.add_argument("--alphabet", default=None, help="restrict entries, e.g. 2,3")
-    p.add_argument("--shard-depth", type=_int_at_least(0), default=0)
-    p.add_argument("--shard-index", type=_int_at_least(0), default=0)
-    p.add_argument("--shard-count", type=_int_at_least(1), default=1)
     p.add_argument("--allow-large", **no_budget)
     p.set_defaults(func=cmd_enumerate)
 
@@ -495,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--irreducible-only", action="store_true")
     p.add_argument("--witnesses", action="store_true",
                    help="record a splitting witness for each reducible class")
-    p.add_argument("--shard-depth", type=_int_at_least(0), default=0)
     p.add_argument("--shard-index", type=_int_at_least(0), default=0)
     p.add_argument("--shard-count", type=_int_at_least(1), default=1)
     p.add_argument("--jobs", type=_int_at_least(1), default=1,
@@ -558,8 +553,8 @@ def _parse_args(argv):
     if command is None:  # no arguments, -h or an unknown command
         return parser.parse_args(argv)
     args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    if extra:  # shown as given, without the shield's space
+        parser.error(f"unrecognized arguments: {' '.join(tok.lstrip(' ') for tok in extra)}")
     return args
 
 
@@ -589,6 +584,10 @@ def main(argv=None) -> int:
         print(f"error: {args.command} failed internally on {_input_label(args)}: "
               f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print(f"error: {args.command} ran out of memory on {_input_label(args)}; "
+              "ask for a smaller search", file=sys.stderr)
+        return 2
     finally:
         if set_digits:
             set_digits(digits)

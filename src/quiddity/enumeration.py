@@ -225,13 +225,10 @@ def _recursion_headroom() -> int:
 
 
 def enumerate_solutions(n_mod: int, size: int, alphabet=None,
-                        shard_depth: int = 0, shard_index: int = 0, shard_count: int = 1,
                         work_limit: int | None = DEFAULT_WORK_LIMIT) -> list[Seq]:
     """All size-``size`` solution tuples mod ``n_mod``, sorted.
 
     ``alphabet`` restricts every entry to the given residues (default: all).
-    Sharding splits the fixed-depth DFS prefixes round-robin; the shards are
-    disjoint and their union over all indices is the full result.
     ``work_limit`` bounds the prefix probes and the group table; None is no budget.
     The DFS recurses once per letter, so after the probe budget a size past
     what the interpreter's recursion limit leaves room for is refused.
@@ -241,8 +238,6 @@ def enumerate_solutions(n_mod: int, size: int, alphabet=None,
         raise ValueError("enumeration needs a modulus >= 2")
     if size < 2:
         raise ValueError("solutions exist only for size >= 2")
-    if not (0 <= shard_index < shard_count):
-        raise ValueError("shard index out of range")
     if alphabet is None:
         alphabet = tuple(range(n_mod))
     else:
@@ -263,18 +258,8 @@ def enumerate_solutions(n_mod: int, size: int, alphabet=None,
     out: list[Seq] = []
     path: list[int] = []
     rows = [(a, step[a]) for a in alphabet]
-    # shards take the prefixes of depth max(shard_depth, 1), at most size - 2,
-    # round-robin on their DFS rank, which is their rank in product order; the
-    # root is ranked at size 2, so the empty prefix is shard 0's
-    ranked = size - 2 - min(max(shard_depth, 1), size - 2) if shard_count > 1 else -1
-    rank = 0
 
     def dfs(remaining: int, g: int):
-        nonlocal rank
-        if remaining == ranked:
-            rank += 1
-            if (rank - 1) % shard_count != shard_index:
-                return
         if remaining == 0:
             pairs = tails[g]
             if pairs:
@@ -397,12 +382,17 @@ def enumerate_naive(n_mod: int, size: int) -> list[Seq]:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """One ``classify`` run; ``sizes`` is kept sorted, each size once."""
+    """One ``classify`` run; ``sizes`` is kept sorted, each size once.
+
+    Each size asked for makes one report, so their count, taken before a
+    ``range`` is listed, is checked first: against ``work_limit``, but like
+    the group table never below the default, so a small node budget still
+    runs a few sizes.
+    """
 
     modulus: int
     sizes: tuple[int, ...]
     irreducible_only: bool = False
-    shard_depth: int = 0
     shard_index: int = 0
     shard_count: int = 1
     keep_witnesses: bool = False
@@ -412,9 +402,12 @@ class SearchConfig:
         check_modulus(self.modulus)
         if self.modulus < 2:
             raise ValueError("classification needs a modulus >= 2")
-        if not self.sizes or min(self.sizes) < 2:
+        if len(self.sizes) > DEFAULT_WORK_LIMIT and self.work_limit is not None:
+            _check_work(len(self.sizes), "sizes", max(self.work_limit, DEFAULT_WORK_LIMIT))
+        sizes = tuple(sorted(set(self.sizes)))
+        if not sizes or sizes[0] < 2:
             raise ValueError("sizes must all be >= 2")
-        object.__setattr__(self, "sizes", tuple(sorted(set(self.sizes))))
+        object.__setattr__(self, "sizes", sizes)
         if not (0 <= self.shard_index < self.shard_count):
             raise ValueError("shard index out of range")
 
@@ -499,6 +492,19 @@ def _class_dfs_nodes(n_mod: int, depth: int, cap: int | None = None) -> int:
     return total
 
 
+def _split_depth(n_mod: int, shard_count: int, top: int) -> int:
+    """The depth whose children a sharded class DFS deals out to its shards.
+
+    The least d >= 1 with N^d >= 64 * shard_count, at most the deepest
+    level ``top`` when that is deeper than 1: with about 64 words of that
+    length per shard, round-robin keeps the shards' node counts close.
+    """
+    split = 1
+    while split < top and n_mod ** split < 64 * shard_count:
+        split += 1
+    return split
+
+
 def _least_of_reversal(word: Seq) -> bool:
     """True when the necklace ``word`` is <= every rotation of its reversal.
 
@@ -570,11 +576,11 @@ def _class_leaves(config: SearchConfig, sizes, prune: bool = True) -> tuple[dict
     one check as a node is entered refuses a node past what the
     interpreter's recursion limit leaves room for: unpruned, such a run is
     refused before the search too, after any budget check; pruned, only
-    when a path reaches that depth.  Sharding deals out the children
-    of depth max(shard_depth, 1), at most the deepest level, that ``forbid``
-    keeps round-robin on their DFS rank, whether they end a leaf or are
-    entered; at the deepest level only those with a tail are walked.
-    Shallower leaves belong to shard 0, so the shards' leaves are disjoint.
+    when a path reaches that depth.  Sharding deals out the children of
+    ``_split_depth`` that ``forbid`` keeps round-robin on their DFS rank,
+    whether they end a leaf or are entered; at the deepest level only those
+    with a tail are walked.  Shallower leaves belong to shard 0, so the
+    shards' leaves are disjoint.
     Leaves of one size come in increasing order: each tail holds at most one
     pair, and the DFS tries letters in increasing order.
     """
@@ -600,11 +606,10 @@ def _class_leaves(config: SearchConfig, sizes, prune: bool = True) -> tuple[dict
     outs = [found.get(depth + 2) for depth in range(top + 1)]  # by the leaf's prefix depth
     ranked = -1
     if config.shard_count > 1:
-        split = min(max(config.shard_depth, 1), top)
+        split = _split_depth(n_mod, config.shard_count, top)
         ranked = split - 1  # the depth of the nodes whose children take ranks
         if config.shard_index:  # shallower leaves, and size 2's, are shard 0's
-            shallow = max(split, 1)
-            outs[:shallow] = [None] * shallow
+            outs[:split] = [None] * split
     visited = rank = 0
 
     def emit(out, word: Seq, period: int, eps: int):
@@ -785,7 +790,7 @@ def verify_expected(n_mod: int, sizes=None,
     diff.  ``work_limit`` is the search budget; None means no budget.
     """
     expected = reference_classes(n_mod)
-    config = SearchConfig(n_mod, _verify_sizes(expected) if sizes is None else tuple(sizes),
+    config = SearchConfig(n_mod, _verify_sizes(expected) if sizes is None else sizes,
                           irreducible_only=True, work_limit=work_limit)
     report = classify(config)
     found = report.irreducible_classes()
@@ -829,7 +834,7 @@ def evidence_scan(n_mod: int, n_max: int | None = None,
     if n_max < 3:
         raise ValueError(f"n_max must be >= 3, got {n_max}")
     report = classify(SearchConfig(
-        modulus=n_mod, sizes=tuple(range(3, n_max + 1)), irreducible_only=True,
+        modulus=n_mod, sizes=range(3, n_max + 1), irreducible_only=True,
         work_limit=work_limit))
     per_size = {s.size: len(s.irreducible) for s in report.sizes}
     with_any = [s for s, c in per_size.items() if c]

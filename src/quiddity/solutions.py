@@ -214,12 +214,8 @@ def find_decomposition(seq, n: int, right_whitelist=None) -> Witness | None:
     scan either: reversing a split of one gives a split of a rotation.
 
     ``right_whitelist``, when given, restricts the right part to the listed
-    equivalence classes.  A right part of length k comes from the split
-    m = size - k + 2, so each rotation's scan starts at the split of the
-    longest listed class; the product P of the skipped window is read off
-    the complement, the product of the rest, in O(k) steps.  The splits
-    skipped could only give longer right parts, so the witness is the one
-    the full scan returns.
+    equivalence classes: the scan order stays the same, and a split whose
+    right part is not listed is passed over.
 
     Raises ValueError on a non-solution, which the criterion needs, and in
     integer mode, where the junction entries range over all of Z.
@@ -237,24 +233,19 @@ def find_decomposition(seq, n: int, right_whitelist=None) -> Witness | None:
         raise ValueError("decomposition needs size >= 3")
 
     allowed = None
-    first = 3
     if right_whitelist is not None:
-        whitelist = [normalize_seq(w, n) for w in right_whitelist]
-        allowed = {img for w in whitelist for img in dihedral_images(w)}
-        # a right part of length k comes from m = size - k + 2
-        first = max(3, size + 2 - max(map(len, whitelist), default=size))
-    return _split(seq, sign, n, first, allowed)
+        allowed = {img for w in right_whitelist for img in dihedral_images(normalize_seq(w, n))}
+    return _split(seq, sign, n, allowed)
 
 
-def _split(seq: Seq, sign: int, n: int, first: int = 3, allowed=None) -> Witness | None:
+def _split(seq: Seq, sign: int, n: int, allowed=None) -> Witness | None:
     """``find_decomposition``'s scan, for a normalized solution of size >= 3 mod n >= 2.
 
-    ``sign`` is the solution's sign; ``first`` and ``allowed`` are the first
-    split and the set of allowed right parts that a whitelist fixes (no
-    restriction when ``allowed`` is None).  Rotation 0 scans ``seq`` itself,
-    and a later rotation is copied once, so a scan that stops at its first
-    rotation copies nothing.  The product S of a skipped window is
-    multiplied out inline, as the modulus is known to be valid.
+    ``sign`` is the solution's sign, and ``allowed`` the set of right parts
+    a whitelist allows (no restriction when None).  Rotation 0 scans ``seq``
+    itself, and a later rotation is copied once, so a scan that stops at its
+    first rotation copies nothing.  Window products are multiplied out
+    inline, as the modulus is known to be valid.
     """
     size = len(seq)
     minus_one = n - 1
@@ -265,19 +256,8 @@ def _split(seq: Seq, sign: int, n: int, first: int = 3, allowed=None) -> Witness
                 break  # seq has period idx, so the later rotations repeat
         else:
             c = seq
-        # P for the window c_2, ..., c_{first-2}, the product before step m = first
-        if first == 3:
-            p11, p12, p21, p22 = 1, 0, 0, 1  # empty at m = 2
-        else:
-            # the whole product S * P * G(c_1) is sign * Id, where
-            # S = G(c_n) ... G(c_{first-1}), so P = sign * S^-1 * G(c_1)^-1
-            s11, s12, s21, s22 = 1, 0, 0, 1
-            for a in c[first - 2:]:
-                s11, s12, s21, s22 = (a * s11 - s21) % n, (a * s12 - s22) % n, s11, s12
-            c1 = c[0]
-            p11, p12, p21, p22 = (sign * s12 % n, sign * (s22 - s12 * c1) % n,
-                                  -sign * s11 % n, sign * (s11 * c1 - s21) % n)
-        for m in range(first, size):
+        p11, p12, p21, p22 = 1, 0, 0, 1  # P for the empty window c_2..c_{m-1} at m = 2
+        for m in range(3, size):
             a = c[m - 2]
             p11, p12, p21, p22 = (a * p11 - p21) % n, (a * p12 - p22) % n, p11, p12
             if p11 == minus_one:

@@ -12,7 +12,12 @@ import pytest
 from quiddity import cli, dissections
 from quiddity.cli import main
 from quiddity.dissections import from_dict, quiddity, validate
-from quiddity.enumeration import SearchConfig, count_classes, enumerate_solutions
+from quiddity.enumeration import (
+    SearchConfig,
+    WorkLimitExceeded,
+    count_classes,
+    enumerate_solutions,
+)
 from quiddity.solutions import oplus
 
 
@@ -262,6 +267,40 @@ def test_large_modulus_refused_before_the_group_table(capsys):
         assert time.perf_counter() - start < 0.5, argv
         assert (code, out) == (2, ""), argv
         assert len(err.splitlines()) == 1 and message in err, argv
+
+
+def test_huge_size_ranges_refused_before_they_are_listed(capsys):
+    # a billion sizes would be a billion reports: the range's length is
+    # checked against the budget before any size is listed
+    import tracemalloc
+    too_many = "search needs at least 999999998 sizes, over the budget of 4000000"
+    for argv in (("classify", "--sizes", f"3..{10 ** 9}", "--irreducible-only"),
+                 ("verify", "--sizes", f"3..{10 ** 9}"),
+                 ("evidence", "--n-max", str(10 ** 9))):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, argv[0], "--modulus", "5", *argv[1:])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1 and too_many in err, argv
+        assert peak < 1_000_000, (argv, peak)
+    with pytest.raises(WorkLimitExceeded, match=too_many):
+        SearchConfig(5, range(3, 10 ** 9 + 1))
+
+
+def test_out_of_memory_is_one_line_exit_2(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.enumeration, "classify", exhausted)
+    monkeypatch.setattr(cli.enumeration, "evidence_scan", exhausted)
+    for argv in (("classify", "--sizes", "3..9"), ("evidence",)):
+        code, out, err = run(capsys, argv[0], "--modulus", "5", *argv[1:])
+        assert (code, out) == (2, ""), argv
+        assert err == (f"error: {argv[0]} ran out of memory on modulus 5; "
+                       "ask for a smaller search\n"), argv
 
 
 def test_classify_witness_past_recursion_limit_fails_at_once(capsys):
@@ -558,6 +597,9 @@ def test_unknown_flag_rejected(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: quiddity: unrecognized arguments: --bogus\n"
+    # a negative sequence is shielded from option parsing, but shown as given
+    code, out, err = run(capsys, "check", "--modulus", "5", "1,1,1", "-2,-1")
+    assert (code, out, err) == (2, "", "error: quiddity: unrecognized arguments: -2,-1\n")
 
 
 SIZES_ERROR = ("argument --sizes: expected LO..HI with LO <= HI "
@@ -573,21 +615,22 @@ ARGUMENT_ERRORS = [
      "argument --jobs: must be >= 1, got 0"),
     (("classify", "--modulus", "5", "--size", "4", "--jobs", "-3"),
      "argument --jobs: must be >= 1, got -3"),
-    (("classify", "--modulus", "5", "--size", "4", "--shard-depth", "-1"),
-     "argument --shard-depth: must be >= 0, got -1"),
-    (("enumerate", "--modulus", "5", "--size", "4", "--shard-depth", "-1"),
-     "argument --shard-depth: must be >= 0, got -1"),
+    # the class DFS derives its split depth, and enumerate does not shard
+    (("classify", "--modulus", "5", "--size", "4", "--shard-depth", "2"),
+     "unrecognized arguments: --shard-depth 2"),
+    (("enumerate", "--modulus", "5", "--size", "4", "--shard-depth", "2"),
+     "unrecognized arguments: --shard-depth 2"),
     (("classify", "--modulus", "5", "--sizes", "3..x"), SIZES_ERROR.format("3..x")),
     (("classify", "--modulus", "5", "--sizes", "9..3"), SIZES_ERROR.format("9..3")),
     (("verify", "--modulus", "5", "--sizes", "3.."), SIZES_ERROR.format("3..")),
     (("classify", "--modulus", "5", "--size", "4", "--shard-count", "0"),
      "argument --shard-count: must be >= 1, got 0"),
-    (("enumerate", "--modulus", "5", "--size", "4", "--shard-count", "0"),
-     "argument --shard-count: must be >= 1, got 0"),
+    (("enumerate", "--modulus", "5", "--size", "4", "--shard-count", "2"),
+     "unrecognized arguments: --shard-count 2"),
     (("classify", "--modulus", "5", "--size", "4", "--shard-index", "-1"),
      "argument --shard-index: must be >= 0, got -1"),
-    (("enumerate", "--modulus", "5", "--size", "4", "--shard-index", "-1"),
-     "argument --shard-index: must be >= 0, got -1"),
+    (("enumerate", "--modulus", "5", "--size", "4", "--shard-index", "1"),
+     "unrecognized arguments: --shard-index 1"),
     # --jobs deals out its own shards, so a shard count of its own is refused
     (("classify", "--modulus", "5", "--size", "4", "--jobs", "2", "--shard-count", "3"),
      "argument --jobs: not allowed with --shard-count"),
@@ -600,7 +643,7 @@ ARGUMENT_ERRORS = [
     (("classify", "--modulus", "5", "--size", "4", "--shard-index", "1"),
      "argument --shard-index: must be < --shard-count (1), got 1"),
     (("enumerate", "--modulus", "5", "--size", "4", "--shard-count", "2", "--shard-index", "5"),
-     "argument --shard-index: must be < --shard-count (2), got 5"),
+     "unrecognized arguments: --shard-count 2 --shard-index 5"),
     # an empty alphabet is not the unrestricted one
     (("enumerate", "--modulus", "5", "--size", "4", "--alphabet", ""),
      "argument --alphabet: expected comma-separated integers, got ''"),
@@ -631,7 +674,7 @@ def test_library_shard_index_errors_stay_value_errors():
     with pytest.raises(ValueError, match="shard index out of range"):
         SearchConfig(modulus=5, sizes=(4,), shard_index=1)
     with pytest.raises(ValueError, match="shard index out of range"):
-        enumerate_solutions(5, 4, shard_count=2, shard_index=2)
+        SearchConfig(modulus=5, sizes=(4,), shard_count=2, shard_index=2)
 
 
 def test_sizes_range_and_list_agree(capsys):

@@ -20,8 +20,8 @@ from quiddity.cli import main
 
 moduli = st.integers(0, 9).map(str)
 small = st.integers(-1, 3).map(str)
-# a negative --shard-depth or --shard-index and a --shard-count below 1 are
-# usage errors; broken_argvs draws them instead
+# a negative --shard-index and a --shard-count below 1 are usage errors;
+# broken_argvs draws them instead
 naturals = st.integers(0, 3).map(str)
 positives = st.integers(1, 3).map(str)
 # solutions for some moduli, so that the solution-only paths run too
@@ -69,12 +69,11 @@ argvs = st.one_of(
     _argv("canon", PLAIN, seqs),
     _argv("reduce", PLAIN, seqs, ("--right", seqs)),
     _argv("enumerate", LISTS, st.tuples(st.just("--size"), sizes), ("--alphabet", seqs),
-          ("--shard-depth", naturals), ("--shard-index", naturals), ("--shard-count", positives),
           ("--allow-large", None)),
     _argv("classify", LISTS,
           st.one_of(st.tuples(st.just("--size"), sizes), st.tuples(st.just("--sizes"), size_ranges)),
           ("--irreducible-only", None), ("--witnesses", None),
-          ("--shard-depth", naturals), ("--shard-index", naturals), ("--shard-count", positives),
+          ("--shard-index", naturals), ("--shard-count", positives),
           ("--jobs", st.sampled_from(["1", "2"])), ("--allow-large", None)),
     _argv("verify", PLAIN, ("--size", sizes), ("--allow-large", None)),
     _argv("verify", PLAIN, ("--sizes", size_ranges), ("--allow-large", None)),

@@ -740,6 +740,53 @@ def test_assembly_glues_and_searches_nothing_per_level(n_mod, monkeypatch):
         assert counts == {"_first_transform": 1, "validate": 1}, build.__name__
 
 
+def _spy_cuts(monkeypatch):
+    """The rotation t of every ``_cut`` call, in call order."""
+    rotations = []
+    cut = dissections._cut
+
+    def spy(word, t, *rest):
+        rotations.append(t)
+        return cut(word, t, *rest)
+
+    monkeypatch.setattr(dissections, "_cut", spy)
+    return rotations
+
+
+# the letters the peel rotates, the sum of t over its _cut calls, for the
+# seeded solutions of test_builders_cut_once_per_level: (triangulate,
+# build_dissection).  Less than one letter per level: the first rotation
+# with an ear is found near the word's end
+ROTATED = {
+    (2, 200): [94, 25], (2, 1000): [480, 140],
+    (3, 200): [67, 33], (3, 1000): [314, 157],
+    (4, 200): [100, 31], (4, 1000): [487, 140],
+}
+
+
+@pytest.mark.parametrize("size", [200, 1000])
+@pytest.mark.parametrize("n_mod", [2, 3, 4])
+def test_builders_cut_once_per_level(n_mod, size, monkeypatch):
+    # work counters of the peel, which no timing noise moves
+    rng = random.Random(900 + n_mod)
+    seq = _glued(rng, n_mod, size)
+    while not _triangulable(seq, n_mod):
+        seq = _glued(rng, n_mod, size)
+    rotations = _spy_cuts(monkeypatch)
+    seen = _spy_levels(monkeypatch)
+    triangulate(seq, n_mod)
+    assert len(rotations) == size - 3  # one triangle off per level, down to a triangle
+    rotated = [sum(rotations)]
+    rotations.clear()
+    d = build_dissection(seq, n_mod)
+    base = _base_cases(n_mod)[canonicalize(seen[-1][1])]
+    # one cut per cell outside the base case; a split quadrilateral, two
+    # cells and their pair, is one level
+    assert len(rotations) == len(d.cells) - len(d.pairs) - (len(base.cells) - len(base.pairs))
+    rotated.append(sum(rotations))
+    assert rotated == ROTATED[n_mod, size]
+
+
 def test_build_rejects_non_solution():
     with pytest.raises(ValueError):
         build_dissection((1, 2, 1), 5)

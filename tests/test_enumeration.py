@@ -13,6 +13,7 @@ from quiddity.enumeration import (
     _dihedral_tables,
     _group_tables,
     _least_of_reversal,
+    _split_depth,
     _tail_letters,
     _window_masks,
     DEFAULT_WORK_LIMIT,
@@ -127,8 +128,6 @@ def test_input_validation():
     with pytest.raises(ValueError):
         enumerate_solutions(5, 1)
     with pytest.raises(ValueError):
-        enumerate_solutions(5, 4, shard_index=3, shard_count=2)
-    with pytest.raises(ValueError):
         count_classes(0, 4)
     with pytest.raises(ValueError):
         count_classes(5, 1)
@@ -142,56 +141,10 @@ def test_work_guard():
     assert enumerate_solutions(3, 6, work_limit=None) == enumerate_solutions(3, 6)
 
 
-def test_sharded_union_and_disjointness():
-    full = enumerate_solutions(5, 5)
-    for depth in (0, 1, 2, 9):  # 0 and 9 exercise the depth clamp
-        for shard_count in (2, 3, 5):
-            parts = [enumerate_solutions(5, 5, shard_depth=depth,
-                                         shard_index=i, shard_count=shard_count)
-                     for i in range(shard_count)]
-            union = sorted(s for p in parts for s in p)
-            assert union == full
-            assert len(union) == sum(len(p) for p in parts)
-
-
-def _prefix_rank_shard(full, alphabet, size, shard_depth, shard_index, shard_count):
-    """A shard by the prefix-rank scheme: the rank of the prefix of depth
-    max(shard_depth, 1), at most size - 2, in product order over the
-    alphabet, round-robin over the shards."""
-    depth = min(max(shard_depth, 1), size - 2)
-    ranks = {prefix: rank for rank, prefix in enumerate(product(alphabet, repeat=depth))}
-    return [s for s in full if ranks[s[:depth]] % shard_count == shard_index]
-
-
-def test_shards_follow_the_prefix_rank_scheme():
-    # the DFS ranks its nodes of the sharding depth in product order
-    for n_mod in range(2, 7):
-        for letters in (None, (0, 2), (-1, 1, 3)):
-            alphabet = (tuple(range(n_mod)) if letters is None
-                        else tuple(sorted({a % n_mod for a in letters})))
-            for size in range(2, 8):
-                full = enumerate_solutions(n_mod, size, letters)
-                for depth in range(6):
-                    for shard_count in (2, 3, 5):
-                        for i in range(shard_count):
-                            got = enumerate_solutions(n_mod, size, letters, shard_depth=depth,
-                                                      shard_index=i, shard_count=shard_count)
-                            assert got == _prefix_rank_shard(
-                                full, alphabet, size, depth, i, shard_count), (
-                                n_mod, letters, size, depth, shard_count, i)
-
-
-def test_sharding_size_two_edge():
-    parts = [enumerate_solutions(7, 2, shard_index=i, shard_count=3)
-             for i in range(3)]
-    assert sorted(s for p in parts for s in p) == [(0, 0)]
-
-
 def test_sharded_classify_merges_to_full(monkeypatch):
     sizes = (3, 4, 5)
     full = classify(SearchConfig(modulus=4, sizes=sizes))
-    shards = [classify(SearchConfig(modulus=4, sizes=sizes, shard_depth=1,
-                                    shard_index=i, shard_count=3))
+    shards = [classify(SearchConfig(modulus=4, sizes=sizes, shard_index=i, shard_count=3))
               for i in range(3)]
     merged = merge_class_sets(shards)
     for s in full.sizes:
@@ -199,39 +152,60 @@ def test_sharded_classify_merges_to_full(monkeypatch):
     # a shard cannot count classes alone; the merge counts them for all
     assert all(s.total_classes is None and s.reducible_count is None
                for shard in shards for s in shard.sizes)
-    config = SearchConfig(modulus=4, sizes=sizes, shard_depth=1, shard_count=3)
+    config = SearchConfig(modulus=4, sizes=sizes, shard_count=3)
     assert (merge_shards(config, shards).to_json(with_timing=False)
             == full.to_json(with_timing=False))
-    # a witness depends only on its class, so witness shards merge by union
-    config = SearchConfig(modulus=5, sizes=(2, 3, 4, 5, 6, 7), keep_witnesses=True)
-    serial = classify(config).to_json(with_timing=False)
-    for shard_count in (2, 3):
-        for depth in range(4):
-            sharded = replace(config, shard_depth=depth, shard_count=shard_count)
-            shards = [classify(replace(sharded, shard_index=i)) for i in range(shard_count)]
-            assert all(s.total_classes is None for shard in shards for s in shard.sizes)
-            assert merge_shards(sharded, shards).to_json(with_timing=False) == serial, (
-                shard_count, depth)
-            # every class has one leaf, so the shards' class sets are pairwise
-            # disjoint and their union is the serial list
-            for size in config.sizes:
-                parts = [_class_leaves(replace(sharded, shard_index=i), (size,),
-                                       prune=False)[0][size]
-                         for i in range(shard_count)]
-                union = sorted(leaf for part in parts for leaf in part)
-                assert len(set(union)) == len(union), (shard_count, depth, size)
-                assert union == _class_leaves(config, (size,), prune=False)[0][size]
+    # a witness depends only on its class, so witness shards merge by union;
+    # the shard counts put the split at depth 1 (sizes up to 3 have no
+    # deeper level), at the inner level 4 and at the deepest level 5
+    for sizes, shard_count, depth in (((2, 3), 2, 1), ((2, 3), 7, 1),
+                                      ((2, 3, 4, 5, 6, 7), 2, 4),
+                                      ((2, 3, 4, 5, 6, 7), 3, 4),
+                                      ((2, 3, 4, 5, 6, 7), 10, 5),
+                                      ((2, 3, 4, 5, 6, 7), 64, 5)):
+        assert _split_depth(5, shard_count, max(sizes) - 2) == depth
+        config = SearchConfig(modulus=5, sizes=sizes, keep_witnesses=True)
+        serial = classify(config).to_json(with_timing=False)
+        sharded = replace(config, shard_count=shard_count)
+        shards = [classify(replace(sharded, shard_index=i)) for i in range(shard_count)]
+        assert all(s.total_classes is None for shard in shards for s in shard.sizes)
+        assert merge_shards(sharded, shards).to_json(with_timing=False) == serial, (
+            shard_count, sizes)
+        # every class has one leaf, so the shards' class sets are pairwise
+        # disjoint and their union is the serial list
+        for size in config.sizes:
+            parts = [_class_leaves(replace(sharded, shard_index=i), (size,),
+                                   prune=False)[0][size]
+                     for i in range(shard_count)]
+            union = sorted(leaf for part in parts for leaf in part)
+            assert len(set(union)) == len(union), (shard_count, size)
+            assert union == _class_leaves(config, (size,), prune=False)[0][size]
     # merge_shards counts the classes of every size through one shared count
     counts = []
     real = enumeration._class_counts
     monkeypatch.setattr(enumeration, "_class_counts",
                         lambda *args: counts.append(args[1]) or real(*args))
-    config = SearchConfig(modulus=5, sizes=(3, 4, 5, 6, 7), shard_depth=1, shard_count=3)
+    config = SearchConfig(modulus=5, sizes=(3, 4, 5, 6, 7), shard_count=3)
     shards = [classify(replace(config, shard_index=i)) for i in range(3)]
     assert counts == []
     serial = classify(replace(config, shard_count=1)).to_json(with_timing=False)
     assert merge_shards(config, shards).to_json(with_timing=False) == serial
     assert counts == [config.sizes, config.sizes]
+
+
+@pytest.mark.parametrize("shard_count", (2, 8))
+def test_shards_share_the_nodes_evenly(shard_count):
+    # N = 6, sizes 3..9, unpruned: 61,864 nodes.  A split at depth 1 makes
+    # the largest shard 1.51 times the mean with 2 shards and 5.53 times
+    # with 8; at _split_depth (3 and 4) it is 1.03 times
+    config = SearchConfig(6, tuple(range(3, 10)), shard_count=shard_count)
+    nodes = [_class_leaves(replace(config, shard_index=i), config.sizes, prune=False)[1]
+             for i in range(shard_count)]
+    serial = _class_leaves(replace(config, shard_count=1), config.sizes, prune=False)[1]
+    assert serial == 61_864
+    assert max(nodes) <= 1.25 * sum(nodes) / shard_count, nodes
+    # the levels above the split, which every shard walks, add little
+    assert sum(nodes) <= 1.1 * serial, nodes
 
 
 @pytest.mark.parametrize("n_mod", range(2, 11))
@@ -246,19 +220,27 @@ def test_pruned_irreducible_search_matches_reference(n_mod):
 @pytest.mark.parametrize("n_mod, sizes", [(8, (9, 10, 11)), (9, (9, 10, 11, 12))])
 @pytest.mark.parametrize("shard_count", (2, 3))
 def test_sharded_irreducible_merges_to_serial(n_mod, sizes, shard_count):
-    # N = 8 has no irreducibles at these sizes; N = 9 has some at each
+    # N = 8 has no irreducibles at these sizes; N = 9 has some at each.  The
+    # split is at depth 3 for 2 and 3 shards, and at depth 4 for 8 times as
+    # many (N^3 = 512 or 729 < 64 * 16)
     serial = classify(SearchConfig(n_mod, sizes, irreducible_only=True))
-    for depth in range(4):
+    for count in (shard_count, 8 * shard_count):
+        assert _split_depth(n_mod, count, max(sizes) - 2) == (3 if count < 8 else 4)
         shards = [classify(SearchConfig(n_mod, sizes, irreducible_only=True,
-                                        shard_depth=depth, shard_index=i,
-                                        shard_count=shard_count))
-                  for i in range(shard_count)]
+                                        shard_index=i, shard_count=count))
+                  for i in range(count)]
         merged = merge_class_sets(shards)
         for s in serial.sizes:
-            assert sorted(merged.get(s.size, set())) == s.irreducible, (depth, s.size)
+            assert sorted(merged.get(s.size, set())) == s.irreducible, (count, s.size)
         if serial.irreducible_classes():
             assert all(sh.irreducible_classes() < serial.irreducible_classes()
-                       for sh in shards), depth
+                       for sh in shards), count
+    # sizes up to 3: the split is the only level, depth 1
+    serial = classify(SearchConfig(n_mod, (2, 3), irreducible_only=True))
+    shards = [classify(SearchConfig(n_mod, (2, 3), irreducible_only=True,
+                                    shard_index=i, shard_count=shard_count))
+              for i in range(shard_count)]
+    assert merge_class_sets(shards) == {s.size: set(s.irreducible) for s in serial.sizes}
 
 
 def test_witness_work_counts_search_nodes():
@@ -685,19 +667,20 @@ def test_multi_size_shards_are_disjoint_and_merge_exactly(n_mod, witnesses):
     config = SearchConfig(n_mod, sizes, keep_witnesses=witnesses)
     serial = classify(config).to_json(with_timing=False)
     serial_leaves, _ = _class_leaves(config, sizes, prune=not witnesses)
-    # depths 6 and 7 rank the children of the deepest level, in the tail walk
-    for shard_count in (2, 3):
-        for depth in range(8):
-            sharded = replace(config, shard_depth=depth, shard_count=shard_count)
-            parts = [_class_leaves(replace(sharded, shard_index=i), sizes, prune=not witnesses)[0]
-                     for i in range(shard_count)]
-            for size in sizes:
-                union = sorted(leaf for part in parts for leaf in part[size])
-                assert len(set(union)) == len(union), (shard_count, depth, size)
-                assert union == serial_leaves[size], (shard_count, depth, size)
-            shards = [classify(replace(sharded, shard_index=i)) for i in range(shard_count)]
-            assert merge_shards(sharded, shards).to_json(with_timing=False) == serial, (
-                shard_count, depth)
+    # the counts split at every level from 3 down to the deepest, 6, where
+    # the shards rank the children in the tail walk
+    counts = {4: (2, 5, 17, 100), 6: (2, 4, 21, 122)}[n_mod]
+    assert [_split_depth(n_mod, k, 6) for k in counts] == {4: [4, 5, 6, 6], 6: [3, 4, 5, 6]}[n_mod]
+    for shard_count in counts:
+        sharded = replace(config, shard_count=shard_count)
+        parts = [_class_leaves(replace(sharded, shard_index=i), sizes, prune=not witnesses)[0]
+                 for i in range(shard_count)]
+        for size in sizes:
+            union = sorted(leaf for part in parts for leaf in part[size])
+            assert len(set(union)) == len(union), (shard_count, size)
+            assert union == serial_leaves[size], (shard_count, size)
+        shards = [classify(replace(sharded, shard_index=i)) for i in range(shard_count)]
+        assert merge_shards(sharded, shards).to_json(with_timing=False) == serial, shard_count
 
 
 @pytest.mark.parametrize("argv", [
