@@ -20,6 +20,7 @@ from functools import lru_cache
 from importlib import resources
 from itertools import product as iter_product
 from math import gcd, inf, isqrt
+from operator import itemgetter, mul
 
 from .modmat import (
     IDENTITY,
@@ -133,13 +134,19 @@ def _tail_letters(n: int):
 
 
 @lru_cache(maxsize=None)
-def _dihedral_tables(n: int):
-    """Tables for ``count_classes``, indexed like ``_group_tables``' elements.
+def _coset_tables(n: int):
+    """The rotation walk of ``_class_counts``, on the left cosets <T> g.
 
-    Returns (plus_minus, orders, mirror): the indices of +Id and -Id, the
-    order of each element modulo +/-Id (least k >= 1 with g^k = +/-Id), and
-    ``mirror[a][p]``, the index of generator(a) * elements[p] * generator(a)
-    for every element p fixed by tau (see ``count_classes``).
+    Returns (rows, orders, step, by_order).  T adds the second row, which is
+    unimodular, to the first, so each coset is the N elements with one
+    second row, and ``rows`` maps the second rows to the cosets.  With c_d(h)
+    the words of length d and product h, c_{d+1}(h) = sum over a of
+    c_d(S^-1 T^-a h), as G(a) = T^a S: past d = 0 it is constant on cosets,
+    T^-a h runs over h's coset, and S^-1 g has second row -row1(g).  So
+    ``step[r]`` gets, for ``_advance``, the cosets of -row1(g) for the N
+    elements g of coset r.  ``orders[g]`` is the order of element g of
+    ``_group_tables`` modulo +/-Id (least k >= 1 with g^k = +/-Id), and
+    ``by_order[k][r]`` counts the elements of order k in coset r.
 
     By Cayley-Hamilton g^k = U_{k-1} g - U_{k-2} Id, with U_{-1} = 0, U_0 = 1
     and U_k = t U_{k-1} - U_{k-2} for the trace t.  That is +/-Id iff
@@ -147,10 +154,13 @@ def _dihedral_tables(n: int):
     U_{k-1} g11 - U_{k-2} = +/-1, which then depends only on g11 mod c: the
     order is found once per class (t, c, g11 mod c).
     """
-    elements, step, _ = _group_tables(n)
-    index = dict(zip(elements, range(len(elements))))
+    elements, _, _ = _group_tables(n)
     units = {1 % n, n - 1}
-    plus_minus = frozenset(index[(x, 0, 0, x)] for x in units)
+    rows: dict[tuple[int, int], int] = {}
+    cosets = [rows.setdefault(g[2:], len(rows)) for g in elements]
+    step: list[list[int]] = [[] for _ in rows]
+    for (g11, g12, _, _), r in zip(elements, cosets):
+        step[r].append(rows[-g11 % n, -g12 % n])
     by_class: dict[tuple[int, int, int], int] = {}
     orders = []
     for g11, g12, g21, g22 in elements:
@@ -163,20 +173,34 @@ def _dihedral_tables(n: int):
                 prev, cur, k = cur, (t * cur - prev) % n, k + 1
             by_class[t, c, r] = k
         orders.append(k)
-    # tau(G(a) p) = p G(a) when tau(p) = p, so G(a) p G(a) = G(a) tau(G(a) p)
-    tau = [index[(a, -c % n, -b % n, d)] for a, b, c, d in elements]
-    mirror = [[row[tau[x]] for x in row] for row in step]
-    return plus_minus, tuple(orders), mirror
+    by_order = {k: [0] * len(rows) for k in by_class.values()}
+    for k, r in zip(orders, cosets):
+        by_order[k][r] += 1
+    return rows, tuple(orders), [itemgetter(*pre) for pre in step], by_order
 
 
-def _advance(counts: list[int], rows) -> list[int]:
-    """One DP step: move every count at p to row[p], for each row."""
-    out = [0] * len(counts)
-    live = [(p, c) for p, c in enumerate(counts) if c]
-    for row in rows:
-        for p, c in live:
-            out[row[p]] += c
-    return out
+@lru_cache(maxsize=None)
+def _palindrome_tables(n: int):
+    """The palindrome walks of ``_class_counts``, on the elements fixed by tau.
+
+    Returns (positions, mirror, ends).  ``positions`` numbers F, the elements
+    with p12 = -p21 (see ``count_classes``).  p -> G(a) p G(a) maps F to
+    itself, so ``mirror[q]`` gets, for ``_advance``, G(a)^-1 q G(a)^-1 for
+    each a.  G(e) p = +/-Id iff p = +/-G(e)^-1 = +/-[[0, 1], [-1, e]]:
+    ``ends`` lists those, once per letter e and sign.
+    """
+    elements, _, _ = _group_tables(n)
+    positions = {p: i for i, p in enumerate(g for g in elements if (g[1] + g[2]) % n == 0)}
+    # G(a)^-1 [[x, y], [-y, w]] G(a)^-1 = [[-w, v], [-v, a (v - y) - x]], v = a w - y
+    mirror = [itemgetter(*[positions[-w % n, (v := a * w - y) % n, -v % n, (a * (v - y) - x) % n]
+                           for a in range(n)]) for x, y, _, w in positions]
+    ends = [positions[0, u, -u % n, u * e % n] for u in {1 % n, n - 1} for e in range(n)]
+    return positions, mirror, ends
+
+
+def _advance(counts: list[int], preds) -> list[int]:
+    """One DP step: position i gets the sum of ``preds[i](counts)``, its predecessors' counts."""
+    return [sum(get(counts)) for get in preds]
 
 
 def _totient(m: int) -> int:
@@ -284,9 +308,10 @@ def count_classes(n_mod: int, size: int, work_limit: int | None = DEFAULT_WORK_L
 
     Counts without listing, by the Cauchy-Frobenius lemma: the class count
     is the number of solution words fixed by an element of the dihedral
-    group D_size, averaged over its 2 * size elements.  ``walk[g]`` counts
-    the words of the current length whose product is element g of
-    ``_group_tables``, grown one letter per step.
+    group D_size, averaged over its 2 * size elements.  ``walk[r]`` counts
+    the words of the current length whose product is any one element with
+    second row r, grown one letter per step: past length 0 the count is the
+    same for the N elements of that row (``_coset_tables``).
 
     * Rotations: the rotations by k with gcd(k, size) = d, phi(size/d) of
       them, fix exactly the words u^(size/d) with |u| = d, and
@@ -298,10 +323,12 @@ def count_classes(n_mod: int, size: int, work_limit: int | None = DEFAULT_WORK_L
       reflection may be counted at the rotation of its fixed words that is a
       palindrome: (w, c, reverse w) for the size reflections of odd size;
       for even size, (e, w, c, reverse w) for size/2 of them and
-      (w, reverse w) for the other size/2.  Palindrome products are grown
-      from the middle, p -> G(a) p G(a), through ``_dihedral_tables``.
+      (w, reverse w) for the other size/2.  Palindrome products are fixed
+      by tau and grown from the middle, p -> G(a) p G(a), over the elements
+      tau fixes alone (``_palindrome_tables``).
 
-    ``work_limit`` bounds the DP table steps, counted before it starts; None is no budget.
+    ``work_limit`` bounds the DP table steps by an upper bound (the walks
+    take about N times fewer), counted before it starts; None is no budget.
     """
     check_modulus(n_mod)
     if n_mod < 2:
@@ -318,8 +345,9 @@ def _class_counts(n_mod: int, sizes,
     The rotation walk runs once, up to the largest size, and the odd and the
     even palindrome DPs once each, up to the longest palindrome any size
     needs; each size adds its terms as the walks pass its length.  The
-    table steps are checked before the group table is built; they are at
-    least twice its step entries.
+    table steps, |SL2(Z/NZ)| * N per step of any walk, are an upper bound
+    (a walk step takes N times fewer) checked before the group table is
+    built; they are at least twice its step entries.
     """
     top = max(sizes)
     # palindrome steps: (size - 1) // 2 odd ones for every size, and size // 2
@@ -328,21 +356,25 @@ def _class_counts(n_mod: int, sizes,
     even_steps = max((size // 2 for size in sizes if size % 2 == 0), default=0)
     _check_work((top + odd_steps + even_steps) * sl2_group_order(n_mod) * n_mod, "table steps",
                 work_limit)
-    elements, step, _ = _group_tables(n_mod)
-    plus_minus, orders, mirror = _dihedral_tables(n_mod)
+    rows, _, step, by_order = _coset_tables(n_mod)
+    positions, mirror, ends = _palindrome_tables(n_mod)
     fixed = dict.fromkeys(sizes, 0)
 
-    start = [1] + [0] * (len(elements) - 1)
-    walk = start
+    walk = [0] * len(rows)
+    walk[rows[1, 0]] = 1  # the N words of length 1 fill the coset of S = G(0)
     for d in range(1, top + 1):
-        walk = _advance(walk, step)
+        if d > 1:
+            walk = _advance(walk, step)
         for size in fixed:
             if size % d == 0:
                 m = size // d
-                fixed[size] += _totient(m) * sum(
-                    c for g, c in enumerate(walk) if c and m % orders[g] == 0)
+                fixed[size] += _totient(m) * sum(sum(map(mul, walk, per_coset))
+                                                 for k, per_coset in by_order.items() if m % k == 0)
 
-    odd = _advance(start, step)  # length-1 palindromes
+    plus_minus = [positions[u, 0, 0, u] for u in {1 % n_mod, n_mod - 1}]
+    odd = [0] * len(positions)
+    for a in range(n_mod):  # length-1 palindromes
+        odd[positions[a, n_mod - 1, 1, 0]] = 1
     for k in range(odd_steps + 1):
         if k:
             odd = _advance(odd, mirror)
@@ -351,10 +383,9 @@ def _class_counts(n_mod: int, sizes,
             fixed[length] += length * sum(odd[t] for t in plus_minus)
         if length + 1 in fixed:
             # (e, palindrome p) solves iff G(e) p does: the two are conjugate
-            with_end = sum(c * sum(row[p] in plus_minus for row in step)
-                           for p, c in enumerate(odd) if c)
-            fixed[length + 1] += (length + 1) // 2 * with_end
-    even = start
+            fixed[length + 1] += (length + 1) // 2 * sum(odd[t] for t in ends)
+    even = [0] * len(positions)
+    even[positions[IDENTITY]] = 1
     for k in range(1, even_steps + 1):
         even = _advance(even, mirror)
         if 2 * k in fixed:

@@ -6,13 +6,15 @@ import pytest
 
 from quiddity import enumeration
 from quiddity.enumeration import (
+    _advance,
     _check_table,
     _class_counts,
     _class_dfs_nodes,
     _class_leaves,
-    _dihedral_tables,
+    _coset_tables,
     _group_tables,
     _least_of_reversal,
+    _palindrome_tables,
     _split_depth,
     _tail_letters,
     _window_masks,
@@ -323,6 +325,9 @@ def test_class_dfs_leaves_are_the_classes(n_mod):
 
 
 def test_class_counts_match_count_classes():
+    # count_classes is _class_counts on one size, so this checks only that a
+    # pass over many sizes adds each size's terms as one pass per size does;
+    # test_class_counts_match_element_dp checks the counts themselves
     for n_mod in range(2, 13):
         sizes = tuple(range(2, 15))
         assert _class_counts(n_mod, sizes) == {
@@ -330,6 +335,109 @@ def test_class_counts_match_count_classes():
     # any subset of sizes, in any order, counts the same
     assert _class_counts(7, (9, 4, 13)) == {9: count_classes(7, 9), 4: count_classes(7, 4),
                                             13: count_classes(7, 13)}
+
+
+def _element_advance(counts, rows):
+    """One step of the element-level DP: move every count at p to row[p], for each row."""
+    out = [0] * len(counts)
+    live = [(p, c) for p, c in enumerate(counts) if c]
+    for row in rows:
+        for p, c in live:
+            out[row[p]] += c
+    return out
+
+
+def _element_class_counts(n_mod: int, sizes) -> dict[int, int]:
+    """The Burnside count walked on every group element with N letters per step.
+
+    The rotation walk moves each element's count along every generator, the
+    palindromes grow through ``mirror`` over the whole group, and the
+    with-end term scans every row for +/-Id.
+    """
+    elements, step, _ = _group_tables(n_mod)
+    _, orders, _, _ = _coset_tables(n_mod)
+    index = {g: i for i, g in enumerate(elements)}
+    plus_minus = {index[(x, 0, 0, x)] for x in {1 % n_mod, n_mod - 1}}
+    # tau(G(a) p) = p G(a) when tau(p) = p, so G(a) p G(a) = G(a) tau(G(a) p)
+    tau = [index[(a, -c % n_mod, -b % n_mod, d)] for a, b, c, d in elements]
+    mirror = [[row[tau[x]] for x in row] for row in step]
+    top = max(sizes)
+    fixed = dict.fromkeys(sizes, 0)
+    start = [1] + [0] * (len(elements) - 1)
+    walk = start
+    for d in range(1, top + 1):
+        walk = _element_advance(walk, step)
+        for size in fixed:
+            if size % d == 0:
+                m = size // d
+                fixed[size] += enumeration._totient(m) * sum(
+                    c for g, c in enumerate(walk) if m % orders[g] == 0)
+    odd = _element_advance(start, step)
+    for k in range((top - 1) // 2 + 1):
+        if k:
+            odd = _element_advance(odd, mirror)
+        length = 2 * k + 1
+        if length in fixed:
+            fixed[length] += length * sum(odd[t] for t in plus_minus)
+        if length + 1 in fixed:
+            fixed[length + 1] += (length + 1) // 2 * sum(
+                c * sum(row[p] in plus_minus for row in step) for p, c in enumerate(odd) if c)
+    even = start
+    for k in range(1, top // 2 + 1):
+        even = _element_advance(even, mirror)
+        if 2 * k in fixed:
+            fixed[2 * k] += k * sum(even[t] for t in plus_minus)
+    assert all(total % (2 * size) == 0 for size, total in fixed.items())
+    return {size: total // (2 * size) for size, total in fixed.items()}
+
+
+def test_class_counts_match_element_dp():
+    # the walk on second rows and the palindromes on tau-fixed elements give
+    # the counts of the DP on every group element
+    for n_mod in [*range(2, 17), 18, 20, 24, 30]:
+        sizes = tuple(range(2, 15 if n_mod <= 16 else 9))
+        assert _class_counts(n_mod, sizes, None) == _element_class_counts(n_mod, sizes), n_mod
+
+
+@pytest.mark.parametrize("n_mod", range(2, 13))
+def test_coset_walk_facts(n_mod):
+    elements, step, _ = _group_tables(n_mod)
+    rows, _, coset_step, _ = _coset_tables(n_mod)
+    positions, mirror, ends = _palindrome_tables(n_mod)
+    # every second row holds exactly N elements
+    held = {}
+    for g in elements:
+        held[g[2:]] = held.get(g[2:], 0) + 1
+    assert set(held.values()) == {n_mod} and set(held) == set(rows)
+    assert len(rows) * n_mod == len(elements)
+    # the element walk is constant on each coset, where it is the coset walk,
+    # so the coset walk is the element walk summed over a coset, over N
+    cosets = [rows[g[2:]] for g in elements]
+    by_element = [1] + [0] * (len(elements) - 1)
+    by_coset = [0] * len(rows)
+    by_coset[rows[1, 0]] = 1
+    for d in range(1, 7):
+        by_element = _element_advance(by_element, step)
+        if d > 1:
+            by_coset = _advance(by_coset, coset_step)
+        assert [by_coset[r] for r in cosets] == by_element, (n_mod, d)
+        summed = [0] * len(rows)
+        for r, c in zip(cosets, by_element):
+            summed[r] += c
+        assert summed == [n_mod * c for c in by_coset], (n_mod, d)
+    # the closed-form ends are the letters e with G(e) p = +/-Id, for p in F
+    index = {g: i for i, g in enumerate(elements)}
+    plus_minus = {index[(x, 0, 0, x)] for x in {1 % n_mod, n_mod - 1}}
+    assert list(positions) == [g for g in elements if (g[1] + g[2]) % n_mod == 0]
+    for p, i in positions.items():
+        assert ends.count(i) == sum(row[index[p]] in plus_minus for row in step), (n_mod, p)
+    # mirror holds the predecessors of p -> G(a) p G(a) on F
+    pushed = [0] * len(positions)
+    for p in positions:
+        for a in range(n_mod):
+            g = generator(a, n_mod)
+            pushed[positions[mat_mul(mat_mul(g, p, n_mod), g, n_mod)]] += 1 + positions[p]
+    assert _advance([1 + i for i in range(len(positions))], mirror) == pushed, n_mod
 
 
 def test_class_counts_checks_burnside_divisibility(monkeypatch):
@@ -384,7 +492,8 @@ def test_counting_report_matches_enumeration(n_mod):
 
 def test_count_classes_work_counts_table_steps():
     # |SL2(Z/5Z)| = 120 elements, 5 letters, 6 walk + 2 odd + 3 even
-    # palindrome steps for size 6
+    # palindrome steps for size 6: an upper bound, as the walks on second
+    # rows and on tau-fixed elements take about N times fewer
     steps = (6 + 2 + 3) * 120 * 5
     assert count_classes(5, 6, work_limit=steps) == 40
     with pytest.raises(WorkLimitExceeded, match="table steps"):
@@ -744,7 +853,7 @@ def test_group_tables_match_oracles(n_mod):
     # the two-generator BFS and the order classes against the N-generator
     # products and the power loop
     elements, step, _ = _group_tables(n_mod)
-    _, orders, _ = _dihedral_tables(n_mod)
+    _, orders, _, _ = _coset_tables(n_mod)
     assert elements[0] == IDENTITY
     assert len(elements) == len(set(elements)) == sl2_group_order(n_mod)
     assert all(mat_det(g, n_mod) == 1 % n_mod for g in elements)
