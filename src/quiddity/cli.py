@@ -4,7 +4,8 @@ Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success or a
 passing verification, 1 a verification mismatch, 2 usage errors (including
 searches over the work budget without --allow-large, and searches that run
 out of memory), 3 an internal failure (such as a builder's "this is a bug"
-error).
+error), 141 with nothing printed when the reader of stdout closes it early,
+as `| head` does (the code a shell reports for a process killed by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -185,7 +186,7 @@ def cmd_reduce(args) -> int:
         "modulus": n,
         "seq": list(seq),
         "irreducible": False,
-        "witness": {"left": list(w.left), "right": list(w.right), "transform": w.transform},
+        "witness": w.to_dict(),
     }
     left = ",".join(map(str, w.left))
     right = ",".join(map(str, w.right))
@@ -574,7 +575,14 @@ def main(argv=None) -> int:
         digits = sys.get_int_max_str_digits()
         set_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the signal module's recipe: point stdout at devnull, so the flush
+        # at exit finds nothing to raise on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (UsageError, WorkLimitExceeded, ValueError) as exc:
         # before RuntimeError: WorkLimitExceeded is one
         print(f"error: {exc}", file=sys.stderr)

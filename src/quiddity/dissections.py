@@ -24,10 +24,10 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from math import cos, pi, sin
 from operator import itemgetter
+from typing import NamedTuple
 
 from .solutions import (
     Seq,
-    _new_object,
     canonicalize,
     dihedral_images,
     normalize_seq,
@@ -42,21 +42,9 @@ KIND_MODULUS = {KIND_PLAIN: 2, KIND_FIRST: 3, KIND_SECOND: 4}
 MODULUS_KIND = {m: k for k, m in KIND_MODULUS.items()}
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     vertices: tuple[int, ...]
     weight: int | None = None
-
-
-def _cell(vertices: tuple[int, ...], weight: int | None) -> Cell:
-    """``Cell(vertices, weight)`` in about half the time, by filling the dict
-    that the frozen dataclass's ``__init__`` fills through ``object.__setattr__``.
-    """
-    cell = _new_object(Cell)
-    fields = cell.__dict__
-    fields["vertices"] = vertices
-    fields["weight"] = weight
-    return cell
 
 
 @dataclass(frozen=True)
@@ -280,15 +268,15 @@ def _outer_cells(spec, labels, m: int) -> tuple[Cell, ...]:
     shape, arg = spec
     one, last, new = labels[0], labels[m - 1], labels[m]
     if shape == "triangle":
-        return (_cell(tuple(sorted((one, last, new))), arg),)
+        return (Cell(tuple(sorted((one, last, new))), arg),)
     new2 = labels[m + 1]
     if shape == "quad":
-        return (_cell(tuple(sorted((one, last, new, new2))), arg),)
+        return (Cell(tuple(sorted((one, last, new, new2))), arg),)
     if arg == 0:  # diagonal (m, m+2): glues (0, 2, 0, 2)
         halves = ((last, new, new2), (one, last, new2))
     else:  # diagonal (1, m+1): glues (2, 0, 2, 0)
         halves = ((one, last, new), (one, new, new2))
-    return tuple(_cell(tuple(sorted(v)), 2) for v in halves)
+    return tuple(Cell(tuple(sorted(v)), 2) for v in halves)
 
 
 def attach_cell(d: Dissection, spec) -> Dissection:
@@ -453,7 +441,7 @@ def _assemble(kind: str, levels, core: Seq) -> Dissection:
             labels.pop()
     base = _base_cases(KIND_MODULUS[kind])[canonicalize(core)]
     labels = _moved(list(labels), _first_transform(_unchecked_quiddity(base), core))
-    cells = [_cell(tuple(sorted(labels[v - 1] for v in c.vertices)), c.weight)
+    cells = [Cell(tuple(sorted(labels[v - 1] for v in c.vertices)), c.weight)
              for c in base.cells]
     pairs = list(base.pairs)
     for new in reversed(outer):

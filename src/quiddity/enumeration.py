@@ -24,6 +24,7 @@ from operator import itemgetter, mul
 
 from .modmat import (
     IDENTITY,
+    _factorize,
     check_modulus,
     generator_product,
     pm_identity_sign,
@@ -204,14 +205,9 @@ def _advance(counts: list[int], preds) -> list[int]:
 
 
 def _totient(m: int) -> int:
-    out, p = m, 2
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    return out - out // m if m > 1 else out
+    for p in _factorize(m):
+        m -= m // p
+    return m
 
 
 def _check_work(count: int, unit: str, work_limit: int | None):
@@ -327,8 +323,9 @@ def count_classes(n_mod: int, size: int, work_limit: int | None = DEFAULT_WORK_L
       by tau and grown from the middle, p -> G(a) p G(a), over the elements
       tau fixes alone (``_palindrome_tables``).
 
-    ``work_limit`` bounds the DP table steps by an upper bound (the walks
-    take about N times fewer), counted before it starts; None is no budget.
+    ``work_limit`` bounds the group table's step entries and the counts the
+    walks add (their table steps), each checked before it is spent; None is
+    no budget.
     """
     check_modulus(n_mod)
     if n_mod < 2:
@@ -345,19 +342,21 @@ def _class_counts(n_mod: int, sizes,
     The rotation walk runs once, up to the largest size, and the odd and the
     even palindrome DPs once each, up to the longest palindrome any size
     needs; each size adds its terms as the walks pass its length.  The
-    table steps, |SL2(Z/NZ)| * N per step of any walk, are an upper bound
-    (a walk step takes N times fewer) checked before the group table is
-    built; they are at least twice its step entries.
+    group table is checked against the budget before it is built, and the
+    walks' table steps, the counts they add, before they start: a rotation
+    step adds one count per group element, a palindrome step N per element
+    of F.
     """
     top = max(sizes)
     # palindrome steps: (size - 1) // 2 odd ones for every size, and size // 2
     # even ones for an even size
     odd_steps = (top - 1) // 2
     even_steps = max((size // 2 for size in sizes if size % 2 == 0), default=0)
-    _check_work((top + odd_steps + even_steps) * sl2_group_order(n_mod) * n_mod, "table steps",
-                work_limit)
-    rows, _, step, by_order = _coset_tables(n_mod)
+    _check_table(n_mod, work_limit)
+    rows, orders, step, by_order = _coset_tables(n_mod)
     positions, mirror, ends = _palindrome_tables(n_mod)
+    _check_work((top - 1) * len(orders) + (odd_steps + even_steps) * len(positions) * n_mod,
+                "table steps", work_limit)
     fixed = dict.fromkeys(sizes, 0)
 
     walk = [0] * len(rows)
@@ -463,11 +462,8 @@ class SizeReport:
         if self.witnesses:
             # one str() per residue, not one per entry of every key
             names = [str(a) for a in range(max(map(max, self.witnesses)) + 1)]
-            d["witnesses"] = {
-                ",".join([names[a] for a in k]): {
-                    "left": list(w.left), "right": list(w.right),
-                    "transform": w.transform}
-                for k, w in self.witnesses.items()}
+            d["witnesses"] = {",".join([names[a] for a in k]): w.to_dict()
+                              for k, w in self.witnesses.items()}
         return d
 
 

@@ -109,20 +109,27 @@ def continuant_matrix(seq, n: int) -> Mat:
     )
 
 
+def _factorize(n: int) -> dict[int, int]:
+    """The prime factorisation {p: exponent} of n by trial division; empty for n < 2."""
+    factors: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        factors[n] = 1
+    return factors
+
+
 def sl2_group_order(n: int) -> int:
     """|SL2(Z/NZ)| = N^3 * prod over primes p|N of (1 - 1/p^2)."""
     if n < 2:
         raise ValueError("need N >= 2")
     order = n ** 3
-    m, p = n, 2
-    while p * p <= m:
-        if m % p == 0:
-            order = order // (p * p) * (p * p - 1)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        order = order // (m * m) * (m * m - 1)
+    for p in _factorize(n):
+        order = order // (p * p) * (p * p - 1)
     return order
 
 
@@ -163,26 +170,14 @@ def _constant_walk(k: int, n: int) -> tuple[int, int, int]:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return _factorize(n) == {n: 1}
 
 
 def semiprime_parts(n: int) -> tuple[int, int] | None:
     """Return (p, q) if n = p*q with p < q distinct primes, else None."""
-    d = 2
-    while d * d < n:
-        if n % d == 0:
-            q = n // d
-            if is_prime(d) and is_prime(q):
-                return (d, q)
-            return None
-        d += 1
+    factors = _factorize(n)
+    if len(factors) == 2 and set(factors.values()) == {1}:
+        return tuple(factors)
     return None
 
 

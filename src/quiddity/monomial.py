@@ -44,11 +44,7 @@ class MonomialRecord:
             "irreducible": self.irreducible,
         }
         if self.witness is not None:
-            d["witness"] = {
-                "left": list(self.witness.left),
-                "right": list(self.witness.right),
-                "transform": self.witness.transform,
-            }
+            d["witness"] = self.witness.to_dict()
         return d
 
 

@@ -10,6 +10,7 @@ sizes 2/3/4, and the reducibility decision procedure with witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .modmat import check_modulus, generator_product, pm_identity_sign, residue
 
@@ -181,8 +182,7 @@ def size4_solutions(n: int) -> list[Seq]:
 # reducibility
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Proof that a solution splits as left (+) right after a dihedral move.
 
     ``apply_dihedral(original, transform) == oplus(left, right)`` with both
@@ -197,6 +197,10 @@ class Witness:
 
     def parts(self) -> tuple[Seq, Seq]:
         return (self.left, self.right)
+
+    def to_dict(self) -> dict:
+        """The JSON form every report prints: the parts and the transform."""
+        return {"left": list(self.left), "right": list(self.right), "transform": self.transform}
 
 
 def find_decomposition(seq, n: int, right_whitelist=None) -> Witness | None:
@@ -273,30 +277,8 @@ def _split(seq: Seq, sign: int, n: int, allowed=None) -> Witness | None:
                 continue
             left = (x,) + c[1:m - 1] + (y,)
             # sign(left) * sign(right) == -sign(seq); mod 2 every sign reads +1
-            return _witness(left, right, eps, -sign * eps if n > 2 else 1, idx)
+            return Witness(left, right, eps, -sign * eps if n > 2 else 1, idx)
     return None
-
-
-_new_object = object.__new__
-
-
-def _witness(left: Seq, right: Seq, left_sign: int, right_sign: int,
-             transform: int) -> Witness:
-    """``Witness(left, right, left_sign, right_sign, transform)``, built faster.
-
-    The frozen dataclass's ``__init__`` sets each field through
-    ``object.__setattr__``; filling the new instance's dict gives an equal
-    Witness in a fraction of the time, which counts when a witness report
-    builds one per class.
-    """
-    witness = _new_object(Witness)
-    fields = witness.__dict__
-    fields["left"] = left
-    fields["right"] = right
-    fields["left_sign"] = left_sign
-    fields["right_sign"] = right_sign
-    fields["transform"] = transform
-    return witness
 
 
 # Irreducible solutions over Z (integer mode) form a known finite family:

@@ -83,6 +83,20 @@ def test_reduce_witness(capsys):
     assert "(6,3,3,6) (+) (6,3,3,6)" in out
 
 
+@pytest.mark.parametrize("k", [3, 6])
+def test_witness_json_is_the_same_in_every_report(capsys, k):
+    # (k,) * 6 mod 9 is the minimal monomial for k, reducible, and its own class key
+    seq = ",".join([str(k)] * 6)
+    reduced, classified, monomial_record = [
+        json.loads(run(capsys, *argv, "--format", "json")[1]) for argv in (
+            ("reduce", "-N", "9", seq),
+            ("classify", "-N", "9", "--size", "6", "--witnesses"),
+            ("monomial", "-N", "9", "--k", str(k)))]
+    assert reduced["witness"] == classified["sizes"][0]["witnesses"][seq]
+    assert reduced["witness"] == monomial_record["witness"]
+    assert set(reduced["witness"]) == {"left", "right", "transform"}
+
+
 def test_reduce_irreducible(capsys):
     code, out, _ = run(capsys, "reduce", "--modulus", "5", "2,2,2,2,2")
     assert code == 0
@@ -259,7 +273,7 @@ def test_classify_witness_long_size_fails_at_once(capsys):
 
 def test_large_modulus_refused_before_the_group_table(capsys):
     # N = 50 has a 4.5M-entry group table; every path refuses before building it
-    for argv, message in ((("classify", "--size", "4"), "31500000 table steps"),
+    for argv, message in ((("classify", "--size", "4"), "4500000 step entries"),
                           (("classify", "--size", "4", "--irreducible-only"), "4500000 step entries"),
                           (("enumerate", "--size", "3"), "4500000 step entries")):
         start = time.perf_counter()
@@ -376,13 +390,14 @@ def _with_budget(monkeypatch, work_limit):
 
 
 def test_classify_count_work_guard(capsys, monkeypatch):
-    # the count needs 49,152 table steps and stops the run before the DFS,
-    # which would try 537 nodes and fit
+    # the count needs 7,680 table steps (10 walk steps x 384 group elements
+    # + 5 palindrome steps x 8 letters x 96 tau-fixed ones) and stops the
+    # run before the DFS, which would try 537 nodes and fit
     _with_budget(monkeypatch, 600)
     code, out, err = run(capsys, "classify", "--modulus", "8", "--size", "11")
     assert code == 2
     assert out == ""
-    assert len(err.splitlines()) == 1 and "49152 table steps" in err
+    assert len(err.splitlines()) == 1 and "7680 table steps" in err
 
 
 def test_classify_irreducible_only_work_guard(capsys, monkeypatch):
@@ -745,6 +760,20 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_closed_stdout_exits_141_quietly():
+    # 258 KB of output, past any pipe buffer: the reader leaves after one line
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    argv = [sys.executable, "-m", "quiddity.cli", "classify", "-N", "11", "--sizes", "3..12",
+            "--irreducible-only"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"n=3: 2 irreducible\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert err == b""  # no traceback, and no error line either
 
 
 def test_classify_pauses_the_collector_and_restores_it(capsys, monkeypatch):

@@ -1,8 +1,9 @@
 import itertools
+import pickle
 import random
 import tracemalloc
 import xml.etree.ElementTree as ET
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import replace
 
 import pytest
 
@@ -16,7 +17,6 @@ from quiddity.dissections import (
     Dissection,
     _CELLS,
     _base_cases,
-    _cell,
     _cell_edges,
     _find_crossing,
     attach_cell,
@@ -88,17 +88,19 @@ def test_validate_coverage():
     assert validate(d)
 
 
-def test_fast_cell_is_a_frozen_cell():
+def test_cell_is_a_frozen_record():
     for v, w in (((1, 2, 3), None), ((1, 2, 3, 4), 0), ((2, 5, 7), 3), ((1, 3, 4, 6), 2)):
-        fast = _cell(v, w)
-        assert type(fast) is Cell
-        assert fast == Cell(v, w) and hash(fast) == hash(Cell(v, w))
-        assert (fast.vertices, fast.weight, repr(fast)) == (v, w, repr(Cell(v, w)))
-        with pytest.raises(FrozenInstanceError):
-            fast.weight = 1
-        with pytest.raises(FrozenInstanceError):
-            fast.vertices = (1, 2, 3)
-    assert _cell((1, 2, 3), 1) != _cell((1, 2, 3), 2)
+        cell = Cell(v, w)
+        assert (cell.vertices, cell.weight) == (v, w)
+        assert cell == Cell(v, w) and hash(cell) == hash(Cell(v, w))
+        assert repr(cell) == f"Cell(vertices={v!r}, weight={w!r})"
+        with pytest.raises(AttributeError):
+            cell.weight = 1
+        with pytest.raises(AttributeError):
+            cell.vertices = (1, 2, 3)
+        assert pickle.loads(pickle.dumps(cell)) == cell
+    assert Cell((1, 2, 3)) == Cell((1, 2, 3), None)
+    assert Cell((1, 2, 3), 1) != Cell((1, 2, 3), 2)
 
 
 def test_cell_edges_in_boundary_order():

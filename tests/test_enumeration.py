@@ -491,10 +491,10 @@ def test_counting_report_matches_enumeration(n_mod):
 
 
 def test_count_classes_work_counts_table_steps():
-    # |SL2(Z/5Z)| = 120 elements, 5 letters, 6 walk + 2 odd + 3 even
-    # palindrome steps for size 6: an upper bound, as the walks on second
-    # rows and on tau-fixed elements take about N times fewer
-    steps = (6 + 2 + 3) * 120 * 5
+    # size 6 mod 5: 5 walk steps add one count per element of SL2(Z/5Z)
+    # (120), and 2 odd + 3 even palindrome steps 5 per tau-fixed element (30)
+    steps = 5 * 120 + (2 + 3) * 5 * 30
+    assert steps == 1350
     assert count_classes(5, 6, work_limit=steps) == 40
     with pytest.raises(WorkLimitExceeded, match="table steps"):
         count_classes(5, 6, work_limit=steps - 1)
@@ -883,9 +883,27 @@ def test_group_table_budget_checked_before_build(monkeypatch):
         classify(SearchConfig(50, (4,), irreducible_only=True))
     with pytest.raises(WorkLimitExceeded, match="4500000 step entries"):
         classify(SearchConfig(50, (4,), keep_witnesses=True))
-    # the count's table steps, 7 per step entry here, are checked first
-    with pytest.raises(WorkLimitExceeded, match="31500000 table steps"):
+    # the count checks the table first, and then its own table steps
+    with pytest.raises(WorkLimitExceeded, match="4500000 step entries"):
         count_classes(50, 4)
+
+
+@pytest.mark.parametrize("n_mod", [*range(2, 17), 30])
+def test_count_budget_prices_the_additions_made(monkeypatch, n_mod):
+    # the priced table steps are the predecessors the walks' DP steps sum
+    advance = enumeration._advance
+    for sizes in ((3, 4, 5, 6),) if n_mod == 30 else (tuple(range(2, 10)), (5, 7), (12,)):
+        summed, priced = [], []
+
+        def spy(counts, preds):
+            summed.append(sum(len(get(counts)) for get in preds))
+            return advance(counts, preds)
+
+        monkeypatch.setattr(enumeration, "_advance", spy)
+        monkeypatch.setattr(enumeration, "_check_work",
+                            lambda count, unit, limit: priced.append((count, unit)))
+        _class_counts(n_mod, sizes)
+        assert priced == [(sum(summed), "table steps")], (n_mod, sizes)
 
 
 def test_enumeration_refuses_sizes_past_the_recursion_limit(monkeypatch):

@@ -1,9 +1,12 @@
 import itertools
+from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quiddity import enumeration
 from quiddity.modmat import (
     IDENTITY,
     _constant_walk,
@@ -12,10 +15,12 @@ from quiddity.modmat import (
     continuant_matrix,
     generator,
     generator_product,
+    is_prime,
     mat_det,
     mat_mul,
     pm_identity_sign,
     psl2_order,
+    semiprime_parts,
     sl2_group_order,
 )
 
@@ -155,6 +160,23 @@ def test_sl2_group_orders():
     assert sl2_group_order(5) == 120
     assert sl2_group_order(7) == 336
     assert sl2_group_order(12) == 1152
+
+
+def test_factorizing_helpers_against_brute_force():
+    # every helper that factors by trial division, against divisor scans
+    top = 2000
+    primes = [p for p in range(2, top + 1) if all(p % d for d in range(2, p))]
+    for n in range(2, top + 1):
+        divisors = [p for p in primes if n % p == 0]
+        assert is_prime(n) == (divisors == [n]), n
+        semiprime = len(divisors) == 2 and divisors[0] * divisors[1] == n
+        assert semiprime_parts(n) == (tuple(divisors) if semiprime else None), n
+        order = n ** 3
+        for p in divisors:
+            order *= 1 - Fraction(1, p * p)
+        assert sl2_group_order(n) == order, n
+        assert enumeration._totient(n) == sum(gcd(k, n) == 1 for k in range(1, n + 1)), n
+    assert not is_prime(0) and not is_prime(1) and semiprime_parts(1) is None
 
 
 def test_psl2_order_examples():

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import pickle
 import random
@@ -19,7 +18,6 @@ from quiddity.modmat import (
     residue,
 )
 from quiddity.solutions import (
-    _witness,
     Witness,
     apply_dihedral,
     as_solution,
@@ -265,18 +263,20 @@ def test_witness_internal_consistency():
         assert oplus(w.left, w.right, n_mod) == image
 
 
-def test_fast_witness_is_the_dataclass_witness():
-    # the split scan fills the frozen instance's dict directly; the result
-    # must behave as the generated __init__'s would
+def test_witness_is_a_frozen_record():
     fields = ((6, 3, 3, 6), (6, 3, 3, 6), -1, 1, 2)
-    fast, slow = _witness(*fields), Witness(*fields)
-    assert type(fast) is Witness
-    assert fast == slow and hash(fast) == hash(slow) and repr(fast) == repr(slow)
-    assert dataclasses.astuple(fast) == fields
-    assert pickle.loads(pickle.dumps(fast)) == slow
-    assert fast != Witness(*fields[:-1], 3)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        fast.transform = 0
+    w = Witness(*fields)
+    assert (w.left, w.right, w.left_sign, w.right_sign, w.transform) == fields
+    assert w.parts() == ((6, 3, 3, 6), (6, 3, 3, 6))
+    assert w == Witness(*fields) and hash(w) == hash(Witness(*fields))
+    assert w != Witness(*fields[:-1], 3)
+    assert repr(w) == ("Witness(left=(6, 3, 3, 6), right=(6, 3, 3, 6), "
+                       "left_sign=-1, right_sign=1, transform=2)")
+    assert w.to_dict() == {"left": [6, 3, 3, 6], "right": [6, 3, 3, 6], "transform": 2}
+    with pytest.raises(AttributeError):
+        w.transform = 0
+    # --jobs sends witnesses between processes
+    assert pickle.loads(pickle.dumps(w)) == w
 
 
 def test_decomposition_whitelist():
