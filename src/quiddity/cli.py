@@ -17,7 +17,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
 
 from . import enumeration, monomial
 from .dissections import (
@@ -32,9 +31,8 @@ from .dissections import (
 )
 from .enumeration import SearchConfig, WorkLimitExceeded
 from .solutions import (
+    _decompose,
     canonicalize,
-    find_decomposition,
-    is_irreducible,
     normalize_seq,
     oplus,
     solution_sign,
@@ -166,7 +164,8 @@ def cmd_reduce(args) -> int:
     if n == 0:
         raise UsageError("the splitting search is modular-only (modulus >= 2)")
     seq = normalize_seq(_parse_seq(args.seq), n)
-    if solution_sign(seq, n) is None:
+    sign = solution_sign(seq, n)
+    if sign is None:
         raise UsageError(f"{','.join(map(str, seq))} is not a solution mod {n}")
     whitelist = None
     if args.right is not None:  # an empty --right is a usage error, not no restriction
@@ -175,9 +174,9 @@ def cmd_reduce(args) -> int:
             raise UsageError(f"--right {','.join(map(str, right))} is not a "
                              f"solution of size >= 3 mod {n}")
         whitelist = [right]
-    w = find_decomposition(seq, n, whitelist)
+    w = _decompose(seq, sign, n, whitelist)  # find_decomposition, with the sign found above
     if w is None:
-        irreducible = whitelist is None or is_irreducible(seq, n)
+        irreducible = whitelist is None or _decompose(seq, sign, n) is None
         payload = {"modulus": n, "seq": list(seq), "irreducible": irreducible}
         _emit(args, payload, ["irreducible" if irreducible
                               else "no splitting has its right part in the given class"])
@@ -235,7 +234,7 @@ def _classify_report(args, n: int):
     if args.jobs > 1:
         if ProcessPoolExecutor is None:
             from concurrent.futures import ProcessPoolExecutor
-        config = replace(config, shard_count=args.jobs)
+        config = config._replace(shard_count=args.jobs)
         # the shard count, not the pool size, fixes the merged report; a fork
         # pool starts all its workers at once, so never more than the CPUs
         with ProcessPoolExecutor(max_workers=min(args.jobs, os.cpu_count() or 1)) as pool:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import random
 from collections import Counter, deque
-from dataclasses import dataclass
 from math import cos, pi, sin
 from operator import itemgetter
 from typing import NamedTuple
@@ -47,8 +46,7 @@ class Cell(NamedTuple):
     weight: int | None = None
 
 
-@dataclass(frozen=True)
-class Dissection:
+class Dissection(NamedTuple):
     n: int
     kind: str
     cells: tuple[Cell, ...]

@@ -15,12 +15,11 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from importlib import resources
 from itertools import product as iter_product
 from math import gcd, inf, isqrt
 from operator import itemgetter, mul
+from typing import NamedTuple
 
 from .modmat import (
     IDENTITY,
@@ -410,46 +409,59 @@ def enumerate_naive(n_mod: int, size: int) -> list[Seq]:
 # classification
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class _SearchFields(NamedTuple):
+    modulus: int
+    sizes: tuple[int, ...]
+    irreducible_only: bool
+    shard_index: int
+    shard_count: int
+    keep_witnesses: bool
+    work_limit: int | None
+
+
+class SearchConfig(_SearchFields):
     """One ``classify`` run; ``sizes`` is kept sorted, each size once.
 
     Each size asked for makes one report, so their count, taken before a
     ``range`` is listed, is checked first: against ``work_limit``, but like
     the group table never below the default, so a small node budget still
-    runs a few sizes.
+    runs a few sizes.  Every instance is checked: ``_replace`` and
+    unpickling build through the constructor too.
     """
 
-    modulus: int
-    sizes: tuple[int, ...]
-    irreducible_only: bool = False
-    shard_index: int = 0
-    shard_count: int = 1
-    keep_witnesses: bool = False
-    work_limit: int | None = DEFAULT_WORK_LIMIT
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_modulus(self.modulus)
-        if self.modulus < 2:
+    def __new__(cls, modulus: int, sizes, irreducible_only: bool = False,
+                shard_index: int = 0, shard_count: int = 1, keep_witnesses: bool = False,
+                work_limit: int | None = DEFAULT_WORK_LIMIT):
+        check_modulus(modulus)
+        if modulus < 2:
             raise ValueError("classification needs a modulus >= 2")
-        if len(self.sizes) > DEFAULT_WORK_LIMIT and self.work_limit is not None:
-            _check_work(len(self.sizes), "sizes", max(self.work_limit, DEFAULT_WORK_LIMIT))
-        sizes = tuple(sorted(set(self.sizes)))
+        if len(sizes) > DEFAULT_WORK_LIMIT and work_limit is not None:
+            _check_work(len(sizes), "sizes", max(work_limit, DEFAULT_WORK_LIMIT))
+        sizes = tuple(sorted(set(sizes)))
         if not sizes or sizes[0] < 2:
             raise ValueError("sizes must all be >= 2")
-        object.__setattr__(self, "sizes", sizes)
-        if not (0 <= self.shard_index < self.shard_count):
+        if not (0 <= shard_index < shard_count):
             raise ValueError("shard index out of range")
+        return super().__new__(cls, modulus, sizes, irreducible_only, shard_index,
+                               shard_count, keep_witnesses, work_limit)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def _replace(self, /, **changes):
+        return type(self)(**{**self._asdict(), **changes})
 
 
-@dataclass
-class SizeReport:
+class SizeReport(NamedTuple):
     size: int
     total_classes: int | None
     irreducible: list[Seq]
     reducible_count: int | None
     cyclic_irreducible_count: int
-    witnesses: dict[Seq, Witness] = field(default_factory=dict)
+    witnesses: dict[Seq, Witness]
 
     def to_dict(self) -> dict:
         d = {
@@ -467,8 +479,7 @@ class SizeReport:
         return d
 
 
-@dataclass
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     modulus: int
     sizes: list[SizeReport]
     elapsed_s: float
@@ -762,6 +773,8 @@ def load_reference(n_mod: int) -> list[tuple[Seq, str]]:
     """Packaged list of known irreducible classes for moduli 2..7."""
     if not 2 <= n_mod <= 7:
         raise ValueError(f"no packaged reference list for modulus {n_mod}")
+    from importlib import resources  # only this reader needs it
+
     text = resources.files("quiddity.data").joinpath(f"irreducible_mod{n_mod}.json").read_text()
     payload = json.loads(text)
     if payload["modulus"] != n_mod:
@@ -786,8 +799,7 @@ def _verify_sizes(by_size: dict[int, set[Seq]]) -> tuple[int, ...]:
     return tuple(range(3, max(8, max(by_size)) + 1))
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     modulus: int
     sizes: tuple[int, ...]
     passed: bool
@@ -827,8 +839,7 @@ def verify_expected(n_mod: int, sizes=None,
     return VerifyReport(n_mod, config.sizes, not missing and not extra, missing, extra, report)
 
 
-@dataclass
-class EvidenceReport:
+class EvidenceReport(NamedTuple):
     """Scan summary for the finiteness/size-bound conjectures.
 
     Evidence only: a clean scan up to n_max proves nothing beyond n_max.
@@ -870,7 +881,7 @@ def evidence_scan(n_mod: int, n_max: int | None = None,
 
 def run_shard(config: SearchConfig, shard_index: int) -> ClassificationReport:
     """Classify one shard of a sharded config (helper for process pools)."""
-    return classify(replace(config, shard_index=shard_index))
+    return classify(config._replace(shard_index=shard_index))
 
 
 def merge_class_sets(reports) -> dict[int, set[Seq]]:

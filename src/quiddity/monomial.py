@@ -9,7 +9,7 @@ the irreducibility facts for prime and semiprime moduli.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .modmat import (
     Mat,
@@ -28,8 +28,7 @@ from .solutions import Seq, Witness, _split, is_irreducible
 DEFAULT_MULT_BUDGET = 200_000  # generator multiplications per request
 
 
-@dataclass(frozen=True)
-class MonomialRecord:
+class MonomialRecord(NamedTuple):
     modulus: int
     k: int
     minimal_size: int
@@ -130,15 +129,13 @@ def boundary_pairs(n_mod: int, k: int, size: int) -> set[tuple[int, int]]:
     return out
 
 
-@dataclass
-class TheoremCheck:
+class TheoremCheck(NamedTuple):
     description: str
     passed: bool
     details: dict
 
 
-@dataclass
-class MonomialTheoremReport:
+class MonomialTheoremReport(NamedTuple):
     modulus: int
     checks: list[TheoremCheck]
 

@@ -9,7 +9,6 @@ sizes 2/3/4, and the reducibility decision procedure with witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .modmat import check_modulus, generator_product, pm_identity_sign, residue
@@ -28,8 +27,7 @@ def is_solution(seq, n: int) -> bool:
     return solution_sign(seq, n) is not None
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     """A solution tuple together with its sign (determined by the tuple)."""
 
     seq: Seq
@@ -232,10 +230,17 @@ def find_decomposition(seq, n: int, right_whitelist=None) -> Witness | None:
     sign = solution_sign(seq, n)
     if sign is None:
         raise ValueError(f"{seq} is not a solution mod {n}")
-    size = len(seq)
-    if size < 3:
-        raise ValueError("decomposition needs size >= 3")
+    return _decompose(seq, sign, n, right_whitelist)
 
+
+def _decompose(seq: Seq, sign: int, n: int, right_whitelist=None) -> Witness | None:
+    """``find_decomposition`` past its solution test, for a caller that has the sign.
+
+    ``seq`` is normalized mod n >= 2 and ``sign`` is its sign; the size
+    check, the whitelist and the scan are ``find_decomposition``'s.
+    """
+    if len(seq) < 3:
+        raise ValueError("decomposition needs size >= 3")
     allowed = None
     if right_whitelist is not None:
         allowed = {img for w in right_whitelist for img in dihedral_images(normalize_seq(w, n))}

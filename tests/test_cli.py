@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from quiddity import cli, dissections
+from quiddity import cli, dissections, solutions
 from quiddity.cli import main
 from quiddity.dissections import from_dict, quiddity, validate
 from quiddity.enumeration import (
@@ -130,6 +130,35 @@ def test_reduce_irreducible_json(capsys):
     code, out, _ = run(capsys, "reduce", "--modulus", "5", "2,2,2,2,2", "--format", "json")
     assert code == 0
     assert json.loads(out) == {"modulus": 5, "seq": [2] * 5, "irreducible": True}
+
+
+@pytest.mark.parametrize("seq", ["3,3,3,3,3,3", "2,2,2,2,2,2,2,2,2"])  # reducible, irreducible
+def test_reduce_multiplies_the_input_out_once(capsys, monkeypatch, seq):
+    # the sign the solution test finds is the one the split scan starts from
+    calls = []
+    real = solutions.generator_product
+    monkeypatch.setattr(solutions, "generator_product",
+                        lambda *args: calls.append(args) or real(*args))
+    code, out, err = run(capsys, "reduce", "--modulus", "9", seq)
+    assert (code, err) == (0, "") and out
+    assert len(calls) == 1
+    # with --right, the input is multiplied out once, and the right part once
+    calls.clear()
+    code, out, err = run(capsys, "reduce", "--modulus", "9", seq, "--right", "1,1,1")
+    assert (code, err) == (0, "") and out
+    assert len(calls) == 2
+
+
+def test_reduce_errors_keep_their_order(capsys):
+    # the sequence is tested first, then --right, then the size
+    size = "decomposition needs size >= 3"
+    bad_right = "--right 1,2 is not a solution of size >= 3 mod 9"
+    bad_seq = "1,2 is not a solution mod 9"
+    for argv, message in ((("0,0",), size), (("0,0", "--right", "1,1,1"), size),
+                          (("0,0", "--right", "1,2"), bad_right),
+                          (("1,2", "--right", "1,2"), bad_seq),
+                          (("1,2", "--right", "x"), bad_seq)):
+        assert run(capsys, "reduce", "-N", "9", *argv) == (2, "", f"error: {message}\n"), argv
 
 
 def test_enumerate_json_round_trip(capsys):
@@ -760,6 +789,21 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_cli_import_leaves_dataclasses_and_resources_unloaded():
+    # every record is a NamedTuple, and only verify reads the packaged lists;
+    # -S keeps out what site imports, which may include importlib.resources
+    code = ("import sys; before = set(sys.modules); import quiddity.cli; "
+            "watched = {'dataclasses', 'inspect', 'importlib.resources'}; "
+            "print(sorted(watched & (set(sys.modules) - before))); "
+            "code = quiddity.cli.main(['verify', '-N', '5']); "
+            "print(code, 'importlib.resources' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\nmodulus 5, sizes 3..8: PASS\n0 True\n"
 
 
 def test_closed_stdout_exits_141_quietly():

@@ -3,7 +3,6 @@ import pickle
 import random
 import tracemalloc
 import xml.etree.ElementTree as ET
-from dataclasses import replace
 
 import pytest
 
@@ -280,32 +279,32 @@ def _corrupted(d, rng):
     i = rng.randrange(len(cells))
     c = cells[i]
     yield _moved_endpoint(d, rng)
-    yield replace(d, cells=tuple(cells[:i] + cells[i + 1:]))  # dropped cell
-    yield replace(d, cells=tuple(cells[:i + 1] + cells[i:]))  # duplicated cell
+    yield d._replace(cells=tuple(cells[:i] + cells[i + 1:]))  # dropped cell
+    yield d._replace(cells=tuple(cells[:i + 1] + cells[i:]))  # duplicated cell
     illegal = 1 if d.kind == KIND_PLAIN else rng.choice((None, 2, 4, 5))
-    yield replace(d, cells=tuple(cells[:i] + [Cell(c.vertices, illegal)] + cells[i + 1:]))
+    yield d._replace(cells=tuple(cells[:i] + [Cell(c.vertices, illegal)] + cells[i + 1:]))
     unsorted = c.vertices[::-1] if rng.randrange(2) else c.vertices[1:] + c.vertices[:1]
-    yield replace(d, cells=tuple(cells[:i] + [Cell(unsorted, c.weight)] + cells[i + 1:]))
+    yield d._replace(cells=tuple(cells[:i] + [Cell(unsorted, c.weight)] + cells[i + 1:]))
     # broken pairs: an index out of range, a cell paired with itself, a
     # pair repeated, two cells that need not be adjacent triangles
     j = rng.randrange(len(cells))
     for pair in ((i, len(cells)), (i, i), (i, j)):
-        yield replace(d, pairs=d.pairs + (pair,))
+        yield d._replace(pairs=d.pairs + (pair,))
     if d.pairs:
-        yield replace(d, pairs=d.pairs + d.pairs[:1])
+        yield d._replace(pairs=d.pairs + d.pairs[:1])
         a, b = d.pairs[0]
-        yield replace(d, pairs=((a, (b + 1) % len(cells)),) + d.pairs[1:])
+        yield d._replace(pairs=((a, (b + 1) % len(cells)),) + d.pairs[1:])
     # cells that fail the one-comparison test, one per check behind it: a
     # label 0 or n + 1 in an otherwise increasing cell, a repeated vertex,
     # too few or too many vertices
     v = c.vertices
     for damaged in ((0,) + v[1:], v[:-1] + (d.n + 1,), v[:1] + v[:-1], v[:2], (1, 2, 3, 4, 5)):
-        yield replace(d, cells=tuple(cells[:i] + [Cell(damaged, c.weight)] + cells[i + 1:]))
+        yield d._replace(cells=tuple(cells[:i] + [Cell(damaged, c.weight)] + cells[i + 1:]))
     # a boundary cell dropped, so some polygon sides are not covered
     ears = [j for j, cell in enumerate(cells)
             if any(_is_side(e, d.n) for e in _cell_edges(cell.vertices))]
     j = rng.choice(ears)
-    yield replace(d, cells=tuple(cells[:j] + cells[j + 1:]))
+    yield d._replace(cells=tuple(cells[:j] + cells[j + 1:]))
 
 
 def _assert_same_messages(d):

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+import pickle
 from itertools import product
 
 import pytest
@@ -19,7 +19,11 @@ from quiddity.enumeration import (
     _tail_letters,
     _window_masks,
     DEFAULT_WORK_LIMIT,
+    ClassificationReport,
+    EvidenceReport,
     SearchConfig,
+    SizeReport,
+    VerifyReport,
     WorkLimitExceeded,
     classify,
     count_classes,
@@ -32,6 +36,7 @@ from quiddity.enumeration import (
     reference_classes,
     verify_expected,
 )
+from quiddity.dissections import Dissection
 from quiddity.modmat import (
     IDENTITY,
     generator,
@@ -41,7 +46,9 @@ from quiddity.modmat import (
     pm_identity_sign,
     sl2_group_order,
 )
+from quiddity.monomial import MonomialRecord, MonomialTheoremReport, TheoremCheck
 from quiddity.solutions import (
+    Solution,
     _split,
     canonicalize,
     dihedral_images,
@@ -168,15 +175,15 @@ def test_sharded_classify_merges_to_full(monkeypatch):
         assert _split_depth(5, shard_count, max(sizes) - 2) == depth
         config = SearchConfig(modulus=5, sizes=sizes, keep_witnesses=True)
         serial = classify(config).to_json(with_timing=False)
-        sharded = replace(config, shard_count=shard_count)
-        shards = [classify(replace(sharded, shard_index=i)) for i in range(shard_count)]
+        sharded = config._replace(shard_count=shard_count)
+        shards = [classify(sharded._replace(shard_index=i)) for i in range(shard_count)]
         assert all(s.total_classes is None for shard in shards for s in shard.sizes)
         assert merge_shards(sharded, shards).to_json(with_timing=False) == serial, (
             shard_count, sizes)
         # every class has one leaf, so the shards' class sets are pairwise
         # disjoint and their union is the serial list
         for size in config.sizes:
-            parts = [_class_leaves(replace(sharded, shard_index=i), (size,),
+            parts = [_class_leaves(sharded._replace(shard_index=i), (size,),
                                    prune=False)[0][size]
                      for i in range(shard_count)]
             union = sorted(leaf for part in parts for leaf in part)
@@ -188,9 +195,9 @@ def test_sharded_classify_merges_to_full(monkeypatch):
     monkeypatch.setattr(enumeration, "_class_counts",
                         lambda *args: counts.append(args[1]) or real(*args))
     config = SearchConfig(modulus=5, sizes=(3, 4, 5, 6, 7), shard_count=3)
-    shards = [classify(replace(config, shard_index=i)) for i in range(3)]
+    shards = [classify(config._replace(shard_index=i)) for i in range(3)]
     assert counts == []
-    serial = classify(replace(config, shard_count=1)).to_json(with_timing=False)
+    serial = classify(config._replace(shard_count=1)).to_json(with_timing=False)
     assert merge_shards(config, shards).to_json(with_timing=False) == serial
     assert counts == [config.sizes, config.sizes]
 
@@ -201,9 +208,9 @@ def test_shards_share_the_nodes_evenly(shard_count):
     # the largest shard 1.51 times the mean with 2 shards and 5.53 times
     # with 8; at _split_depth (3 and 4) it is 1.03 times
     config = SearchConfig(6, tuple(range(3, 10)), shard_count=shard_count)
-    nodes = [_class_leaves(replace(config, shard_index=i), config.sizes, prune=False)[1]
+    nodes = [_class_leaves(config._replace(shard_index=i), config.sizes, prune=False)[1]
              for i in range(shard_count)]
-    serial = _class_leaves(replace(config, shard_count=1), config.sizes, prune=False)[1]
+    serial = _class_leaves(config._replace(shard_count=1), config.sizes, prune=False)[1]
     assert serial == 61_864
     assert max(nodes) <= 1.25 * sum(nodes) / shard_count, nodes
     # the levels above the split, which every shard walks, add little
@@ -253,13 +260,13 @@ def test_witness_work_counts_search_nodes():
     config = SearchConfig(5, (7,), keep_witnesses=True, work_limit=nodes)
     want = classify(config).to_json(with_timing=False)
     with pytest.raises(WorkLimitExceeded, match=f"{nodes} search nodes"):
-        classify(replace(config, work_limit=nodes - 1))
-    assert classify(replace(config, work_limit=None)).to_json(with_timing=False) == want
+        classify(config._replace(work_limit=nodes - 1))
+    assert classify(config._replace(work_limit=None)).to_json(with_timing=False) == want
     # the count checked up front is the number of nodes the DFS visits, with
     # a budget or with none
     assert _class_dfs_nodes(5, 5) == nodes
     for limit in (nodes, None):
-        assert _class_leaves(replace(config, work_limit=limit), (7,), prune=False)[1] == nodes
+        assert _class_leaves(config._replace(work_limit=limit), (7,), prune=False)[1] == nodes
 
 
 def test_class_dfs_nodes_counts_prenecklaces():
@@ -298,8 +305,8 @@ def test_irreducible_work_counts_search_nodes():
     config = SearchConfig(8, (11,), irreducible_only=True, work_limit=nodes)
     assert classify(config).sizes[0].irreducible == []
     with pytest.raises(WorkLimitExceeded, match="search nodes"):
-        classify(replace(config, work_limit=nodes - 1))
-    assert classify(replace(config, work_limit=None)).sizes[0].irreducible == []
+        classify(config._replace(work_limit=nodes - 1))
+    assert classify(config._replace(work_limit=None)).sizes[0].irreducible == []
 
 
 @pytest.mark.parametrize("n_mod", range(2, 10))
@@ -650,7 +657,7 @@ def _list_window_candidates(config: SearchConfig, size: int, prune: bool = True)
 
 def _visits(config: SearchConfig, size: int, prune: bool):
     """The leaves of the class DFS for one size and the prefixes it tried, with no budget."""
-    leaves, visited = _class_leaves(replace(config, work_limit=None), (size,), prune)
+    leaves, visited = _class_leaves(config._replace(work_limit=None), (size,), prune)
     return leaves[size], visited
 
 
@@ -674,7 +681,7 @@ def test_one_pass_matches_per_size_window_lists(n_mod):
     for prune, sizes in ((True, range(3, 12 if n_mod <= 8 else 11)), (False, range(2, 9))):
         sizes = tuple(sizes)
         config = SearchConfig(n_mod, sizes)
-        leaves, visited = _class_leaves(replace(config, work_limit=None), sizes, prune)
+        leaves, visited = _class_leaves(config._replace(work_limit=None), sizes, prune)
         assert sorted(leaves) == list(sizes)
         for size in sizes:
             want, tried = _list_window_candidates(config, size, prune)
@@ -743,11 +750,11 @@ def test_no_budget_walks_the_same_tree(n_mod):
     # budget that the search fits in, pruned and unpruned
     for prune, sizes in ((True, tuple(range(3, 13))), (False, tuple(range(2, 8)))):
         config = SearchConfig(n_mod, sizes)
-        free = _class_leaves(replace(config, work_limit=None), sizes, prune)
-        assert free == _class_leaves(replace(config, work_limit=free[1]), sizes, prune)
+        free = _class_leaves(config._replace(work_limit=None), sizes, prune)
+        assert free == _class_leaves(config._replace(work_limit=free[1]), sizes, prune)
         assert free == _class_leaves(config, sizes, prune)
         with pytest.raises(WorkLimitExceeded):
-            _class_leaves(replace(config, work_limit=free[1] - 1), sizes, prune)
+            _class_leaves(config._replace(work_limit=free[1] - 1), sizes, prune)
 
 
 @pytest.mark.parametrize("n_mod, size, limit", [(8, 11, 536), (8, 11, 0), (11, 12, 1000),
@@ -781,14 +788,14 @@ def test_multi_size_shards_are_disjoint_and_merge_exactly(n_mod, witnesses):
     counts = {4: (2, 5, 17, 100), 6: (2, 4, 21, 122)}[n_mod]
     assert [_split_depth(n_mod, k, 6) for k in counts] == {4: [4, 5, 6, 6], 6: [3, 4, 5, 6]}[n_mod]
     for shard_count in counts:
-        sharded = replace(config, shard_count=shard_count)
-        parts = [_class_leaves(replace(sharded, shard_index=i), sizes, prune=not witnesses)[0]
+        sharded = config._replace(shard_count=shard_count)
+        parts = [_class_leaves(sharded._replace(shard_index=i), sizes, prune=not witnesses)[0]
                  for i in range(shard_count)]
         for size in sizes:
             union = sorted(leaf for part in parts for leaf in part[size])
             assert len(set(union)) == len(union), (shard_count, size)
             assert union == serial_leaves[size], (shard_count, size)
-        shards = [classify(replace(sharded, shard_index=i)) for i in range(shard_count)]
+        shards = [classify(sharded._replace(shard_index=i)) for i in range(shard_count)]
         assert merge_shards(sharded, shards).to_json(with_timing=False) == serial, shard_count
 
 
@@ -937,10 +944,10 @@ def test_class_dfs_refuses_paths_past_the_recursion_limit(monkeypatch):
         classify(config)
     deep = "size 8 needs a class search 6 letters deep"
     with pytest.raises(ValueError, match=deep):
-        classify(replace(config, work_limit=DEFAULT_WORK_LIMIT))
+        classify(config._replace(work_limit=DEFAULT_WORK_LIMIT))
     monkeypatch.setattr(enumeration, "_class_dfs_nodes", lambda *args: pytest.fail("counted"))
     with pytest.raises(ValueError, match=deep):
-        classify(replace(config, work_limit=None))
+        classify(config._replace(work_limit=None))
 
 
 def test_verify_loads_its_reference_list_once(monkeypatch):
@@ -950,3 +957,71 @@ def test_verify_loads_its_reference_list_once(monkeypatch):
     report = verify_expected(7)
     assert report.passed and calls == [7]
     assert enumeration.default_verify_sizes(7) == report.sizes == tuple(range(3, 10))
+
+
+def test_search_config_replace_validates_like_the_constructor():
+    import tracemalloc
+    config = SearchConfig(5, (7, 3, 5, 3), shard_count=3)
+    assert config.sizes == (3, 5, 7)
+    assert config._replace(sizes=[9, 4, 9, 2]).sizes == (2, 4, 9)
+    assert SearchConfig._make(config) == config
+    with pytest.raises(ValueError, match="shard index out of range"):
+        config._replace(shard_index=3)
+    with pytest.raises(ValueError, match="shard index out of range"):
+        SearchConfig._make((5, (3,), False, 3, 3, False, None))
+    # the size count is checked before the range is listed, as in the constructor
+    too_many = "search needs at least 999999998 sizes, over the budget of 4000000"
+    tracemalloc.start()
+    try:
+        with pytest.raises(WorkLimitExceeded, match=too_many):
+            config._replace(sizes=range(3, 10 ** 9 + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    with pytest.raises(AttributeError):
+        config.shard_index = 1
+    with pytest.raises(AttributeError):
+        config.note = "no instance dict"
+
+
+def test_records_survive_pickling():
+    config = SearchConfig(6, range(3, 8), keep_witnesses=True, shard_count=2)
+    report = classify(config._replace(shard_count=1))
+    for record in (config, report):
+        copy = pickle.loads(pickle.dumps(record))
+        assert (type(copy), copy) == (type(record), record)
+    assert copy.to_json(with_timing=False) == report.to_json(with_timing=False)
+    # unpickling builds through the constructor too, so it checks the fields
+    bad = tuple.__new__(SearchConfig, (5, (3,), False, 3, 3, False, None))
+    with pytest.raises(ValueError, match="shard index out of range"):
+        pickle.loads(pickle.dumps(bad))
+
+
+@pytest.mark.parametrize("record, fields", [
+    (Solution, ("seq", "sign")),
+    (Dissection, ("n", "kind", "cells", "pairs")),
+    (MonomialRecord, ("modulus", "k", "minimal_size", "irreducible", "witness")),
+    (TheoremCheck, ("description", "passed", "details")),
+    (MonomialTheoremReport, ("modulus", "checks")),
+    (SizeReport, ("size", "total_classes", "irreducible", "reducible_count",
+                  "cyclic_irreducible_count", "witnesses")),
+    (ClassificationReport, ("modulus", "sizes", "elapsed_s")),
+    (VerifyReport, ("modulus", "sizes", "passed", "missing", "extra", "found")),
+    (EvidenceReport, ("modulus", "n_max", "per_size", "max_irreducible_size", "note")),
+    (SearchConfig, ("modulus", "sizes", "irreducible_only", "shard_index", "shard_count",
+                    "keep_witnesses", "work_limit")),
+])
+def test_record_fields_are_pinned(record, fields):
+    assert record._fields == fields
+    # a default is one object shared by every instance, so none is mutable
+    for default in record._field_defaults.values():
+        assert isinstance(default, (str, tuple)), (record, default)
+
+
+def test_record_defaults():
+    assert SearchConfig.__new__.__defaults__ == (False, 0, 1, False, DEFAULT_WORK_LIMIT)
+    assert SizeReport._field_defaults == {}  # witnesses is required
+    assert Dissection._field_defaults == {"pairs": ()}
+    assert EvidenceReport._field_defaults == {
+        "note": "evidence only; sizes beyond the scan bound are untested"}
