@@ -114,8 +114,8 @@ def _emit(args, payload: dict, text_lines: list[str], csv_rows=None):
             print(line)
 
 
-def _seq_payload(seq, n_mod: int) -> dict:
-    sign = solution_sign(seq, n_mod)
+def _seq_payload(seq, n_mod: int, sign: int | None) -> dict:
+    """The JSON payload of a tuple; ``sign`` is its ``solution_sign``."""
     return {
         "modulus": n_mod,
         "seq": list(seq),
@@ -132,7 +132,7 @@ def cmd_check(args) -> int:
     n = _modulus(args)
     seq = normalize_seq(_parse_seq(args.seq), n)
     sign = solution_sign(seq, n)
-    payload = _seq_payload(seq, n)
+    payload = _seq_payload(seq, n, sign)
     payload["solution"] = sign is not None
     if sign is None:
         _emit(args, payload, ["not a solution"])
@@ -146,8 +146,7 @@ def cmd_sum(args) -> int:
     a = normalize_seq(_parse_seq(args.left), n)
     b = normalize_seq(_parse_seq(args.right), n)
     out = oplus(a, b, n)
-    payload = _seq_payload(out, n)
-    _emit(args, payload, [",".join(map(str, out))])
+    _emit(args, _seq_payload(out, n, solution_sign(out, n)), [",".join(map(str, out))])
     return 0
 
 
@@ -155,7 +154,7 @@ def cmd_canon(args) -> int:
     n = _modulus(args)
     seq = normalize_seq(_parse_seq(args.seq), n)
     rep = canonicalize(seq)
-    _emit(args, _seq_payload(rep, n), [",".join(map(str, rep))])
+    _emit(args, _seq_payload(rep, n, solution_sign(rep, n)), [",".join(map(str, rep))])
     return 0
 
 
@@ -262,7 +261,7 @@ def _classify(args) -> int:
     report = _classify_report(args, n)
     # only the chosen format's output is built
     if args.format == "json":
-        _emit(args, report.to_dict(), [])
+        print(report.to_json())
     elif args.format == "csv":
         _emit(args, None, [], csv_rows=[(s.size,) + rep for s in report.sizes
                                         for rep in s.irreducible])

@@ -313,10 +313,10 @@ def is_irreducible(seq, n: int) -> bool:
     if n == 0:
         return integer_mode_irreducible(seq)
     seq = normalize_seq(seq, n)
-    if len(seq) < 3:
-        as_solution(seq, n)  # raises on a non-solution
-        return False
-    return find_decomposition(seq, n) is None
+    sign = solution_sign(seq, n)
+    if sign is None:
+        raise ValueError(f"{seq} is not a solution mod {n}")
+    return len(seq) >= 3 and _decompose(seq, sign, n) is None
 
 
 def entry_sum_mod3(seq) -> int:

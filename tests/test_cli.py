@@ -47,6 +47,26 @@ def test_check_negative_entries_reduced(capsys):
     assert payload["sign"] == 1  # negating an odd-length solution flips the sign
 
 
+@pytest.mark.parametrize("seq, text, payload", [
+    ("2,2,2,2,2", "solution, sign=+1",
+     '{"canonical": [2, 2, 2, 2, 2], "modulus": 5, "seq": [2, 2, 2, 2, 2], "sign": 1, '
+     '"solution": true}'),
+    ("1,2,1", "not a solution",
+     '{"canonical": [1, 1, 2], "modulus": 5, "seq": [1, 2, 1], "sign": null, '
+     '"solution": false}'),
+])
+def test_check_multiplies_the_input_out_once(capsys, monkeypatch, seq, text, payload):
+    # the payload's sign is the one the solution test found
+    calls = []
+    real = solutions.generator_product
+    monkeypatch.setattr(solutions, "generator_product",
+                        lambda *args: calls.append(args) or real(*args))
+    for fmt, want in (("text", text), ("json", payload)):
+        calls.clear()
+        assert run(capsys, "check", "-N", "5", seq, "--format", fmt) == (0, want + "\n", "")
+        assert len(calls) == 1
+
+
 def test_modulus_one_is_usage_error(capsys):
     code, _, err = run(capsys, "check", "--modulus", "1", "1,1")
     assert code == 2
@@ -233,6 +253,24 @@ def test_classify_jobs_witnesses(capsys):
     serial.pop("elapsed_s")
     merged.pop("elapsed_s")
     assert json.dumps(merged, sort_keys=True) == json.dumps(serial, sort_keys=True)
+
+
+def test_classify_witness_json_builds_no_dict_per_witness(capsys, monkeypatch):
+    # the witness map goes straight to text, through neither library to_dict
+    from quiddity.enumeration import SizeReport, classify
+    from quiddity.solutions import Witness
+    want = classify(SearchConfig(6, range(3, 9), keep_witnesses=True)).to_dict(False)
+    calls = []
+    for record in (SizeReport, Witness):
+        real = record.to_dict
+        monkeypatch.setattr(record, "to_dict",
+                            lambda self, real=real: calls.append(self) or real(self))
+    code, out, err = run(capsys, "classify", "-N", "6", "--sizes", "3..8", "--witnesses",
+                         "--format", "json")
+    assert (code, err, calls) == (0, "", [])
+    got = json.loads(out)
+    got.pop("elapsed_s")
+    assert got == want and sum(len(s.get("witnesses", ())) for s in want["sizes"]) > 1000
 
 
 def test_classify_jobs_pool_capped_at_cpus(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import json
 import pickle
 from itertools import product
+from os.path import commonprefix
 
 import pytest
 
@@ -551,6 +552,32 @@ def test_classify_witness_retention():
     report = classify(SearchConfig(modulus=6, sizes=(5, 6), irreducible_only=True,
                                    keep_witnesses=True))
     assert all(not s.witnesses for s in report.sizes)
+
+
+def _reports_to_write():
+    for n_mod in range(2, 14):
+        yield classify(SearchConfig(n_mod, range(2, 9), keep_witnesses=True))
+        yield classify(SearchConfig(n_mod, range(2, 9), irreducible_only=True))
+        yield classify(SearchConfig(n_mod, range(2, 7)))  # counted
+    # one shard of a sharded search, and the merge of every shard
+    config = SearchConfig(6, range(3, 8), keep_witnesses=True, shard_count=3)
+    shards = [classify(config._replace(shard_index=i)) for i in range(3)]
+    yield shards[1]
+    yield merge_shards(config, shards)
+
+
+def test_to_json_writes_what_json_dumps_writes():
+    # the witness map is written as text; json.dumps of the dict tree is the oracle
+    # (at N >= 11 a key "10,..." sorts before "2,...")
+    witnesses = 0
+    for report in _reports_to_write():
+        witnesses += sum(len(s.witnesses) for s in report.sizes)
+        for with_timing in (True, False):
+            got = report.to_json(with_timing)
+            want = json.dumps(report.to_dict(with_timing), sort_keys=True)
+            same = got == want  # a bool: pytest's diff of two long strings takes minutes
+            assert same, (report.modulus, with_timing, commonprefix([got, want])[-200:])
+    assert witnesses > 100_000
 
 
 def test_reference_data_loads():

@@ -223,6 +223,16 @@ def test_psl2_order_matches_multiplication_loop():
             assert psl2_order(k, n_mod) == _mat_mul_order(k, n_mod), (n_mod, k)
 
 
+def test_constant_walk_of_the_negated_residue():
+    # U_m(-k) = (-1)^m U_m(k): the same order and first unit, and past N = 2
+    # the sign times (-1)^order (mod 2, -k is k)
+    for n_mod in range(2, 151):
+        for k in range(n_mod):
+            order, sign, first_unit = _constant_walk(k, n_mod)
+            flipped = sign * (-1) ** order if n_mod > 2 else sign
+            assert _constant_walk(-k % n_mod, n_mod) == (order, flipped, first_unit), (n_mod, k)
+
+
 def test_constant_walk_sign_and_first_unit():
     for n_mod in range(2, 30):
         units = {1 % n_mod, n_mod - 1}

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quiddity import solutions
 from quiddity.dissections import _CELLS, MODULUS_KIND
 from quiddity.enumeration import enumerate_solutions
 from quiddity.modmat import (
@@ -444,6 +445,18 @@ def test_is_irreducible_examples():
     assert is_irreducible((2, 3, 2, 3, 2, 3), 5)
     with pytest.raises(ValueError):
         is_irreducible((1, 2, 1), 5)
+    with pytest.raises(ValueError, match=r"\(1, 2\) is not a solution mod 5"):
+        is_irreducible((1, 2), 5)
+
+
+def test_is_irreducible_normalizes_once(monkeypatch):
+    # the split scan starts from the sign the solution test found
+    calls = []
+    real = solutions.normalize_seq
+    monkeypatch.setattr(solutions, "normalize_seq",
+                        lambda *args: calls.append(args) or real(*args))
+    assert is_irreducible((2,) * 5, 5)
+    assert len(calls) == 1
 
 
 def test_reducibility_criteria_exhaustive():
