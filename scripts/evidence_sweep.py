@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Sweep moduli and report the largest irreducible size seen up to a bound.
 
-Evidence gathering for the finiteness conjectures: a clean sweep proves
-nothing beyond the scanned bound, and the output says so.
+Evidence only: a sweep says nothing past its scanned bound, and the
+output says so.
 
 Example:
     python scripts/evidence_sweep.py --max-modulus 9 --extra 3

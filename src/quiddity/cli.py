@@ -20,8 +20,8 @@ import sys
 
 from . import enumeration, monomial
 from .dissections import (
-    MODULUS_KIND,
     _eliminate_quads,
+    _modulus_kind,
     _require_weighted_first,
     _svg,
     _unchecked_quiddity,
@@ -30,8 +30,10 @@ from .dissections import (
     triangulate,
 )
 from .enumeration import SearchConfig, WorkLimitExceeded
+from .modmat import check_modulus
 from .solutions import (
     _decompose,
+    as_solution,
     canonicalize,
     normalize_seq,
     oplus,
@@ -66,9 +68,7 @@ def _modulus(args) -> int:
             raise UsageError(f"{ENV_MODULUS} must be an integer, got {text!r}")
     if n is None:
         raise UsageError("no modulus given (use --modulus or " + ENV_MODULUS + ")")
-    if n == 1 or n < 0:
-        raise UsageError(f"modulus must be 0 (integer mode) or >= 2, got {n}")
-    return n
+    return check_modulus(n)
 
 
 def _parse_sizes(args) -> range | tuple[int, ...]:
@@ -101,12 +101,9 @@ def _input_label(args) -> str:
 
 
 def _emit(args, payload: dict, text_lines: list[str], csv_rows=None):
-    fmt = getattr(args, "format", "text")
-    if fmt == "json":
+    if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
-    elif fmt == "csv":
-        if csv_rows is None:
-            raise UsageError("csv output is not defined for this command")
+    elif args.format == "csv":
         for row in csv_rows:
             print(",".join(str(x) for x in row))
     else:
@@ -162,10 +159,7 @@ def cmd_reduce(args) -> int:
     n = _modulus(args)
     if n == 0:
         raise UsageError("the splitting search is modular-only (modulus >= 2)")
-    seq = normalize_seq(_parse_seq(args.seq), n)
-    sign = solution_sign(seq, n)
-    if sign is None:
-        raise UsageError(f"{','.join(map(str, seq))} is not a solution mod {n}")
+    seq, sign = as_solution(_parse_seq(args.seq), n)
     whitelist = None
     if args.right is not None:  # an empty --right is a usage error, not no restriction
         right = normalize_seq(_parse_seq(args.right, "quiddity reduce: argument --right: "), n)
@@ -194,8 +188,6 @@ def cmd_reduce(args) -> int:
 
 def cmd_enumerate(args) -> int:
     n = _modulus(args)
-    if n < 2:
-        raise UsageError("enumeration needs a modulus >= 2")
     # an empty --alphabet is an error, not every letter
     alphabet = None if args.alphabet is None else _parse_seq(
         args.alphabet, "quiddity enumerate: argument --alphabet: ")
@@ -296,8 +288,6 @@ def cmd_verify(args) -> int:
 
 def cmd_monomial(args) -> int:
     n = _modulus(args)
-    if n < 2:
-        raise UsageError("monomial analysis needs a modulus >= 2")
     if args.k is not None:
         rec = monomial.minimal_monomial(n, args.k)
         lines = [f"k={rec.k}: minimal size {rec.minimal_size}, "
@@ -340,43 +330,31 @@ def cmd_dissect(args) -> int:
     if args.seq is not None and args.random is not None:
         raise UsageError("quiddity dissect: argument --random: not allowed with a sequence")
     n = _modulus(args)
-    if n not in MODULUS_KIND:
-        raise UsageError("dissection models exist for moduli 2, 3 and 4")
+    kind = _modulus_kind(n)  # --random needs the kind; build_dissection checks it again
     if args.random is not None:
-        d = random_dissection(args.random, MODULUS_KIND[n], args.seed)
+        d = random_dissection(args.random, kind, args.seed)
         return _dissect_common(args, d, _unchecked_quiddity(d))
     if not args.seq:
         raise UsageError("give a sequence or --random N")
     seq = normalize_seq(_parse_seq(args.seq), n)
-    try:
-        d = build_dissection(seq, n)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    return _dissect_common(args, d, seq)
+    return _dissect_common(args, build_dissection(seq, n), seq)
 
 
 def cmd_triangulate(args) -> int:
     n = _modulus(args)
-    if n not in MODULUS_KIND:
-        raise UsageError("dissection models exist for moduli 2, 3 and 4")
     seq = normalize_seq(_parse_seq(args.seq), n)
-    try:
-        if args.via_rewrite:
-            # the builder has validated d against seq, so the rewrite takes seq as is
-            d = build_dissection(seq, n)
-            _require_weighted_first(d)
-            d = _eliminate_quads(d, seq)
-        else:
-            d = triangulate(seq, n)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    if args.via_rewrite:
+        # the builder has validated d against seq, so the rewrite takes seq as is
+        d = build_dissection(seq, n)
+        _require_weighted_first(d)
+        d = _eliminate_quads(d, seq)
+    else:
+        d = triangulate(seq, n)
     return _dissect_common(args, d, seq)
 
 
 def cmd_evidence(args) -> int:
     n = _modulus(args)
-    if n < 2:
-        raise UsageError("evidence scans need a modulus >= 2")
     report = enumeration.evidence_scan(n, args.n_max, args.work_limit)
     lines = [f"modulus {n}, scanned sizes 3..{report.n_max} ({report.note})"]
     for size, count in sorted(report.per_size.items()):
@@ -526,7 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="mod 3: build any dissection, then fan quads away")
     p.set_defaults(func=cmd_triangulate)
 
-    p = sub.add_parser("evidence", help="finiteness-conjecture scan (evidence only)")
+    p = sub.add_parser("evidence", help="irreducible counts of sizes 3..n_max "
+                                        "(default N+3); says nothing past n_max")
     _add_common(p)
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--allow-large", **no_budget)

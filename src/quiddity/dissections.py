@@ -27,10 +27,9 @@ from typing import NamedTuple
 
 from .solutions import (
     Seq,
+    as_solution,
     canonicalize,
     dihedral_images,
-    normalize_seq,
-    solution_sign,
 )
 
 KIND_PLAIN = "plain-34"
@@ -39,6 +38,13 @@ KIND_SECOND = "weighted-second"
 
 KIND_MODULUS = {KIND_PLAIN: 2, KIND_FIRST: 3, KIND_SECOND: 4}
 MODULUS_KIND = {m: k for k, m in KIND_MODULUS.items()}
+
+
+def _modulus_kind(n_mod: int) -> str:
+    """The dissection kind of modulus 2, 3 or 4; ValueError for any other."""
+    if n_mod not in MODULUS_KIND:
+        raise ValueError("dissection models exist for moduli 2, 3 and 4 only")
+    return MODULUS_KIND[n_mod]
 
 
 class Cell(NamedTuple):
@@ -470,14 +476,10 @@ def build_dissection(seq, n_mod: int) -> Dissection:
     validated once against the input.  The split always exists for moduli
     2..4, so a search failure is reported as a bug.
     """
-    if n_mod not in MODULUS_KIND:
-        raise ValueError("dissection models exist for moduli 2, 3 and 4 only")
-    kind = MODULUS_KIND[n_mod]
-    seq = normalize_seq(seq, n_mod)
+    kind = _modulus_kind(n_mod)
+    seq = as_solution(seq, n_mod).seq
     if len(seq) < 3:
         raise ValueError("dissections need size >= 3")
-    if solution_sign(seq, n_mod) is None:
-        raise ValueError(f"{seq} is not a solution mod {n_mod}")
     quads, triangles = _ears(n_mod)
     word = bytearray(seq)
     levels = []
@@ -509,12 +511,8 @@ def triangulate(seq, n_mod: int) -> Dissection:
     reflection peels the ear of the rotation ending at the same vertex, so
     rotations alone are scanned.  The result is validated once.
     """
-    if n_mod not in MODULUS_KIND:
-        raise ValueError("dissection models exist for moduli 2, 3 and 4 only")
-    kind = MODULUS_KIND[n_mod]
-    seq = normalize_seq(seq, n_mod)
-    if solution_sign(seq, n_mod) is None:
-        raise ValueError(f"{seq} is not a solution mod {n_mod}")
+    kind = _modulus_kind(n_mod)
+    seq = as_solution(seq, n_mod).seq
     triangles = _ears(n_mod)[1]  # keyed by the +/-1 letters; mod 2 and 3, the nonzero ones
     unit = [a in triangles for a in range(n_mod)]
     good = sum(unit[a] for a in seq)

@@ -24,6 +24,7 @@ from typing import NamedTuple
 from .modmat import (
     IDENTITY,
     _factorize,
+    check_modular,
     check_modulus,
     generator_product,
     pm_identity_sign,
@@ -252,9 +253,7 @@ def enumerate_solutions(n_mod: int, size: int, alphabet=None,
     The DFS recurses once per letter, so after the probe budget a size past
     what the interpreter's recursion limit leaves room for is refused.
     """
-    check_modulus(n_mod)
-    if n_mod < 2:
-        raise ValueError("enumeration needs a modulus >= 2")
+    check_modular(n_mod, "enumeration")
     if size < 2:
         raise ValueError("solutions exist only for size >= 2")
     if alphabet is None:
@@ -326,9 +325,7 @@ def count_classes(n_mod: int, size: int, work_limit: int | None = DEFAULT_WORK_L
     walks add (their table steps), each checked before it is spent; None is
     no budget.
     """
-    check_modulus(n_mod)
-    if n_mod < 2:
-        raise ValueError("counting needs a modulus >= 2")
+    check_modular(n_mod, "counting")
     if size < 2:
         raise ValueError("solutions exist only for size >= 2")
     return _class_counts(n_mod, (size,), work_limit)[size]
@@ -434,9 +431,7 @@ class SearchConfig(_SearchFields):
     def __new__(cls, modulus: int, sizes, irreducible_only: bool = False,
                 shard_index: int = 0, shard_count: int = 1, keep_witnesses: bool = False,
                 work_limit: int | None = DEFAULT_WORK_LIMIT):
-        check_modulus(modulus)
-        if modulus < 2:
-            raise ValueError("classification needs a modulus >= 2")
+        check_modular(modulus, "classification")
         if len(sizes) > DEFAULT_WORK_LIMIT and work_limit is not None:
             _check_work(len(sizes), "sizes", max(work_limit, DEFAULT_WORK_LIMIT))
         sizes = tuple(sorted(set(sizes)))
@@ -476,9 +471,7 @@ class SizeReport(NamedTuple):
     def to_dict(self) -> dict:
         d = self._head()
         if self.witnesses:
-            # one str() per residue, not one per entry of every key
-            names = [str(a) for a in range(max(map(max, self.witnesses)) + 1)]
-            d["witnesses"] = {",".join([names[a] for a in k]): w.to_dict()
+            d["witnesses"] = {",".join(map(str, k)): w.to_dict()
                               for k, w in self.witnesses.items()}
         return d
 
@@ -824,15 +817,6 @@ def reference_classes(n_mod: int) -> dict[int, set[Seq]]:
     return by_size
 
 
-def default_verify_sizes(n_mod: int) -> tuple[int, ...]:
-    return _verify_sizes(reference_classes(n_mod))
-
-
-def _verify_sizes(by_size: dict[int, set[Seq]]) -> tuple[int, ...]:
-    """Sizes 3..max(8, the largest reference size), for ``reference_classes``' output."""
-    return tuple(range(3, max(8, max(by_size)) + 1))
-
-
 class VerifyReport(NamedTuple):
     modulus: int
     sizes: tuple[int, ...]
@@ -860,11 +844,13 @@ def verify_expected(n_mod: int, sizes=None,
     which the report keeps sorted, each size once: a class is compared
     through its canonical representative, so the reference presentation
     (which lists some classes through several rotations) cannot skew the
-    diff.  ``work_limit`` is the search budget; None means no budget.
+    diff.  ``sizes`` defaults to 3..max(8, the largest reference size);
+    ``work_limit`` is the search budget, None meaning no budget.
     """
     expected = reference_classes(n_mod)
-    config = SearchConfig(n_mod, _verify_sizes(expected) if sizes is None else sizes,
-                          irreducible_only=True, work_limit=work_limit)
+    if sizes is None:
+        sizes = range(3, max(8, max(expected)) + 1)
+    config = SearchConfig(n_mod, sizes, irreducible_only=True, work_limit=work_limit)
     report = classify(config)
     found = report.irreducible_classes()
     want = {rep for size, reps in expected.items() if size in config.sizes for rep in reps}
@@ -874,9 +860,10 @@ def verify_expected(n_mod: int, sizes=None,
 
 
 class EvidenceReport(NamedTuple):
-    """Scan summary for the finiteness/size-bound conjectures.
+    """Irreducible class counts of the sizes 3..n_max.
 
-    Evidence only: a clean scan up to n_max proves nothing beyond n_max.
+    The scan says nothing past n_max: irreducible solutions larger than
+    N + 3, the default bound, do occur.
     """
 
     modulus: int
@@ -898,9 +885,7 @@ class EvidenceReport(NamedTuple):
 def evidence_scan(n_mod: int, n_max: int | None = None,
                   work_limit: int | None = DEFAULT_WORK_LIMIT) -> EvidenceReport:
     """Irreducible counts of sizes 3..n_max (default N+3); ``work_limit`` None: no budget."""
-    check_modulus(n_mod)
-    if n_mod < 2:
-        raise ValueError("evidence scan needs a modulus >= 2")
+    check_modular(n_mod, "evidence scan")
     if n_max is None:
         n_max = n_mod + 3
     if n_max < 3:
@@ -961,7 +946,6 @@ __all__ = [
     "classify",
     "load_reference",
     "reference_classes",
-    "default_verify_sizes",
     "VerifyReport",
     "verify_expected",
     "EvidenceReport",

@@ -22,6 +22,13 @@ def check_modulus(n: int) -> int:
     return n
 
 
+def check_modular(n: int, what: str) -> int:
+    """``check_modulus``, then refuse integer mode: ``what`` needs N >= 2."""
+    if check_modulus(n) == 0:
+        raise ValueError(f"{what} needs a modulus >= 2")
+    return n
+
+
 def residue(x: int, n: int) -> int:
     """Least nonnegative representative of x mod n (identity in integer mode)."""
     return x % n if n else x
@@ -125,8 +132,7 @@ def _factorize(n: int) -> dict[int, int]:
 
 def sl2_group_order(n: int) -> int:
     """|SL2(Z/NZ)| = N^3 * prod over primes p|N of (1 - 1/p^2)."""
-    if n < 2:
-        raise ValueError("need N >= 2")
+    check_modular(n, "sl2_group_order")
     order = n ** 3
     for p in _factorize(n):
         order = order // (p * p) * (p * p - 1)
@@ -139,9 +145,7 @@ def psl2_order(k: int, n: int) -> int:
     Read off the continuant walk of ``_constant_walk``; the group is
     finite, so the |SL2| bound can never be hit.
     """
-    check_modulus(n)
-    if n < 2:
-        raise ValueError("psl2_order needs N >= 2")
+    check_modular(n, "psl2_order")
     return _constant_walk(residue(k, n), n)[0]
 
 
@@ -185,6 +189,7 @@ __all__ = [
     "Mat",
     "IDENTITY",
     "check_modulus",
+    "check_modular",
     "residue",
     "generator",
     "mat_mul",

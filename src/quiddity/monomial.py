@@ -14,7 +14,7 @@ from typing import NamedTuple
 from .modmat import (
     Mat,
     _constant_walk,
-    check_modulus,
+    check_modular,
     generator,
     generator_product,
     is_prime,
@@ -56,9 +56,7 @@ def minimal_monomial(n_mod: int, k: int) -> MonomialRecord:
     and only then is the split scan run, for the witness
     ``find_decomposition`` would give.
     """
-    check_modulus(n_mod)
-    if n_mod < 2:
-        raise ValueError("monomial analysis needs a modulus >= 2")
+    check_modular(n_mod, "monomial analysis")
     k = residue(k, n_mod)
     size, sign, first_unit = _constant_walk(k, n_mod)
     if size < 3:
@@ -111,9 +109,7 @@ def boundary_pairs(n_mod: int, k: int, size: int) -> set[tuple[int, int]]:
     closed-form boundary facts (a = b with a*(a-k) = 0; for k = 2 exactly
     a = b = 2 when size = 0 mod N and a = b = 0 when size = 2 mod N).
     """
-    check_modulus(n_mod)
-    if n_mod < 2:
-        raise ValueError("boundary scan needs a modulus >= 2")
+    check_modular(n_mod, "boundary scan")
     if size < 3:
         raise ValueError("boundary shape needs size >= 3")
     k = residue(k, n_mod)
@@ -164,9 +160,7 @@ def monomial_theorem_report(n_mod: int) -> MonomialTheoremReport:
     N = p*q the p- and q-monomial minimals are irreducible; for any N >= 3
     both (2, ..., 2) and (N-2, ..., N-2) of length N are irreducible.
     """
-    check_modulus(n_mod)
-    if n_mod < 2:
-        raise ValueError("monomial analysis needs a modulus >= 2")
+    check_modular(n_mod, "monomial analysis")
     checks = []
     if is_prime(n_mod):
         # U_m(-k) = (-1)^m U_m(k): N - k has the order and first unit of k,

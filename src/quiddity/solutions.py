@@ -35,10 +35,15 @@ class Solution(NamedTuple):
 
 
 def as_solution(seq, n: int) -> Solution:
+    """The normalized tuple with its sign; the one solution check of the package.
+
+    Raises ValueError on a non-solution, naming it in the comma form
+    ``1,2,1 is not a solution mod 3``.
+    """
     seq = normalize_seq(seq, n)
     sign = solution_sign(seq, n)
     if sign is None:
-        raise ValueError(f"{seq} is not a solution mod {n}")
+        raise ValueError(f"{','.join(map(str, seq))} is not a solution mod {n}")
     return Solution(seq, sign)
 
 
@@ -222,14 +227,10 @@ def find_decomposition(seq, n: int, right_whitelist=None) -> Witness | None:
     Raises ValueError on a non-solution, which the criterion needs, and in
     integer mode, where the junction entries range over all of Z.
     """
-    check_modulus(n)
     if n == 0:
         raise ValueError("decomposition search is modular-only; integer-mode "
                          "irreducibles are a known finite family")
-    seq = normalize_seq(seq, n)
-    sign = solution_sign(seq, n)
-    if sign is None:
-        raise ValueError(f"{seq} is not a solution mod {n}")
+    seq, sign = as_solution(seq, n)
     return _decompose(seq, sign, n, right_whitelist)
 
 
@@ -309,14 +310,10 @@ def is_irreducible(seq, n: int) -> bool:
 
     (0, 0) is not counted as irreducible.  Raises ValueError on a non-solution.
     """
-    check_modulus(n)
     if n == 0:
         return integer_mode_irreducible(seq)
-    seq = normalize_seq(seq, n)
-    sign = solution_sign(seq, n)
-    if sign is None:
-        raise ValueError(f"{seq} is not a solution mod {n}")
-    return len(seq) >= 3 and _decompose(seq, sign, n) is None
+    seq, sign = as_solution(seq, n)
+    return len(seq) >= 3 and _split(seq, sign, n) is None
 
 
 def entry_sum_mod3(seq) -> int:

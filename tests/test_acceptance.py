@@ -220,7 +220,7 @@ def test_criterion_11_property_suite():
 
 
 def test_conjecture_evidence_note():
-    # not a criterion: the finiteness conjectures are only observed, never proved
+    # not a criterion: the scan counts sizes 3..n_max and says nothing past n_max
     from quiddity.enumeration import evidence_scan, reference_classes
     for n_mod in range(2, 7):
         rep = evidence_scan(n_mod, n_mod + 3)

@@ -11,14 +11,16 @@ import pytest
 
 from quiddity import cli, dissections, solutions
 from quiddity.cli import main
-from quiddity.dissections import from_dict, quiddity, validate
+from quiddity.dissections import build_dissection, from_dict, quiddity, triangulate, validate
 from quiddity.enumeration import (
     SearchConfig,
     WorkLimitExceeded,
     count_classes,
     enumerate_solutions,
+    evidence_scan,
 )
-from quiddity.solutions import oplus
+from quiddity.monomial import monomial_theorem_report
+from quiddity.solutions import find_decomposition, normalize_seq, oplus
 
 
 def run(capsys, *argv):
@@ -126,6 +128,44 @@ def test_reduce_irreducible(capsys):
 def test_reduce_rejects_non_solution(capsys):
     code, _, err = run(capsys, "reduce", "--modulus", "5", "1,2,1")
     assert code == 2
+
+
+# each refused input: the library call's ValueError, and the command that
+# makes the same call; main prints the library's text as it is
+LIBRARY_REJECTIONS = [
+    ("reduce", find_decomposition, ((1, 2), 5), "1,2 is not a solution mod 5",
+     ("reduce", "-N", "5", "1,2")),
+    ("dissect", build_dissection, ((1, 2, 1), 3), "1,2,1 is not a solution mod 3",
+     ("dissect", "-N", "3", "1,2,1")),
+    ("triangulate", triangulate, ((1, 2, 1), 3), "1,2,1 is not a solution mod 3",
+     ("triangulate", "-N", "3", "1,2,1")),
+    ("enumerate", enumerate_solutions, (0, 3), "enumeration needs a modulus >= 2",
+     ("enumerate", "-N", "0", "--size", "3")),
+    ("monomial", monomial_theorem_report, (0,), "monomial analysis needs a modulus >= 2",
+     ("monomial", "-N", "0")),
+    ("evidence", evidence_scan, (0,), "evidence scan needs a modulus >= 2",
+     ("evidence", "-N", "0")),
+    ("classify", SearchConfig, (0, (3,)), "classification needs a modulus >= 2",
+     ("classify", "-N", "0", "--size", "3")),
+    ("classify-sizes", SearchConfig, (5, range(1, 4)), "sizes must all be >= 2",
+     ("classify", "-N", "5", "--sizes", "1..3")),
+    ("dissect-kind", build_dissection, ((1, 1, 1), 5),
+     "dissection models exist for moduli 2, 3 and 4 only", ("dissect", "-N", "5", "1,1,1")),
+    ("triangulate-kind", triangulate, ((1, 1, 1), 5),
+     "dissection models exist for moduli 2, 3 and 4 only", ("triangulate", "-N", "5", "1,1,1")),
+    ("check", normalize_seq, ((1, 1), 1), "modulus must be 0 (integer mode) or >= 2, got 1",
+     ("check", "-N", "1", "1,1")),
+]
+
+
+@pytest.mark.parametrize("fn, fn_args, message, argv",
+                         [case[1:] for case in LIBRARY_REJECTIONS],
+                         ids=[case[0] for case in LIBRARY_REJECTIONS])
+def test_library_rejections_print_as_one_line(capsys, fn, fn_args, message, argv):
+    with pytest.raises(ValueError) as info:
+        fn(*fn_args)
+    assert str(info.value) == message
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_reduce_right_class_without_split(capsys):

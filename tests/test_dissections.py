@@ -661,8 +661,8 @@ def test_peel_normalizes_and_signs_once(n_mod, size, monkeypatch):
     counts = {}
     _count_calls(monkeypatch, counts, dissections, "find_decomposition")
     _count_calls(monkeypatch, counts, solutions, "find_decomposition")
-    _count_calls(monkeypatch, counts, dissections, "normalize_seq")
-    _count_calls(monkeypatch, counts, dissections, "solution_sign")
+    _count_calls(monkeypatch, counts, solutions, "normalize_seq")
+    _count_calls(monkeypatch, counts, solutions, "solution_sign")
     build_dissection(seq, n_mod)
     assert counts == {"normalize_seq": 1, "solution_sign": 1}
 

@@ -8,7 +8,6 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 RUNS = [
-    ["classify_modulus.py", "4", "--sizes", "3..6"],
     ["evidence_sweep.py", "--min-modulus", "2", "--max-modulus", "4", "--extra", "1"],
     ["monomial_survey.py", "--max-modulus", "5", "--family-bound", "16"],
     ["triangulation_search.py", "--modulus", "3", "--max-size", "5"],
@@ -26,15 +25,3 @@ def test_script_runs(argv):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
-
-
-@pytest.mark.parametrize("sizes", ["3..x", "9..3", "1..3"])
-def test_classify_script_rejects_bad_sizes(sizes):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "classify_modulus.py"),
-                           "4", "--sizes", sizes],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert len(proc.stderr.splitlines()) == 1
-    assert proc.stderr.startswith("error: classify_modulus.py: ")
