@@ -33,6 +33,7 @@ from .enumeration import SearchConfig, WorkLimitExceeded
 from .modmat import check_modulus
 from .solutions import (
     _decompose,
+    _seq_text,
     as_solution,
     canonicalize,
     normalize_seq,
@@ -42,20 +43,17 @@ from .solutions import (
 
 ENV_MODULUS = "QUIDDITY_MODULUS"
 
-# concurrent.futures.ProcessPoolExecutor, imported by the first --jobs run:
-# the import pulls in multiprocessing, which most calls never use
-ProcessPoolExecutor = None
-
 
 class UsageError(Exception):
     pass
 
 
 def _parse_seq(text: str, where: str = "") -> tuple[int, ...]:
+    parts = text.strip().split(",")
     try:
-        return tuple(int(part) for part in text.strip().split(","))
+        return tuple(int(part) for part in parts)
     except ValueError:
-        raise UsageError(f"{where}expected comma-separated integers, got {text.strip()!r}")
+        raise UsageError(f"{where}expected comma-separated integers, got {_seq_text(parts)!r}")
 
 
 def _modulus(args) -> int:
@@ -79,23 +77,16 @@ def _parse_sizes(args) -> range | tuple[int, ...]:
     raise UsageError("give --size or --sizes")
 
 
-_LABEL_ENTRIES = 8
-
-
 def _input_label(args) -> str:
     """The input of a failed command for its exit-3 line: sequences, then the modulus.
 
-    A sequence longer than a few entries is cut to its first entries and its
-    length, so the line stays one line.
+    Each sequence is written by ``_seq_text``, so the line stays one short line.
     """
     shown = []
     for name in ("left", "right") if args.command == "sum" else ("seq",):
         text = getattr(args, name, None)
         if text is not None:
-            seq = _parse_seq(text)
-            head = ",".join(map(str, seq[:_LABEL_ENTRIES]))
-            shown.append(head if len(seq) <= _LABEL_ENTRIES
-                         else f"{head},... ({len(seq)} entries)")
+            shown.append(_seq_text(_parse_seq(text)))
     modulus = _modulus(args)
     return f"{' (+) '.join(shown)} mod {modulus}" if shown else f"modulus {modulus}"
 
@@ -157,15 +148,12 @@ def cmd_canon(args) -> int:
 
 def cmd_reduce(args) -> int:
     n = _modulus(args)
-    if n == 0:
-        raise UsageError("the splitting search is modular-only (modulus >= 2)")
     seq, sign = as_solution(_parse_seq(args.seq), n)
     whitelist = None
     if args.right is not None:  # an empty --right is a usage error, not no restriction
         right = normalize_seq(_parse_seq(args.right, "quiddity reduce: argument --right: "), n)
         if len(right) < 3 or solution_sign(right, n) is None:
-            raise UsageError(f"--right {','.join(map(str, right))} is not a "
-                             f"solution of size >= 3 mod {n}")
+            raise UsageError(f"--right {_seq_text(right)} is not a solution of size >= 3 mod {n}")
         whitelist = [right]
     w = _decompose(seq, sign, n, whitelist)  # find_decomposition, with the sign found above
     if w is None:
@@ -214,7 +202,6 @@ def _check_shard_flags(args) -> None:
 
 
 def _classify_report(args, n: int):
-    global ProcessPoolExecutor
     _check_shard_flags(args)
     config = SearchConfig(
         modulus=n, sizes=_parse_sizes(args),
@@ -223,8 +210,8 @@ def _classify_report(args, n: int):
         keep_witnesses=args.witnesses,
         work_limit=args.work_limit)
     if args.jobs > 1:
-        if ProcessPoolExecutor is None:
-            from concurrent.futures import ProcessPoolExecutor
+        # imported here: it pulls in multiprocessing, which other calls never use
+        from concurrent.futures import ProcessPoolExecutor
         config = config._replace(shard_count=args.jobs)
         # the shard count, not the pool size, fixes the merged report; a fork
         # pool starts all its workers at once, so never more than the CPUs

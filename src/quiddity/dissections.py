@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 from .solutions import (
     Seq,
+    _seq_text,
     as_solution,
     canonicalize,
     dihedral_images,
@@ -404,7 +405,8 @@ def _first_transform(got: Seq, target: Seq) -> int:
     """The least t with apply_dihedral(got, t) == target, for a 3- or 4-letter core."""
     images = dihedral_images(got)
     if target not in images:
-        raise RuntimeError(f"quiddity {got} not equivalent to target {target}")
+        raise RuntimeError(f"quiddity {_seq_text(got)} not equivalent to target "
+                           f"{_seq_text(target)}")
     return images.index(target)
 
 
@@ -460,7 +462,7 @@ def _checked(d: Dissection, seq: Seq, what: str) -> Dissection:
     if not bad and _unchecked_quiddity(d) != seq:
         bad = ["its quiddity differs from the input"]
     if bad:
-        raise RuntimeError(f"{what} of {seq} built an invalid dissection, "
+        raise RuntimeError(f"{what} of {_seq_text(seq)} built an invalid dissection, "
                            "so this is a bug: " + "; ".join(bad))
     return d
 
@@ -492,7 +494,7 @@ def build_dissection(seq, n_mod: int) -> Dissection:
             before, last = last, first
         else:
             raise RuntimeError(
-                f"no attachable split for {tuple(word)} mod {n_mod}; the classification "
+                f"no attachable split for {_seq_text(word)} mod {n_mod}; the classification "
                 "guarantees one, so this is a bug")
         spec, pops, head, tail = ear
         levels.append((len(word), spec, _cut(word, t, pops, head, tail, n_mod)))
@@ -517,7 +519,7 @@ def triangulate(seq, n_mod: int) -> Dissection:
     unit = [a in triangles for a in range(n_mod)]
     good = sum(unit[a] for a in seq)
     if not good:
-        raise ValueError(f"{seq} mod {n_mod} admits no all-triangle dissection")
+        raise ValueError(f"{_seq_text(seq)} mod {n_mod} admits no all-triangle dissection")
     word = bytearray(seq)
     levels = []
     while len(word) > 3:
@@ -531,7 +533,7 @@ def triangulate(seq, n_mod: int) -> Dissection:
             before, last = last, first
         else:
             raise RuntimeError(
-                f"no peelable position in {tuple(word)} mod {n_mod}; the triangulation "
+                f"no peelable position in {_seq_text(word)} mod {n_mod}; the triangulation "
                 "argument guarantees one, so this is a bug")
         levels.append((len(word), triangles[last][0], _cut(word, t, 1, last, last, n_mod)))
         good = rest

@@ -11,9 +11,20 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .modmat import check_modulus, generator_product, pm_identity_sign, residue
+from .modmat import check_modular, check_modulus, generator_product, pm_identity_sign, residue
 
 Seq = tuple[int, ...]
+
+
+def _seq_text(seq) -> str:
+    """``seq`` in the comma form ``1,2,1``, as every refusal names a sequence.
+
+    Past 8 entries it writes the first 8 and the length, as in
+    ``1,1,1,1,1,1,1,1,... (16001 entries)``, so a refusal stays one short
+    line whatever the input.
+    """
+    head = ",".join(map(str, seq[:8]))
+    return head if len(seq) <= 8 else f"{head},... ({len(seq)} entries)"
 
 
 def solution_sign(seq, n: int) -> int | None:
@@ -37,13 +48,13 @@ class Solution(NamedTuple):
 def as_solution(seq, n: int) -> Solution:
     """The normalized tuple with its sign; the one solution check of the package.
 
-    Raises ValueError on a non-solution, naming it in the comma form
+    Raises ValueError on a non-solution, naming it as ``_seq_text`` does:
     ``1,2,1 is not a solution mod 3``.
     """
     seq = normalize_seq(seq, n)
     sign = solution_sign(seq, n)
     if sign is None:
-        raise ValueError(f"{','.join(map(str, seq))} is not a solution mod {n}")
+        raise ValueError(f"{_seq_text(seq)} is not a solution mod {n}")
     return Solution(seq, sign)
 
 
@@ -227,9 +238,6 @@ def find_decomposition(seq, n: int, right_whitelist=None) -> Witness | None:
     Raises ValueError on a non-solution, which the criterion needs, and in
     integer mode, where the junction entries range over all of Z.
     """
-    if n == 0:
-        raise ValueError("decomposition search is modular-only; integer-mode "
-                         "irreducibles are a known finite family")
     seq, sign = as_solution(seq, n)
     return _decompose(seq, sign, n, right_whitelist)
 
@@ -237,9 +245,11 @@ def find_decomposition(seq, n: int, right_whitelist=None) -> Witness | None:
 def _decompose(seq: Seq, sign: int, n: int, right_whitelist=None) -> Witness | None:
     """``find_decomposition`` past its solution test, for a caller that has the sign.
 
-    ``seq`` is normalized mod n >= 2 and ``sign`` is its sign; the size
-    check, the whitelist and the scan are ``find_decomposition``'s.
+    ``seq`` is normalized mod n and ``sign`` is its sign; the integer-mode
+    refusal, the size check, the whitelist and the scan are
+    ``find_decomposition``'s.
     """
+    check_modular(n, "decomposition search")
     if len(seq) < 3:
         raise ValueError("decomposition needs size >= 3")
     allowed = None
@@ -294,7 +304,7 @@ def _split(seq: Seq, sign: int, n: int, allowed=None) -> Witness | None:
 def integer_mode_irreducible(seq) -> bool:
     seq = tuple(seq)
     if solution_sign(seq, 0) is None:
-        raise ValueError(f"{seq} is not an integer-mode solution")
+        raise ValueError(f"{_seq_text(seq)} is not an integer-mode solution")
     if len(seq) == 3:
         return seq in ((1, 1, 1), (-1, -1, -1))
     if len(seq) == 4:

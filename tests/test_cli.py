@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from quiddity import cli, dissections, solutions
+from quiddity import cli, dissections, enumeration, solutions
 from quiddity.cli import main
 from quiddity.dissections import build_dissection, from_dict, quiddity, triangulate, validate
 from quiddity.enumeration import (
@@ -130,11 +130,27 @@ def test_reduce_rejects_non_solution(capsys):
     assert code == 2
 
 
+# a 16,001-entry non-solution mod 5 and mod 3, and 4,000 zeros: a refusal
+# names a sequence by its first 8 entries and its length
+LONG = (1,) * 16000 + (2,)
+LONG_TEXT = ",".join(map(str, LONG))
+LONG_SHOWN = "1,1,1,1,1,1,1,1,... (16001 entries)"
+ZEROS = (0,) * 4000
+
 # each refused input: the library call's ValueError, and the command that
 # makes the same call; main prints the library's text as it is
 LIBRARY_REJECTIONS = [
     ("reduce", find_decomposition, ((1, 2), 5), "1,2 is not a solution mod 5",
      ("reduce", "-N", "5", "1,2")),
+    ("reduce-long", find_decomposition, (LONG, 5), f"{LONG_SHOWN} is not a solution mod 5",
+     ("reduce", "-N", "5", LONG_TEXT)),
+    ("reduce-integer", find_decomposition, ((1, 1, 1), 0),
+     "decomposition search needs a modulus >= 2", ("reduce", "-N", "0", "1,1,1")),
+    ("dissect-long", build_dissection, (LONG, 3), f"{LONG_SHOWN} is not a solution mod 3",
+     ("dissect", "-N", "3", LONG_TEXT)),
+    ("triangulate-long", triangulate, (ZEROS, 4),
+     "0,0,0,0,0,0,0,0,... (4000 entries) mod 4 admits no all-triangle dissection",
+     ("triangulate", "-N", "4", ",".join(map(str, ZEROS)))),
     ("dissect", build_dissection, ((1, 2, 1), 3), "1,2,1 is not a solution mod 3",
      ("dissect", "-N", "3", "1,2,1")),
     ("triangulate", triangulate, ((1, 2, 1), 3), "1,2,1 is not a solution mod 3",
@@ -165,6 +181,19 @@ def test_library_rejections_print_as_one_line(capsys, fn, fn_args, message, argv
     with pytest.raises(ValueError) as info:
         fn(*fn_args)
     assert str(info.value) == message
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("classify", "-N", "6"), "give --size or --sizes"),
+    (("dissect", "-N", "3"), "give a sequence or --random N"),
+    # text that does not parse is echoed cut by its comma-separated parts
+    (("reduce", "-N", "5", LONG_TEXT + ",x"),
+     "expected comma-separated integers, got '1,1,1,1,1,1,1,1,... (16002 entries)'"),
+    (("reduce", "-N", "9", "3,3,3,3,3,3", "--right", LONG_TEXT),
+     f"--right {LONG_SHOWN} is not a solution of size >= 3 mod 9"),
+], ids=["classify-no-sizes", "dissect-no-input", "reduce-unparsed-long", "reduce-right-long"])
+def test_cli_refusals_print_as_one_line(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
@@ -332,7 +361,7 @@ def test_classify_jobs_pool_capped_at_cpus(capsys, monkeypatch):
 
     argv = ("classify", "--modulus", "5", "--sizes", "3..6", "--format", "csv")
     _, serial_out, _ = run(capsys, *argv)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     code, par_out, err = run(capsys, *argv, "--jobs", "64")
     assert (code, err) == (0, "")
@@ -526,6 +555,15 @@ def test_verify_pass(capsys):
         assert "PASS" in out
 
 
+def test_verify_fail_lists_missing_and_extra(capsys, monkeypatch):
+    # a reference list that drops (2, 2, 2) and names a class no search finds
+    monkeypatch.setattr(enumeration, "reference_classes",
+                        lambda n: {3: {(1, 1, 1)}, 4: {(0, 0, 0, 0)}, 5: {(0, 1, 0, 1, 0)}})
+    assert run(capsys, "verify", "-N", "3") == (1, "modulus 3, sizes 3..8: FAIL\n"
+                                                   "missing: 0,1,0,1,0\n"
+                                                   "extra:   2,2,2\n", "")
+
+
 def test_monomial_record(capsys):
     code, out, _ = run(capsys, "monomial", "--modulus", "10", "--k", "3",
                        "--format", "json")
@@ -562,6 +600,14 @@ def test_dissect_svg(capsys):
                        "--format", "svg")
     assert code == 0
     assert out.startswith("<svg")
+
+
+def test_dissect_text_lists_split_pairs(capsys):
+    assert run(capsys, "dissect", "-N", "4", "0,2,0,2") == (
+        0, "weighted-second dissection of an 4-gon; quiddity 0,2,0,2\n"
+           "  cell 1-2-3 weight 2\n"
+           "  cell 1-3-4 weight 2\n"
+           "  split pair: cells 0 and 1\n", "")
 
 
 def test_dissect_random(capsys):
@@ -780,6 +826,8 @@ ARGUMENT_ERRORS = [
     # a random dissection is built instead of a sequence's, not besides it
     (("dissect", "--modulus", "3", "1,1,1", "--random", "5"),
      "argument --random: not allowed with a sequence"),
+    (("classify", "--modulus", "5", "--size", "4", "--jobs", "x"),
+     "argument --jobs: invalid int value: 'x'"),
 ]
 
 

@@ -33,6 +33,7 @@ from quiddity.dissections import (
 from quiddity import dissections, solutions
 from quiddity.enumeration import enumerate_solutions
 from quiddity.solutions import (
+    _seq_text,
     apply_dihedral,
     canonicalize,
     dihedral_images,
@@ -473,7 +474,7 @@ def _reference_match_exact(d: Dissection, target):
     for t in range(2 * d.n):
         if apply_dihedral(got, t) == target:
             return relabel(d, t)
-    raise RuntimeError(f"quiddity {got} not equivalent to target {target}")
+    raise RuntimeError(f"quiddity {_seq_text(got)} not equivalent to target {_seq_text(target)}")
 
 
 def _reference_build_dissection(seq, n_mod: int) -> Dissection:
@@ -484,14 +485,14 @@ def _reference_build_dissection(seq, n_mod: int) -> Dissection:
     if len(seq) < 3:
         raise ValueError("dissections need size >= 3")
     if solution_sign(seq, n_mod) is None:
-        raise ValueError(f"{seq} is not a solution mod {n_mod}")
+        raise ValueError(f"{_seq_text(seq)} is not a solution mod {n_mod}")
     if len(seq) <= 4:
         base = _base_cases(n_mod)[canonicalize(seq)]
         return _reference_match_exact(base, seq)
     witness = find_decomposition(seq, n_mod, list(_CELLS[kind].values()))
     if witness is None:
         raise RuntimeError(
-            f"no attachable split for {seq} mod {n_mod}; the classification "
+            f"no attachable split for {_seq_text(seq)} mod {n_mod}; the classification "
             "guarantees one, so this is a bug")
     inner = _reference_build_dissection(witness.left, n_mod)
     grown = attach_cell(inner, _spec_of(witness.right, kind))
@@ -504,11 +505,11 @@ def _reference_triangulate(seq, n_mod: int) -> Dissection:
     kind = MODULUS_KIND[n_mod]
     seq = normalize_seq(seq, n_mod)
     if solution_sign(seq, n_mod) is None:
-        raise ValueError(f"{seq} is not a solution mod {n_mod}")
+        raise ValueError(f"{_seq_text(seq)} is not a solution mod {n_mod}")
     units = (1,) if n_mod == 2 else (1, n_mod - 1)
     ok = any(a in units for a in seq) if n_mod == 4 else any(seq)
     if not ok:
-        raise ValueError(f"{seq} mod {n_mod} admits no all-triangle dissection")
+        raise ValueError(f"{_seq_text(seq)} mod {n_mod} admits no all-triangle dissection")
     n = len(seq)
     if n == 3:
         return _reference_match_exact(_base_cases(n_mod)[canonicalize(seq)], seq)
@@ -525,7 +526,7 @@ def _reference_triangulate(seq, n_mod: int) -> Dissection:
         grown = attach_cell(inner, ("triangle", None if kind == KIND_PLAIN else eps))
         return _reference_match_exact(grown, seq)
     raise RuntimeError(
-        f"no peelable position in {seq} mod {n_mod}; the triangulation "
+        f"no peelable position in {_seq_text(seq)} mod {n_mod}; the triangulation "
         "argument guarantees one, so this is a bug")
 
 

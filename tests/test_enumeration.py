@@ -1,6 +1,8 @@
 import json
 import pickle
+from collections import Counter
 from itertools import product
+from math import gcd
 from os.path import commonprefix
 
 import pytest
@@ -867,6 +869,61 @@ def test_pruned_leaves_need_no_split_check():
             config = SearchConfig(n_mod, (size,), irreducible_only=True)
             for rep, sign in _class_leaves(config, (size,))[0][size]:
                 assert _split(rep, sign, n_mod) is None, (n_mod, rep)
+
+
+def _farey_cycles(n_mod: int) -> Counter:
+    """Directed chordless cycles through (1, 0) in the Farey graph mod N, by length.
+
+    The vertices are the primitive vectors of (Z/NZ)^2 modulo +/-1, joined
+    when their determinant is +/-1.  A path grows from (1, 0) and never
+    steps onto a neighbour of an inner vertex; it closes on a neighbour of
+    (1, 0), which it cannot pass through.  No group table, necklace or
+    canonical form is used.
+    """
+    vertices = sorted({min((x, y), (-x % n_mod, -y % n_mod))
+                       for x in range(n_mod) for y in range(n_mod)
+                       if gcd(x, y, n_mod) == 1})
+    adjacent = [sum(1 << j for j, (z, t) in enumerate(vertices)
+                    if (x * t - y * z) % n_mod in (1, n_mod - 1))
+                for x, y in vertices]
+    root = vertices.index((1, 0))
+    ring = adjacent[root]
+    counts = Counter()
+
+    def extend(last: int, blocked: int, length: int):
+        free = adjacent[last] & ~blocked
+        while free:
+            bit = free & -free
+            free ^= bit
+            if bit & ring:
+                counts[length + 1] += 1
+            else:
+                extend(bit.bit_length() - 1, blocked | adjacent[last] | 1 << last, length + 1)
+
+    for first in range(len(vertices)):
+        if ring >> first & 1:
+            extend(first, 1 << root | 1 << first, 2)
+    return counts
+
+
+@pytest.mark.parametrize("n_mod", [*range(3, 11), 12])
+def test_irreducible_words_are_farey_chordless_cycles(n_mod):
+    # With v_i the first row of the prefix product P_i, a word is a closed
+    # walk v_0 = (1, 0), v_1, ... in the Farey graph, and a window with
+    # continuant +/-1 is a chord of it.  So for size n != 4 the irreducible
+    # words are the chordless n-cycles through the edge from (0, 1) to
+    # (1, 0), and the N neighbours of (1, 0) make N times as many cycles
+    # through (1, 0).  Size 4's irreducibles (0, b, 0, -b) turn back on
+    # themselves instead.  Every size the graph allows is compared, and
+    # one more, which must be empty; the default budget stops a search
+    # whose pruning has broken.
+    cycles = _farey_cycles(n_mod)
+    sizes = range(3, max(cycles) + 2)
+    report = classify(SearchConfig(n_mod, sizes, irreducible_only=True))
+    words = {s.size: sum(len(set(dihedral_images(rep))) for rep in s.irreducible)
+             for s in report.sizes}
+    assert {n: n_mod * words[n] for n in sizes if n != 4} == \
+        {n: cycles[n] for n in sizes if n != 4}
 
 
 def test_group_table_covers_sl2():

@@ -68,6 +68,7 @@ def test_solution_sign_examples():
     assert solution_sign((2, 2, 2, 2), 4) is not None
     assert naive_sign((1, 2, 1), 5) is None  # oracle agrees
     assert solution_sign((1, 2, 1), 5) is None
+    assert solution_sign((), 5) is None
 
 
 def test_as_solution_rejects_non_solution():
@@ -306,8 +307,7 @@ def _reference_decomposition(seq, n, right_whitelist=None):
     # and whitelisted parts compared after canonicalization
     check_modulus(n)
     if n == 0:
-        raise ValueError("decomposition search is modular-only; integer-mode "
-                         "irreducibles are a known finite family")
+        raise ValueError("decomposition search needs a modulus >= 2")
     seq = normalize_seq(seq, n)
     size = len(seq)
     if size < 3:
@@ -505,7 +505,7 @@ def test_integer_mode_membership():
     assert not integer_mode_irreducible((1, 0, -1, 0))
     assert not integer_mode_irreducible((1, 1, 1, 1, 1, 1))
     assert is_irreducible((5, 0, -5, 0), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^2,2 is not an integer-mode solution$"):
         integer_mode_irreducible((2, 2))
 
 
