@@ -30,7 +30,7 @@ from .dissections import (
     triangulate,
 )
 from .enumeration import SearchConfig, WorkLimitExceeded
-from .modmat import check_modulus
+from .modmat import check_modular, check_modulus
 from .solutions import (
     _decompose,
     _seq_text,
@@ -49,11 +49,25 @@ class UsageError(Exception):
 
 
 def _parse_seq(text: str, where: str = "") -> tuple[int, ...]:
+    """The integers of comma-separated text; a usage error names the first part that is not one.
+
+    A part that is longer than 16 characters, or whose escapes make its
+    repr longer than 40, is shown by its first characters and its length,
+    so the error stays one short line whatever the input.
+    """
     parts = text.strip().split(",")
-    try:
-        return tuple(int(part) for part in parts)
-    except ValueError:
-        raise UsageError(f"{where}expected comma-separated integers, got {_seq_text(parts)!r}")
+    seq = []
+    for i, part in enumerate(parts, 1):
+        try:
+            seq.append(int(part))
+        except ValueError:
+            head = part[:16]
+            while len(repr(head)) > 40:  # an escape takes up to 10 characters
+                head = head[:-1]
+            shown = repr(part) if head == part else f"{head!r}... ({len(part)} characters)"
+            raise UsageError(f"{where}expected comma-separated integers; "
+                             f"entry {i} of {len(parts)} is {shown}") from None
+    return tuple(seq)
 
 
 def _modulus(args) -> int:
@@ -147,7 +161,8 @@ def cmd_canon(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    n = _modulus(args)
+    # integer mode is refused before the input is multiplied out over Z
+    n = check_modular(_modulus(args), "decomposition search")
     seq, sign = as_solution(_parse_seq(args.seq), n)
     whitelist = None
     if args.right is not None:  # an empty --right is a usage error, not no restriction
@@ -216,8 +231,8 @@ def _classify_report(args, n: int):
         # the shard count, not the pool size, fixes the merged report; a fork
         # pool starts all its workers at once, so never more than the CPUs
         with ProcessPoolExecutor(max_workers=min(args.jobs, os.cpu_count() or 1)) as pool:
-            reports = list(pool.map(enumeration.run_shard, [config] * args.jobs,
-                                    range(args.jobs)))
+            reports = list(pool.map(enumeration.classify, [
+                config._replace(shard_index=i) for i in range(args.jobs)]))
         return enumeration.merge_shards(config, reports)
     return enumeration.classify(config)
 

@@ -29,7 +29,6 @@ from .solutions import (
     Seq,
     _seq_text,
     as_solution,
-    canonicalize,
     dihedral_images,
 )
 
@@ -315,7 +314,13 @@ def relabel(d: Dissection, transform: int) -> Dissection:
 
 @functools.cache
 def _base_cases(n_mod: int) -> dict[Seq, Dissection]:
-    """The realization table of the size-3 and 4 classes, built once per modulus."""
+    """The realization table of the size-3 and 4 solutions, built once per modulus.
+
+    One dissection is written out per class, with the canonical form as its
+    quiddity.  Every dihedral image of that form keys relabel(dissection, t)
+    for the least t that maps the form onto it, so each entry's quiddity is
+    its key.
+    """
     kind = MODULUS_KIND[n_mod]
 
     def t(*cells, pairs=()):
@@ -323,29 +328,35 @@ def _base_cases(n_mod: int) -> dict[Seq, Dissection]:
         return Dissection(n, kind, tuple(Cell(v, w) for v, w in cells), pairs)
 
     if n_mod == 2:
-        return {
-            (1, 1, 1): t(((1, 2, 3), None)),
-            (0, 0, 0, 0): t(((1, 2, 3, 4), None)),
-            (0, 1, 0, 1): t(((1, 2, 3), None), ((1, 3, 4), None)),
-        }
-    if n_mod == 3:
-        return {
-            (1, 1, 1): t(((1, 2, 3), 1)),
-            (2, 2, 2): t(((1, 2, 3), 2)),
-            (0, 0, 0, 0): t(((1, 2, 3, 4), 0)),
-            (1, 2, 1, 2): t(((1, 2, 4), 1), ((2, 3, 4), 1)),
-            (0, 1, 0, 2): t(((1, 2, 3), 1), ((1, 3, 4), 2)),
-        }
-    return {
-        (1, 1, 1): t(((1, 2, 3), 1)),
-        (3, 3, 3): t(((1, 2, 3), 3)),
-        (0, 0, 0, 0): t(((1, 2, 3, 4), 0)),
-        (2, 2, 2, 2): t(((1, 2, 3, 4), 2)),
-        (0, 2, 0, 2): t(((1, 2, 3), 2), ((1, 3, 4), 2), pairs=((0, 1),)),
-        (1, 2, 1, 2): t(((1, 2, 4), 1), ((2, 3, 4), 1)),
-        (0, 1, 0, 3): t(((1, 2, 3), 1), ((1, 3, 4), 3)),
-        (2, 3, 2, 3): t(((1, 2, 3), 3), ((1, 3, 4), 3)),
-    }
+        cores = (
+            t(((1, 2, 3), None)),
+            t(((1, 2, 3, 4), None)),
+            t(((1, 2, 3), None), ((1, 3, 4), None)),
+        )
+    elif n_mod == 3:
+        cores = (
+            t(((1, 2, 3), 1)),
+            t(((1, 2, 3), 2)),
+            t(((1, 2, 3, 4), 0)),
+            t(((1, 2, 4), 1), ((2, 3, 4), 1)),
+            t(((1, 2, 3), 1), ((1, 3, 4), 2)),
+        )
+    else:
+        cores = (
+            t(((1, 2, 3), 1)),
+            t(((1, 2, 3), 3)),
+            t(((1, 2, 3, 4), 0)),
+            t(((1, 2, 3, 4), 2)),
+            t(((1, 2, 3), 2), ((1, 3, 4), 2), pairs=((0, 1),)),
+            t(((1, 2, 4), 1), ((2, 3, 4), 1)),
+            t(((1, 2, 3), 1), ((1, 3, 4), 3)),
+            t(((1, 2, 3), 3), ((1, 3, 4), 3)),
+        )
+    table: dict[Seq, Dissection] = {}
+    for d in cores:
+        for k, image in enumerate(dihedral_images(_unchecked_quiddity(d))):
+            table.setdefault(image, relabel(d, k))
+    return table
 
 
 @functools.cache
@@ -401,15 +412,6 @@ def _cut(word: bytearray, t: int, pops: int, head: int, tail: int, n_mod: int) -
     return r
 
 
-def _first_transform(got: Seq, target: Seq) -> int:
-    """The least t with apply_dihedral(got, t) == target, for a 3- or 4-letter core."""
-    images = dihedral_images(got)
-    if target not in images:
-        raise RuntimeError(f"quiddity {_seq_text(got)} not equivalent to target "
-                           f"{_seq_text(target)}")
-    return images.index(target)
-
-
 def _moved(labels: list[int], t: int) -> list[int]:
     """Final labels seen through relabel(., t).
 
@@ -429,12 +431,13 @@ def _assemble(kind: str, levels, core: Seq) -> Dissection:
     ``levels`` lists (n, spec, r) from the outside in: the peel split the
     spec's cell off the n-letter target's rotation by t, and r = -t mod p,
     p the target's least period, is the least transform back onto the
-    target; ``core`` is the innermost target, from the base table.  The
-    recursion attaches each cell to the dissection of the next target and
-    relabels it by r.  Composed top-down, these give one label map per
-    level, a deque rotated by r and popped down to the next level's.  Each
-    cell is made once from its final labels, in the recursion's cell and
-    pair order: base cells, then the rest from the inside out.
+    target; ``core`` is the innermost target, which keys its dissection in
+    the base table.  The recursion attaches each cell to the dissection of
+    the next target and relabels it by r.  Composed top-down, these give
+    one label map per level, a deque rotated by r and popped down to the
+    next level's.  Each cell is made once from its final labels, in the
+    recursion's cell and pair order: base cells, then the rest from the
+    inside out.
     """
     size = levels[0][0] if levels else len(core)
     labels = deque(range(1, size + 1))
@@ -445,8 +448,7 @@ def _assemble(kind: str, levels, core: Seq) -> Dissection:
         outer.append(_outer_cells(spec, labels, m))
         for _ in range(n - m):
             labels.pop()
-    base = _base_cases(KIND_MODULUS[kind])[canonicalize(core)]
-    labels = _moved(list(labels), _first_transform(_unchecked_quiddity(base), core))
+    base = _base_cases(KIND_MODULUS[kind])[core]
     cells = [Cell(tuple(sorted(labels[v - 1] for v in c.vertices)), c.weight)
              for c in base.cells]
     pairs = list(base.pairs)

@@ -56,10 +56,10 @@ def _group_tables(n: int):
     """SL2(Z/NZ) as index tables, built from S = G(0) and T = [[1, 1], [0, 1]].
 
     Returns (elements, step, tails): ``step[a][g]`` is the index of
-    generator(a) * elements[g], and ``tails[g]`` lists the (a_{n-1}, a_n,
-    eps) triples completing any prefix whose product is elements[g] to a
-    solution of sign eps.  At most one triple per element: both signs would
-    need p11 = 1 = -1, and mod 2 only eps = +1 is tried.
+    generator(a) * elements[g], and ``tails[g]`` is the (a_{n-1}, a_n, eps)
+    triple completing any prefix whose product is elements[g] to a solution
+    of sign eps, or None.  There is at most one: both signs would need
+    p11 = 1 = -1, and mod 2 only eps = +1 is tried.
 
     S and T generate SL2(Z) (Serre, A Course in Arithmetic, VII.1), which
     maps onto SL2(Z/NZ) (Shimura, Introduction to the Arithmetic Theory of
@@ -83,22 +83,27 @@ def _group_tables(n: int):
         step.append([t_row[x] for x in step[-1]])
     minus_one = residue(-1, n)
     signs = (1,) if minus_one == 1 else (1, -1)
-    tails = [tuple(((-eps * p21) % n, (eps * p12) % n, eps) for eps in signs
-                   if (eps * p11 - minus_one) % n == 0) for p11, p12, p21, _ in elements]
+    tails = [next((((-eps * p21) % n, (eps * p12) % n, eps) for eps in signs
+                   if (eps * p11 - minus_one) % n == 0), None) for p11, p12, p21, _ in elements]
     return elements, step, tails
 
 
 @lru_cache(maxsize=None)
 def _window_masks(n: int):
-    """Bit tables for the pruned class DFS, indexed like ``_group_tables``' elements.
+    """Tables for the class DFS, indexed like ``_group_tables``' elements.
 
-    Returns (row_bit, masks).  With P_t the product of a_1..a_t, the window
-    a_i..a_t has product P_t Q^-1 with Q = P_{i-1}, so its continuant is
-    row1(P_t) . col1(Q^-1) = row1(P_t) . (q22, -q21).  ``row_bit[P]`` is
-    p11 * N + p12, the bit of row 1 of P, and ``masks[Q]`` has the bit of
-    every row r with r . (q22, -q21) = +/-1.  As Q has determinant 1, those
-    rows are u * row1(Q) + s * row2(Q) for u = +/-1 and s in Z/NZ, and
-    elements with the same second row share one mask.
+    Returns (row_bit, masks, letters).  With P_t the product of a_1..a_t,
+    the window a_i..a_t has product P_t Q^-1 with Q = P_{i-1}, so its
+    continuant is row1(P_t) . col1(Q^-1) = row1(P_t) . (q22, -q21).
+    ``row_bit[P]`` is p11 * N + p12, the bit of row 1 of P, and ``masks[Q]``
+    has the bit of every row r with r . (q22, -q21) = +/-1.  As Q has
+    determinant 1, those rows are u * row1(Q) + s * row2(Q) for u = +/-1 and
+    s in Z/NZ, and elements with the same second row share one mask.
+
+    ``letters[g]`` lists, in increasing order, the a whose child
+    step[a][g] has a tail: the letters that end a leaf.  The child G(a) g
+    has p11 = a g11 - g21, and it has a tail iff p11 = +/-1, so the letters
+    depend only on the first column of g and are solved once per column.
     """
     elements, _, _ = _group_tables(n)
     units = {1 % n, n - 1}
@@ -114,24 +119,10 @@ def _window_masks(n: int):
             by_row[q21, q22] = mask
         masks.append(mask)
     row_bit = [p11 * n + p12 for p11, p12, _, _ in elements]
-    return row_bit, masks
-
-
-@lru_cache(maxsize=None)
-def _tail_letters(n: int):
-    """The letters that end a leaf, indexed like ``_group_tables``' elements.
-
-    ``letters[g]`` lists, in increasing order, the a whose child
-    step[a][g] has a tail: the last prefix letters after a prefix of
-    product g that complete a solution.  The child G(a) g has
-    p11 = a g11 - g21, and it has a tail iff p11 = +/-1, so the letters
-    depend only on the first column of g and are solved once per column.
-    """
-    elements, _, _ = _group_tables(n)
-    units = {1 % n, n - 1}
     by_column = [tuple(a for a in range(n) if (a * g11 - g21) % n in units)
                  for g11 in range(n) for g21 in range(n)]
-    return [by_column[g11 * n + g21] for g11, _, g21, _ in elements]
+    letters = [by_column[g11 * n + g21] for g11, _, g21, _ in elements]
+    return row_bit, masks, letters
 
 
 @lru_cache(maxsize=None)
@@ -279,12 +270,10 @@ def enumerate_solutions(n_mod: int, size: int, alphabet=None,
 
     def dfs(remaining: int, g: int):
         if remaining == 0:
-            pairs = tails[g]
-            if pairs:
-                base = tuple(path)
-                for u, v, _ in pairs:
-                    if allowed is None or (u in allowed and v in allowed):
-                        out.append(base + (u, v))
+            if tail := tails[g]:
+                u, v, _ = tail
+                if allowed is None or (u in allowed and v in allowed):
+                    out.append((*path, u, v))
             return
         remaining -= 1
         for a, row in rows:
@@ -610,8 +599,8 @@ def _class_leaves(config: SearchConfig, sizes, prune: bool = True) -> tuple[dict
     and a prefix of depth d with a tail ends a leaf of size d + 2 when that
     size is asked for.  Every level runs one loop body over its letters:
     above the deepest level every letter from the least the rule allows;
-    at the deepest level, where only leaves are left, ``_tail_letters``,
-    the letters whose child has a tail.  A node counts all its letters
+    at the deepest level, where only leaves are left, the letters whose
+    child has a tail (``_window_masks``).  A node counts all its letters
     once, whichever it walks.
 
     Unpruned, the leaves are all the classes.  Pruned, a prefix of depth d
@@ -646,8 +635,8 @@ def _class_leaves(config: SearchConfig, sizes, prune: bool = True) -> tuple[dict
     whether they end a leaf or are entered; at the deepest level only those
     with a tail are walked.  Shallower leaves belong to shard 0, so the
     shards' leaves are disjoint.
-    Leaves of one size come in increasing order: each tail holds at most one
-    pair, and the DFS tries letters in increasing order.
+    Leaves of one size come in increasing order: each prefix has at most one
+    tail, and the DFS tries letters in increasing order.
     """
     n_mod = config.modulus
     largest = max(sizes)
@@ -661,8 +650,7 @@ def _class_leaves(config: SearchConfig, sizes, prune: bool = True) -> tuple[dict
             raise _too_deep(largest, deepest)
     _check_table(n_mod, budget)
     _, step, tails = _group_tables(n_mod)
-    tail_letters = _tail_letters(n_mod)
-    row_bit, masks = _window_masks(n_mod)
+    row_bit, masks, tail_letters = _window_masks(n_mod)
     if not prune:
         masks = [0] * len(tails)
     whole = masks[0]  # the window of the whole prefix
@@ -721,15 +709,15 @@ def _class_leaves(config: SearchConfig, sizes, prune: bool = True) -> tuple[dict
                 if (rank - 1) % config.shard_count != config.shard_index:
                     continue
             p = period if a == low else below
-            if out is not None and tails[child]:
-                (u, v, eps), = tails[child]
+            if out is not None and (tail := tails[child]):
+                u, v, eps = tail
                 emit(out, prefix + (a, u, v), p, eps)
             if below < top and not whole >> bit & 1:
                 dfs(prefix + (a,), child, p, forbid | masks[child])
 
-    if outs[0] is not None:  # size 2: the tails of the empty prefix
-        for u, v, eps in tails[0]:
-            emit(outs[0], (u, v), 1, eps)
+    if outs[0] is not None and tails[0]:  # size 2: the tail of the empty prefix
+        u, v, eps = tails[0]
+        emit(outs[0], (u, v), 1, eps)
     if top:
         dfs((), 0, 1, 0)
     return found, visited
@@ -890,17 +878,12 @@ def evidence_scan(n_mod: int, n_max: int | None = None,
         n_max = n_mod + 3
     if n_max < 3:
         raise ValueError(f"n_max must be >= 3, got {n_max}")
-    report = classify(SearchConfig(
-        modulus=n_mod, sizes=range(3, n_max + 1), irreducible_only=True,
-        work_limit=work_limit))
-    per_size = {s.size: len(s.irreducible) for s in report.sizes}
+    config = SearchConfig(n_mod, range(3, n_max + 1), irreducible_only=True,
+                          work_limit=work_limit)
+    leaves, _ = _class_leaves(config, config.sizes)  # pruned: the irreducible classes
+    per_size = {size: len(leaves[size]) for size in config.sizes}
     with_any = [s for s, c in per_size.items() if c]
     return EvidenceReport(n_mod, n_max, per_size, max(with_any) if with_any else None)
-
-
-def run_shard(config: SearchConfig, shard_index: int) -> ClassificationReport:
-    """Classify one shard of a sharded config (helper for process pools)."""
-    return classify(config._replace(shard_index=shard_index))
 
 
 def merge_class_sets(reports) -> dict[int, set[Seq]]:
@@ -950,7 +933,6 @@ __all__ = [
     "verify_expected",
     "EvidenceReport",
     "evidence_scan",
-    "run_shard",
     "merge_class_sets",
     "merge_shards",
 ]

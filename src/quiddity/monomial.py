@@ -73,11 +73,7 @@ def square_constant_solution(l: int) -> tuple[int, Seq]:
     """
     if l < 2:
         raise ValueError("need l >= 2")
-    n_mod = l * l
-    seq = (l,) * (2 * l)
-    if pm_identity_sign(generator_product(seq, n_mod), n_mod) is None:
-        raise RuntimeError("square constant family failed its solution check")
-    return n_mod, seq
+    return prime_power_constant_solution(l, 2)
 
 
 def prime_power_constant_solution(l: int, exp: int) -> tuple[int, Seq]:

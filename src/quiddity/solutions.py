@@ -238,18 +238,17 @@ def find_decomposition(seq, n: int, right_whitelist=None) -> Witness | None:
     Raises ValueError on a non-solution, which the criterion needs, and in
     integer mode, where the junction entries range over all of Z.
     """
-    seq, sign = as_solution(seq, n)
+    # integer mode is refused before the input is multiplied out over Z
+    seq, sign = as_solution(seq, check_modular(n, "decomposition search"))
     return _decompose(seq, sign, n, right_whitelist)
 
 
 def _decompose(seq: Seq, sign: int, n: int, right_whitelist=None) -> Witness | None:
-    """``find_decomposition`` past its solution test, for a caller that has the sign.
+    """``find_decomposition`` past its modulus and solution checks, for a caller that has the sign.
 
-    ``seq`` is normalized mod n and ``sign`` is its sign; the integer-mode
-    refusal, the size check, the whitelist and the scan are
-    ``find_decomposition``'s.
+    ``seq`` is normalized mod n >= 2 and ``sign`` is its sign; the size
+    check, the whitelist and the scan are ``find_decomposition``'s.
     """
-    check_modular(n, "decomposition search")
     if len(seq) < 3:
         raise ValueError("decomposition needs size >= 3")
     allowed = None

@@ -187,9 +187,9 @@ def test_library_rejections_print_as_one_line(capsys, fn, fn_args, message, argv
 @pytest.mark.parametrize("argv, message", [
     (("classify", "-N", "6"), "give --size or --sizes"),
     (("dissect", "-N", "3"), "give a sequence or --random N"),
-    # text that does not parse is echoed cut by its comma-separated parts
+    # text that does not parse names its first part that is not an integer
     (("reduce", "-N", "5", LONG_TEXT + ",x"),
-     "expected comma-separated integers, got '1,1,1,1,1,1,1,1,... (16002 entries)'"),
+     "expected comma-separated integers; entry 16002 of 16002 is 'x'"),
     (("reduce", "-N", "9", "3,3,3,3,3,3", "--right", LONG_TEXT),
      f"--right {LONG_SHOWN} is not a solution of size >= 3 mod 9"),
 ], ids=["classify-no-sizes", "dissect-no-input", "reduce-unparsed-long", "reduce-right-long"])
@@ -236,6 +236,37 @@ def test_reduce_multiplies_the_input_out_once(capsys, monkeypatch, seq):
     code, out, err = run(capsys, "reduce", "--modulus", "9", seq, "--right", "1,1,1")
     assert (code, err) == (0, "") and out
     assert len(calls) == 2
+
+
+def test_integer_mode_is_refused_before_any_product(capsys, monkeypatch):
+    # 16,000 threes would be multiplied out over Z, with entries of thousands of digits
+    calls = []
+    real = solutions.generator_product
+    monkeypatch.setattr(solutions, "generator_product",
+                        lambda *args: calls.append(args) or real(*args))
+    with pytest.raises(ValueError, match="^decomposition search needs a modulus >= 2$"):
+        find_decomposition((3,) * 16000, 0)
+    message = "error: decomposition search needs a modulus >= 2\n"
+    assert run(capsys, "reduce", "-N", "0", ",".join(["3"] * 16000)) == (2, "", message)
+    assert calls == []
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x,1,1", "entry 1 of 3 is 'x'"),
+    ("1,1.5,1", "entry 2 of 3 is '1.5'"),
+    ("1,1,", "entry 3 of 3 is ''"),
+    ("", "entry 1 of 1 is ''"),
+    ("1," + "7" * 99_999 + "x", "entry 2 of 2 is '7777777777777777'... (100000 characters)"),
+    # undecodable argument bytes arrive as lone surrogates, each escaped in 6 characters
+    ("1,2," + "\udc80" * 20, "entry 3 of 3 is '\\udc80\\udc80\\udc80\\udc80\\udc80\\udc80'... "
+     "(20 characters)"),
+], ids=["first", "middle", "last", "empty", "long-part", "escaped-part"])
+def test_parse_names_the_first_part_that_is_not_an_integer(text, message):
+    where = "quiddity enumerate: argument --alphabet: "
+    with pytest.raises(cli.UsageError) as info:
+        cli._parse_seq(text, where)
+    assert str(info.value) == where + "expected comma-separated integers; " + message
+    assert len(f"error: {info.value}\n".encode()) < 200
 
 
 def test_reduce_errors_keep_their_order(capsys):
@@ -814,10 +845,10 @@ ARGUMENT_ERRORS = [
      "unrecognized arguments: --shard-count 2 --shard-index 5"),
     # an empty alphabet is not the unrestricted one
     (("enumerate", "--modulus", "5", "--size", "4", "--alphabet", ""),
-     "argument --alphabet: expected comma-separated integers, got ''"),
+     "argument --alphabet: expected comma-separated integers; entry 1 of 1 is ''"),
     # and an empty --right is not the unrestricted split search
     (("reduce", "--modulus", "9", "3,3,3,3,3,3", "--right", ""),
-     "argument --right: expected comma-separated integers, got ''"),
+     "argument --right: expected comma-separated integers; entry 1 of 1 is ''"),
     # one size or a list of sizes, not both
     (("classify", "--modulus", "5", "--size", "3", "--sizes", "3..5"),
      "argument --sizes: not allowed with argument --size"),

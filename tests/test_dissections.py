@@ -41,6 +41,8 @@ from quiddity.solutions import (
     is_solution,
     normalize_seq,
     oplus,
+    size3_solutions,
+    size4_solutions,
     solution_sign,
 )
 
@@ -115,10 +117,21 @@ def test_cell_edges_in_boundary_order():
 def test_base_cases_built_once(n_mod):
     table = _base_cases(n_mod)
     assert _base_cases(n_mod) is table
-    assert set(table) == {canonicalize(w) for w in table}
     for key, d in table.items():
         assert d.modulus == n_mod
         assert quiddity(d) == key
+
+
+@pytest.mark.parametrize("n_mod", [2, 3, 4])
+def test_base_cases_key_every_small_solution(n_mod):
+    # every size-3 and 4 solution keys its class's entry, relabelled by the
+    # least transform that takes the canonical form to it
+    table = _base_cases(n_mod)
+    assert sorted(table) == sorted(size3_solutions(n_mod) + size4_solutions(n_mod))
+    for key, d in table.items():
+        assert quiddity(d) == key
+        canonical = canonicalize(key)
+        assert d == relabel(table[canonical], dihedral_images(canonical).index(key)), key
 
 
 def _is_side(edge, n):
@@ -733,13 +746,13 @@ def test_assembly_glues_and_searches_nothing_per_level(n_mod, monkeypatch):
     while not _triangulable(seq, n_mod):
         seq = _glued(rng, n_mod, 1000)
     counts = {}
-    for name in ("oplus", "_first_transform", "validate"):
+    for name in ("oplus", "validate"):
         _count_calls(monkeypatch, counts, dissections, name)
     for build in (build_dissection, triangulate):
         counts.clear()
         build(seq, n_mod)
-        # one transform search, for the core from the base table
-        assert counts == {"_first_transform": 1, "validate": 1}, build.__name__
+        # no gluing, and one validation, of the whole result
+        assert counts == {"validate": 1}, build.__name__
 
 
 def _spy_cuts(monkeypatch):

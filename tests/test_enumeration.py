@@ -19,7 +19,6 @@ from quiddity.enumeration import (
     _least_of_reversal,
     _palindrome_tables,
     _split_depth,
-    _tail_letters,
     _window_masks,
     DEFAULT_WORK_LIMIT,
     ClassificationReport,
@@ -623,6 +622,15 @@ def test_evidence_scan_reports():
     assert rep.max_irreducible_size == 4
 
 
+@pytest.mark.parametrize("n_mod", range(2, 10))
+def test_evidence_counts_the_irreducible_classes(n_mod):
+    # the scan counts the pruned DFS's leaves, the classes classify lists
+    for n_max in (3, n_mod + 1, n_mod + 3):
+        report = classify(SearchConfig(n_mod, range(3, n_max + 1), irreducible_only=True))
+        want = {s.size: len(s.irreducible) for s in report.sizes}
+        assert evidence_scan(n_mod, n_max).per_size == want, (n_mod, n_max)
+
+
 def test_evidence_default_bound():
     rep = evidence_scan(4)
     assert rep.n_max == 7
@@ -652,18 +660,18 @@ def _list_window_candidates(config: SearchConfig, size: int, prune: bool = True)
         nonlocal visited
         depth = len(path)
         if depth == depth_max:
-            for u, v, eps in tails[g]:
-                word = (*path, u, v)
-                p = period
-                for t in (depth, depth + 1):
-                    low = word[t - p] if t else 0
-                    if word[t] < low:
-                        break
-                    if word[t] > low:
-                        p = t + 1
-                else:
-                    if size % p == 0 and _least_of_reversal(word):
-                        leaves.append((word, eps))
+            u, v, eps = tails[g]  # entered only with a tail
+            word = (*path, u, v)
+            p = period
+            for t in (depth, depth + 1):
+                low = word[t - p] if t else 0
+                if word[t] < low:
+                    break
+                if word[t] > low:
+                    p = t + 1
+            else:
+                if size % p == 0 and _least_of_reversal(word):
+                    leaves.append((word, eps))
             return
         low = path[depth - period] if depth else 0
         for a in range(low, n_mod):
@@ -799,7 +807,7 @@ def test_pruned_over_budget_message(n_mod, size, limit):
 def test_tail_letters_list_the_letters_with_tails():
     for n_mod in range(2, 10):
         _, step, tails = _group_tables(n_mod)
-        letters = _tail_letters(n_mod)
+        _, _, letters = _window_masks(n_mod)
         assert len(letters) == len(tails)
         for g, row in enumerate(letters):
             assert list(row) == [a for a in range(n_mod) if tails[step[a][g]]], (n_mod, g)
@@ -852,7 +860,7 @@ def test_window_masks_flag_unit_continuants():
     # p11 = +/-1
     for n_mod in range(2, 7):
         elements, _, _ = _group_tables(n_mod)
-        row_bit, masks = _window_masks(n_mod)
+        row_bit, masks, _ = _window_masks(n_mod)
         units = {1 % n_mod, n_mod - 1}
         for q, (q11, q12, q21, q22) in enumerate(elements):
             inverse = (q22, -q12 % n_mod, -q21 % n_mod, q11)
@@ -941,9 +949,9 @@ def _power_order(g, n_mod: int) -> int:
 
 @pytest.mark.parametrize("n_mod", [*range(2, 17), 18, 20, 24])
 def test_group_tables_match_oracles(n_mod):
-    # the two-generator BFS and the order classes against the N-generator
-    # products and the power loop
-    elements, step, _ = _group_tables(n_mod)
+    # the two-generator BFS, the tails and the order classes against the
+    # N-generator products, a scan of the last two letters and the power loop
+    elements, step, tails = _group_tables(n_mod)
     _, orders, _, _ = _coset_tables(n_mod)
     assert elements[0] == IDENTITY
     assert len(elements) == len(set(elements)) == sl2_group_order(n_mod)
@@ -953,6 +961,11 @@ def test_group_tables_match_oracles(n_mod):
     for a, row in enumerate(step):
         gen = generator(a, n_mod)
         assert row == [index[mat_mul(gen, g, n_mod)] for g in elements], (n_mod, a)
+    if n_mod <= 12:
+        for g in range(len(elements)):
+            ends = [(u, v, sign) for u in range(n_mod) for v in range(n_mod)
+                    if (sign := pm_identity_sign(elements[step[v][step[u][g]]], n_mod))]
+            assert tails[g] == (ends[0] if ends else None) and len(ends) <= 1, (n_mod, g)
     assert list(orders) == [_power_order(g, n_mod) for g in elements], n_mod
 
 
