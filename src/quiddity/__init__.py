@@ -16,7 +16,6 @@ from .modmat import (
     sl2_group_order,
 )
 from .solutions import (
-    Solution,
     Witness,
     apply_dihedral,
     as_solution,

@@ -163,16 +163,16 @@ def cmd_canon(args) -> int:
 def cmd_reduce(args) -> int:
     # integer mode is refused before the input is multiplied out over Z
     n = check_modular(_modulus(args), "decomposition search")
-    seq, sign = as_solution(_parse_seq(args.seq), n)
+    seq = as_solution(_parse_seq(args.seq), n)
     whitelist = None
     if args.right is not None:  # an empty --right is a usage error, not no restriction
         right = normalize_seq(_parse_seq(args.right, "quiddity reduce: argument --right: "), n)
         if len(right) < 3 or solution_sign(right, n) is None:
             raise UsageError(f"--right {_seq_text(right)} is not a solution of size >= 3 mod {n}")
         whitelist = [right]
-    w = _decompose(seq, sign, n, whitelist)  # find_decomposition, with the sign found above
+    w = _decompose(seq, n, whitelist)  # find_decomposition past the checks made above
     if w is None:
-        irreducible = whitelist is None or _decompose(seq, sign, n) is None
+        irreducible = whitelist is None or _decompose(seq, n) is None
         payload = {"modulus": n, "seq": list(seq), "irreducible": irreducible}
         _emit(args, payload, ["irreducible" if irreducible
                               else "no splitting has its right part in the given class"])

@@ -481,7 +481,7 @@ def build_dissection(seq, n_mod: int) -> Dissection:
     2..4, so a search failure is reported as a bug.
     """
     kind = _modulus_kind(n_mod)
-    seq = as_solution(seq, n_mod).seq
+    seq = as_solution(seq, n_mod)
     if len(seq) < 3:
         raise ValueError("dissections need size >= 3")
     quads, triangles = _ears(n_mod)
@@ -516,7 +516,7 @@ def triangulate(seq, n_mod: int) -> Dissection:
     rotations alone are scanned.  The result is validated once.
     """
     kind = _modulus_kind(n_mod)
-    seq = as_solution(seq, n_mod).seq
+    seq = as_solution(seq, n_mod)
     triangles = _ears(n_mod)[1]  # keyed by the +/-1 letters; mod 2 and 3, the nonzero ones
     unit = [a in triangles for a in range(n_mod)]
     good = sum(unit[a] for a in seq)
@@ -668,13 +668,14 @@ def random_dissection(n: int, kind: str, seed: int) -> Dissection:
     return _checked(d, _unchecked_quiddity(d), "random_dissection")
 
 
-def to_svg(d: Dissection, size: int = 400) -> str:
-    """Regular-polygon drawing; purely presentational."""
-    return _svg(d, quiddity(d), size)
+def to_svg(d: Dissection) -> str:
+    """Regular-polygon drawing, 400 units square; purely presentational."""
+    return _svg(d, quiddity(d))
 
 
-def _svg(d: Dissection, q: Seq, size: int = 400) -> str:
+def _svg(d: Dissection, q: Seq) -> str:
     """``to_svg`` for a valid dissection with quiddity ``q``."""
+    size = 400
     cx = cy = size / 2
     r = size * 0.42
     pos = {}

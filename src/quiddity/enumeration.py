@@ -56,10 +56,11 @@ def _group_tables(n: int):
     """SL2(Z/NZ) as index tables, built from S = G(0) and T = [[1, 1], [0, 1]].
 
     Returns (elements, step, tails): ``step[a][g]`` is the index of
-    generator(a) * elements[g], and ``tails[g]`` is the (a_{n-1}, a_n, eps)
-    triple completing any prefix whose product is elements[g] to a solution
-    of sign eps, or None.  There is at most one: both signs would need
-    p11 = 1 = -1, and mod 2 only eps = +1 is tried.
+    generator(a) * elements[g], and ``tails[g]`` is the (a_{n-1}, a_n) pair
+    completing any prefix whose product is elements[g] to a solution, or
+    None.  There is at most one: the solution's sign eps needs
+    eps * p11 = -1, and both signs would need p11 = 1 = -1 (mod 2 only
+    eps = +1 is tried).
 
     S and T generate SL2(Z) (Serre, A Course in Arithmetic, VII.1), which
     maps onto SL2(Z/NZ) (Shimura, Introduction to the Arithmetic Theory of
@@ -83,7 +84,7 @@ def _group_tables(n: int):
         step.append([t_row[x] for x in step[-1]])
     minus_one = residue(-1, n)
     signs = (1,) if minus_one == 1 else (1, -1)
-    tails = [next((((-eps * p21) % n, (eps * p12) % n, eps) for eps in signs
+    tails = [next((((-eps * p21) % n, (eps * p12) % n) for eps in signs
                    if (eps * p11 - minus_one) % n == 0), None) for p11, p12, p21, _ in elements]
     return elements, step, tails
 
@@ -271,7 +272,7 @@ def enumerate_solutions(n_mod: int, size: int, alphabet=None,
     def dfs(remaining: int, g: int):
         if remaining == 0:
             if tail := tails[g]:
-                u, v, _ = tail
+                u, v = tail
                 if allowed is None or (u in allowed and v in allowed):
                     out.append((*path, u, v))
             return
@@ -411,8 +412,9 @@ class SearchConfig(_SearchFields):
     Each size asked for makes one report, so their count, taken before a
     ``range`` is listed, is checked first: against ``work_limit``, but like
     the group table never below the default, so a small node budget still
-    runs a few sizes.  Every instance is checked: ``_replace`` and
-    unpickling build through the constructor too.
+    runs a few sizes.  Every instance is checked: ``_make``, and so
+    namedtuple's ``_replace``, and unpickling build through the constructor
+    too.
     """
 
     __slots__ = ()
@@ -434,9 +436,6 @@ class SearchConfig(_SearchFields):
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
-
-    def _replace(self, /, **changes):
-        return type(self)(**{**self._asdict(), **changes})
 
 
 class SizeReport(NamedTuple):
@@ -580,10 +579,10 @@ def _least_of_reversal(word: Seq) -> bool:
 def _class_leaves(config: SearchConfig, sizes, prune: bool = True) -> tuple[dict[int, list], int]:
     """The leaves of the orderly class DFS for every size in ``sizes``, in one pass.
 
-    Returns, per size, the canonical forms with their signs, sorted, and the
-    number of search nodes tried.  The DFS builds each class's canonical
-    form (see ``canonicalize``) and no other word of the class, so every
-    class it reaches has one leaf.  A canonical form is a necklace (the
+    Returns, per size, the canonical forms, sorted, and the number of search
+    nodes tried.  The DFS builds each class's canonical form (see
+    ``canonicalize``) and no other word of the class, so every class it
+    reaches has one leaf.  A canonical form is a necklace (the
     least of its rotations), and every prefix of a necklace is a
     prenecklace.  So the DFS grows prenecklaces only, by the rule of
     Fredricksen, Kessler and Maiorana: if p is the period of the prefix
@@ -665,7 +664,7 @@ def _class_leaves(config: SearchConfig, sizes, prune: bool = True) -> tuple[dict
             outs[:split] = [None] * split
     visited = rank = 0
 
-    def emit(out, word: Seq, period: int, eps: int):
+    def emit(out, word: Seq, period: int):
         # word: a prefix with period ``period``, then the two tail letters of
         # its product; at size 2 the prefix is empty and the tail is (0, 0)
         t = len(word) - 2
@@ -680,7 +679,7 @@ def _class_leaves(config: SearchConfig, sizes, prune: bool = True) -> tuple[dict
                 return
             period = t + 2
         if len(word) % period == 0 and _least_of_reversal(word):
-            out.append((word, eps))
+            out.append(word)
 
     def dfs(prefix: Seq, g: int, period: int, forbid: int):
         # forbid: the OR of the masks of the prefix products P_1..P_t
@@ -710,14 +709,13 @@ def _class_leaves(config: SearchConfig, sizes, prune: bool = True) -> tuple[dict
                     continue
             p = period if a == low else below
             if out is not None and (tail := tails[child]):
-                u, v, eps = tail
-                emit(out, prefix + (a, u, v), p, eps)
+                u, v = tail
+                emit(out, prefix + (a, u, v), p)
             if below < top and not whole >> bit & 1:
                 dfs(prefix + (a,), child, p, forbid | masks[child])
 
     if outs[0] is not None and tails[0]:  # size 2: the tail of the empty prefix
-        u, v, eps = tails[0]
-        emit(outs[0], (u, v), 1, eps)
+        emit(outs[0], tails[0], 1)
     if top:
         dfs((), 0, 1, 0)
     return found, visited
@@ -763,17 +761,17 @@ def classify(config: SearchConfig) -> ClassificationReport:
     size_reports = []
     for size in config.sizes:
         found = leaves[size]
-        irreducible = []
+        irreducible = []  # (0, 0), the one class of size 2, is not irreducible
         witnesses = {}
         if all_classes and size >= 3:
-            for rep, sign in found:
-                w = _split(rep, sign, n_mod)
+            for rep in found:
+                w = _split(rep, n_mod)
                 if w is None:
                     irreducible.append(rep)
                 else:
                     witnesses[rep] = w
-        elif size >= 3:  # (0, 0), the one class of size 2, is not irreducible
-            irreducible = [rep for rep, _ in found]
+        elif size >= 3:
+            irreducible = found
         if counted and all_classes:
             totals[size] = len(found)
         size_reports.append(_size_report(size, irreducible, totals.get(size), witnesses))
@@ -886,15 +884,6 @@ def evidence_scan(n_mod: int, n_max: int | None = None,
     return EvidenceReport(n_mod, n_max, per_size, max(with_any) if with_any else None)
 
 
-def merge_class_sets(reports) -> dict[int, set[Seq]]:
-    """Union of per-size irreducible class sets across shard reports."""
-    merged: dict[int, set[Seq]] = {}
-    for rep in reports:
-        for s in rep.sizes:
-            merged.setdefault(s.size, set()).update(s.irreducible)
-    return merged
-
-
 def merge_shards(config: SearchConfig, reports) -> ClassificationReport:
     """One report from the shard reports of a sharded search.
 
@@ -903,10 +892,11 @@ def merge_shards(config: SearchConfig, reports) -> ClassificationReport:
     ``irreducible_only``, the class totals come from ``count_classes``,
     which needs no shard.
     """
-    merged = merge_class_sets(reports)
+    merged: dict[int, set[Seq]] = {}
     witnesses: dict[int, dict[Seq, Witness]] = {}
     for rep in reports:
         for s in rep.sizes:
+            merged.setdefault(s.size, set()).update(s.irreducible)
             witnesses.setdefault(s.size, {}).update(s.witnesses)
     totals = {} if config.irreducible_only else _class_counts(
         config.modulus, config.sizes, config.work_limit)
@@ -933,6 +923,5 @@ __all__ = [
     "verify_expected",
     "EvidenceReport",
     "evidence_scan",
-    "merge_class_sets",
     "merge_shards",
 ]

@@ -149,16 +149,16 @@ def psl2_order(k: int, n: int) -> int:
     return _constant_walk(residue(k, n), n)[0]
 
 
-def _constant_walk(k: int, n: int) -> tuple[int, int, int]:
-    """(order, sign, first_unit) for the residue k mod n >= 2.
+def _constant_walk(k: int, n: int) -> tuple[int, int]:
+    """(order, first_unit) for the residue k mod n >= 2.
 
     The continuants U_m = k U_{m-1} - U_{m-2} of (k, ..., k), from
     U_0 = 1 and U_{-1} = 0, give G^m = [[U_m, -U_{m-1}], [U_{m-1}, -U_{m-2}]]
-    for G = [[k, -1], [1, 0]].  So G^m = sign * Id exactly when U_{m-1} = 0
-    and U_m = sign (the determinant then fixes -U_{m-2}); ``order`` is the
+    for G = [[k, -1], [1, 0]].  So G^m = +/-Id exactly when U_{m-1} = 0
+    and U_m = +/-1 (the determinant then fixes -U_{m-2}); ``order`` is the
     least such m >= 1.  Every window of length j of (k, ..., k) has
     continuant U_j, and ``first_unit`` is the least j >= 1 with U_j = +/-1
-    (at most ``order``).  Mod 2 the sign is +1.
+    (at most ``order``).
     """
     minus_one = n - 1
     prev, cur = 0, 1  # U_{m-1}, U_m at m = 0
@@ -169,7 +169,7 @@ def _constant_walk(k: int, n: int) -> tuple[int, int, int]:
             if not first_unit:
                 first_unit = m
             if prev == 0:
-                return m, 1 if cur == 1 else -1, first_unit
+                return m, first_unit
     raise RuntimeError(f"no power of the k={k} factor reached +/-Id within |SL2(Z/{n}Z)|")
 
 

@@ -50,18 +50,18 @@ class MonomialRecord(NamedTuple):
 def minimal_monomial(n_mod: int, k: int) -> MonomialRecord:
     """Minimal constant solution for residue k, with its reducibility status.
 
-    One continuant walk gives the size, the sign and the shortest window
-    with continuant +/-1 (every window of length j has the same one).  The
+    One continuant walk gives the size and the shortest window with
+    continuant +/-1 (every window of length j has the same one).  The
     solution is reducible exactly when that window has length <= size - 3,
     and only then is the split scan run, for the witness
     ``find_decomposition`` would give.
     """
     check_modular(n_mod, "monomial analysis")
     k = residue(k, n_mod)
-    size, sign, first_unit = _constant_walk(k, n_mod)
+    size, first_unit = _constant_walk(k, n_mod)
     if size < 3:
         return MonomialRecord(n_mod, k, size, False, None)
-    witness = _split((k,) * size, sign, n_mod) if first_unit <= size - 3 else None
+    witness = _split((k,) * size, n_mod) if first_unit <= size - 3 else None
     return MonomialRecord(n_mod, k, size, witness is None, witness)
 
 

@@ -38,24 +38,16 @@ def is_solution(seq, n: int) -> bool:
     return solution_sign(seq, n) is not None
 
 
-class Solution(NamedTuple):
-    """A solution tuple together with its sign (determined by the tuple)."""
-
-    seq: Seq
-    sign: int
-
-
-def as_solution(seq, n: int) -> Solution:
-    """The normalized tuple with its sign; the one solution check of the package.
+def as_solution(seq, n: int) -> Seq:
+    """The normalized tuple; the one solution check of the package.
 
     Raises ValueError on a non-solution, naming it as ``_seq_text`` does:
-    ``1,2,1 is not a solution mod 3``.
+    ``1,2,1 is not a solution mod 3``.  ``solution_sign`` gives the sign.
     """
     seq = normalize_seq(seq, n)
-    sign = solution_sign(seq, n)
-    if sign is None:
+    if solution_sign(seq, n) is None:
         raise ValueError(f"{_seq_text(seq)} is not a solution mod {n}")
-    return Solution(seq, sign)
+    return seq
 
 
 def normalize_seq(seq, n: int) -> Seq:
@@ -200,13 +192,13 @@ class Witness(NamedTuple):
     """Proof that a solution splits as left (+) right after a dihedral move.
 
     ``apply_dihedral(original, transform) == oplus(left, right)`` with both
-    parts solutions of size >= 3.
+    parts solutions of size >= 3: the fields are what every report prints.
+    The parts' signs follow from the tuples (``solution_sign``); past N = 2
+    their product is minus the original's sign.
     """
 
     left: Seq
     right: Seq
-    left_sign: int
-    right_sign: int
     transform: int
 
     def parts(self) -> tuple[Seq, Seq]:
@@ -239,32 +231,33 @@ def find_decomposition(seq, n: int, right_whitelist=None) -> Witness | None:
     integer mode, where the junction entries range over all of Z.
     """
     # integer mode is refused before the input is multiplied out over Z
-    seq, sign = as_solution(seq, check_modular(n, "decomposition search"))
-    return _decompose(seq, sign, n, right_whitelist)
+    seq = as_solution(seq, check_modular(n, "decomposition search"))
+    return _decompose(seq, n, right_whitelist)
 
 
-def _decompose(seq: Seq, sign: int, n: int, right_whitelist=None) -> Witness | None:
-    """``find_decomposition`` past its modulus and solution checks, for a caller that has the sign.
+def _decompose(seq: Seq, n: int, right_whitelist=None) -> Witness | None:
+    """``find_decomposition`` past its modulus and solution checks.
 
-    ``seq`` is normalized mod n >= 2 and ``sign`` is its sign; the size
-    check, the whitelist and the scan are ``find_decomposition``'s.
+    ``seq`` is a normalized solution mod n >= 2; the size check, the
+    whitelist and the scan are ``find_decomposition``'s.
     """
     if len(seq) < 3:
         raise ValueError("decomposition needs size >= 3")
     allowed = None
     if right_whitelist is not None:
         allowed = {img for w in right_whitelist for img in dihedral_images(normalize_seq(w, n))}
-    return _split(seq, sign, n, allowed)
+    return _split(seq, n, allowed)
 
 
-def _split(seq: Seq, sign: int, n: int, allowed=None) -> Witness | None:
+def _split(seq: Seq, n: int, allowed=None) -> Witness | None:
     """``find_decomposition``'s scan, for a normalized solution of size >= 3 mod n >= 2.
 
-    ``sign`` is the solution's sign, and ``allowed`` the set of right parts
-    a whitelist allows (no restriction when None).  Rotation 0 scans ``seq``
-    itself, and a later rotation is copied once, so a scan that stops at its
-    first rotation copies nothing.  Window products are multiplied out
-    inline, as the modulus is known to be valid.
+    ``allowed`` is the set of right parts a whitelist allows (no
+    restriction when None).  No sign is needed: the window's continuant
+    gives the left part's, and the right part solves whatever its sign.
+    Rotation 0 scans ``seq`` itself, and a later rotation is copied once,
+    so a scan that stops at its first rotation copies nothing.  Window
+    products are multiplied out inline, as the modulus is known to be valid.
     """
     size = len(seq)
     minus_one = n - 1
@@ -290,9 +283,7 @@ def _split(seq: Seq, sign: int, n: int, allowed=None) -> Witness | None:
             right = ((c[m - 1] - y) % n,) + c[m:] + ((c[0] - x) % n,)
             if allowed is not None and right not in allowed:
                 continue
-            left = (x,) + c[1:m - 1] + (y,)
-            # sign(left) * sign(right) == -sign(seq); mod 2 every sign reads +1
-            return Witness(left, right, eps, -sign * eps if n > 2 else 1, idx)
+            return Witness((x,) + c[1:m - 1] + (y,), right, idx)
     return None
 
 
@@ -321,8 +312,8 @@ def is_irreducible(seq, n: int) -> bool:
     """
     if n == 0:
         return integer_mode_irreducible(seq)
-    seq, sign = as_solution(seq, n)
-    return len(seq) >= 3 and _split(seq, sign, n) is None
+    seq = as_solution(seq, n)
+    return len(seq) >= 3 and _split(seq, n) is None
 
 
 def entry_sum_mod3(seq) -> int:
@@ -332,7 +323,6 @@ def entry_sum_mod3(seq) -> int:
 
 __all__ = [
     "Seq",
-    "Solution",
     "Witness",
     "apply_dihedral",
     "as_solution",

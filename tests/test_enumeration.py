@@ -33,7 +33,6 @@ from quiddity.enumeration import (
     enumerate_solutions,
     evidence_scan,
     load_reference,
-    merge_class_sets,
     merge_shards,
     reference_classes,
     verify_expected,
@@ -50,7 +49,7 @@ from quiddity.modmat import (
 )
 from quiddity.monomial import MonomialRecord, MonomialTheoremReport, TheoremCheck
 from quiddity.solutions import (
-    Solution,
+    Witness,
     _split,
     canonicalize,
     dihedral_images,
@@ -157,13 +156,13 @@ def test_sharded_classify_merges_to_full(monkeypatch):
     full = classify(SearchConfig(modulus=4, sizes=sizes))
     shards = [classify(SearchConfig(modulus=4, sizes=sizes, shard_index=i, shard_count=3))
               for i in range(3)]
-    merged = merge_class_sets(shards)
+    config = SearchConfig(modulus=4, sizes=sizes, shard_count=3)
+    merged = {s.size: set(s.irreducible) for s in merge_shards(config, shards).sizes}
     for s in full.sizes:
         assert merged.get(s.size, set()) == set(s.irreducible)
     # a shard cannot count classes alone; the merge counts them for all
     assert all(s.total_classes is None and s.reducible_count is None
                for shard in shards for s in shard.sizes)
-    config = SearchConfig(modulus=4, sizes=sizes, shard_count=3)
     assert (merge_shards(config, shards).to_json(with_timing=False)
             == full.to_json(with_timing=False))
     # a witness depends only on its class, so witness shards merge by union;
@@ -237,10 +236,9 @@ def test_sharded_irreducible_merges_to_serial(n_mod, sizes, shard_count):
     serial = classify(SearchConfig(n_mod, sizes, irreducible_only=True))
     for count in (shard_count, 8 * shard_count):
         assert _split_depth(n_mod, count, max(sizes) - 2) == (3 if count < 8 else 4)
-        shards = [classify(SearchConfig(n_mod, sizes, irreducible_only=True,
-                                        shard_index=i, shard_count=count))
-                  for i in range(count)]
-        merged = merge_class_sets(shards)
+        config = SearchConfig(n_mod, sizes, irreducible_only=True, shard_count=count)
+        shards = [classify(config._replace(shard_index=i)) for i in range(count)]
+        merged = {s.size: set(s.irreducible) for s in merge_shards(config, shards).sizes}
         for s in serial.sizes:
             assert sorted(merged.get(s.size, set())) == s.irreducible, (count, s.size)
         if serial.irreducible_classes():
@@ -248,10 +246,10 @@ def test_sharded_irreducible_merges_to_serial(n_mod, sizes, shard_count):
                        for sh in shards), count
     # sizes up to 3: the split is the only level, depth 1
     serial = classify(SearchConfig(n_mod, (2, 3), irreducible_only=True))
-    shards = [classify(SearchConfig(n_mod, (2, 3), irreducible_only=True,
-                                    shard_index=i, shard_count=shard_count))
-              for i in range(shard_count)]
-    assert merge_class_sets(shards) == {s.size: set(s.irreducible) for s in serial.sizes}
+    config = SearchConfig(n_mod, (2, 3), irreducible_only=True, shard_count=shard_count)
+    shards = [classify(config._replace(shard_index=i)) for i in range(shard_count)]
+    merged = {s.size: set(s.irreducible) for s in merge_shards(config, shards).sizes}
+    assert merged == {s.size: set(s.irreducible) for s in serial.sizes}
 
 
 def test_witness_work_counts_search_nodes():
@@ -322,15 +320,35 @@ def test_count_classes_matches_enumeration(n_mod):
 @pytest.mark.parametrize("n_mod", range(2, 9))
 def test_class_dfs_leaves_are_the_classes(n_mod):
     # the raw leaf list, with no dedupe, is every class once in canonical
-    # form, with the sign of the solution; a leaf's split is its class's
+    # form; a leaf's split is its class's
     for size in range(2, 10):
         leaves = _class_leaves(SearchConfig(n_mod, (size,)), (size,), prune=False)[0][size]
         want = sorted({canonicalize(s) for s in enumerate_solutions(n_mod, size)})
-        assert [rep for rep, _ in leaves] == want, (n_mod, size)
-        for rep, sign in leaves:
-            assert sign == solution_sign(rep, n_mod), rep
-            if size >= 3:
-                assert _split(rep, sign, n_mod) == find_decomposition(rep, n_mod), rep
+        assert leaves == want, (n_mod, size)
+        if size >= 3:
+            for rep in leaves:
+                assert _split(rep, n_mod) == find_decomposition(rep, n_mod), rep
+
+
+@pytest.mark.parametrize("n_mod", range(2, 9))
+def test_witness_parts_obey_the_oplus_sign_law(n_mod, capsys):
+    # a witness prints no signs: they follow from its parts.  Both parts are
+    # solutions of size >= 3, and past N = 2, where +1 = -1, their signs
+    # multiply to minus the sign of the class they split
+    from quiddity.cli import main
+    assert main(["classify", "-N", str(n_mod), "--sizes", "3..8", "--witnesses",
+                 "--format", "json"]) == 0
+    sizes = json.loads(capsys.readouterr().out)["sizes"]
+    assert [s["n"] for s in sizes] == list(range(3, 9))
+    for s in sizes:
+        assert len(s.get("witnesses", {})) == s["reducible_count"], (n_mod, s["n"])
+        for key, w in s.get("witnesses", {}).items():
+            rep = tuple(map(int, key.split(",")))
+            left, right = solution_sign(w["left"], n_mod), solution_sign(w["right"], n_mod)
+            assert len(w["left"]) >= 3 and len(w["right"]) >= 3, (n_mod, rep)
+            assert left is not None and right is not None, (n_mod, rep)
+            if n_mod > 2:
+                assert left * right == -solution_sign(rep, n_mod), (n_mod, rep)
 
 
 def test_class_counts_match_count_classes():
@@ -660,7 +678,7 @@ def _list_window_candidates(config: SearchConfig, size: int, prune: bool = True)
         nonlocal visited
         depth = len(path)
         if depth == depth_max:
-            u, v, eps = tails[g]  # entered only with a tail
+            u, v = tails[g]  # entered only with a tail
             word = (*path, u, v)
             p = period
             for t in (depth, depth + 1):
@@ -671,7 +689,7 @@ def _list_window_candidates(config: SearchConfig, size: int, prune: bool = True)
                     p = t + 1
             else:
                 if size % p == 0 and _least_of_reversal(word):
-                    leaves.append((word, eps))
+                    leaves.append(word)
             return
         low = path[depth - period] if depth else 0
         for a in range(low, n_mod):
@@ -875,8 +893,8 @@ def test_pruned_leaves_need_no_split_check():
     for n_mod in range(2, 12):
         for size in range(3, 13 if n_mod <= 9 else 12):
             config = SearchConfig(n_mod, (size,), irreducible_only=True)
-            for rep, sign in _class_leaves(config, (size,))[0][size]:
-                assert _split(rep, sign, n_mod) is None, (n_mod, rep)
+            for rep in _class_leaves(config, (size,))[0][size]:
+                assert _split(rep, n_mod) is None, (n_mod, rep)
 
 
 def _farey_cycles(n_mod: int) -> Counter:
@@ -963,8 +981,8 @@ def test_group_tables_match_oracles(n_mod):
         assert row == [index[mat_mul(gen, g, n_mod)] for g in elements], (n_mod, a)
     if n_mod <= 12:
         for g in range(len(elements)):
-            ends = [(u, v, sign) for u in range(n_mod) for v in range(n_mod)
-                    if (sign := pm_identity_sign(elements[step[v][step[u][g]]], n_mod))]
+            ends = [(u, v) for u in range(n_mod) for v in range(n_mod)
+                    if pm_identity_sign(elements[step[v][step[u][g]]], n_mod) is not None]
             assert tails[g] == (ends[0] if ends else None) and len(ends) <= 1, (n_mod, g)
     assert list(orders) == [_power_order(g, n_mod) for g in elements], n_mod
 
@@ -1096,7 +1114,7 @@ def test_records_survive_pickling():
 
 
 @pytest.mark.parametrize("record, fields", [
-    (Solution, ("seq", "sign")),
+    (Witness, ("left", "right", "transform")),
     (Dissection, ("n", "kind", "cells", "pairs")),
     (MonomialRecord, ("modulus", "k", "minimal_size", "irreducible", "witness")),
     (TheoremCheck, ("description", "passed", "details")),

@@ -23,6 +23,7 @@ from quiddity.modmat import (
     semiprime_parts,
     sl2_group_order,
 )
+from quiddity.solutions import solution_sign
 
 moduli = st.integers(min_value=2, max_value=9)
 small_seqs = st.lists(st.integers(min_value=-20, max_value=20), min_size=1, max_size=8)
@@ -225,19 +226,21 @@ def test_psl2_order_matches_multiplication_loop():
 
 def test_constant_walk_of_the_negated_residue():
     # U_m(-k) = (-1)^m U_m(k): the same order and first unit, and past N = 2
-    # the sign times (-1)^order (mod 2, -k is k)
+    # the sign of the minimal solution times (-1)^order (mod 2, -k is k)
     for n_mod in range(2, 151):
         for k in range(n_mod):
-            order, sign, first_unit = _constant_walk(k, n_mod)
+            order, first_unit = _constant_walk(k, n_mod)
+            assert _constant_walk(-k % n_mod, n_mod) == (order, first_unit), (n_mod, k)
+            sign = solution_sign((k,) * order, n_mod)
             flipped = sign * (-1) ** order if n_mod > 2 else sign
-            assert _constant_walk(-k % n_mod, n_mod) == (order, flipped, first_unit), (n_mod, k)
+            assert solution_sign((-k % n_mod,) * order, n_mod) == flipped, (n_mod, k)
 
 
 def test_constant_walk_sign_and_first_unit():
     for n_mod in range(2, 30):
         units = {1 % n_mod, n_mod - 1}
         for k in range(n_mod):
-            order, sign, first_unit = _constant_walk(k, n_mod)
-            assert pm_identity_sign(generator_product((k,) * order, n_mod), n_mod) == sign
+            order, first_unit = _constant_walk(k, n_mod)
+            assert pm_identity_sign(generator_product((k,) * order, n_mod), n_mod) is not None
             assert first_unit == next(j for j in range(1, order + 1)
                                       if continuant((k,) * j, n_mod) in units), (n_mod, k)

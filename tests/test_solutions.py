@@ -74,7 +74,7 @@ def test_solution_sign_examples():
 def test_as_solution_rejects_non_solution():
     with pytest.raises(ValueError):
         as_solution((1, 2, 1), 5)
-    assert as_solution((1, 1, 1), 5).sign == -1
+    assert as_solution((6, 1, -4), 5) == (1, 1, 1)
 
 
 @given(moduli, seqs)
@@ -259,21 +259,21 @@ def test_witness_internal_consistency():
         assert w is not None
         assert len(w.left) >= 3 and len(w.right) >= 3
         assert len(w.left) + len(w.right) - 2 == len(seq)
-        assert solution_sign(w.left, n_mod) == w.left_sign
-        assert solution_sign(w.right, n_mod) == w.right_sign
+        # the parts' signs multiply to minus the whole's (every modulus here is > 2)
+        assert solution_sign(w.left, n_mod) * solution_sign(w.right, n_mod) \
+            == -solution_sign(seq, n_mod)
         image = apply_dihedral(normalize_seq(seq, n_mod), w.transform)
         assert oplus(w.left, w.right, n_mod) == image
 
 
 def test_witness_is_a_frozen_record():
-    fields = ((6, 3, 3, 6), (6, 3, 3, 6), -1, 1, 2)
+    fields = ((6, 3, 3, 6), (6, 3, 3, 6), 2)
     w = Witness(*fields)
-    assert (w.left, w.right, w.left_sign, w.right_sign, w.transform) == fields
+    assert (w.left, w.right, w.transform) == fields
     assert w.parts() == ((6, 3, 3, 6), (6, 3, 3, 6))
     assert w == Witness(*fields) and hash(w) == hash(Witness(*fields))
     assert w != Witness(*fields[:-1], 3)
-    assert repr(w) == ("Witness(left=(6, 3, 3, 6), right=(6, 3, 3, 6), "
-                       "left_sign=-1, right_sign=1, transform=2)")
+    assert repr(w) == "Witness(left=(6, 3, 3, 6), right=(6, 3, 3, 6), transform=2)"
     assert w.to_dict() == {"left": [6, 3, 3, 6], "right": [6, 3, 3, 6], "transform": 2}
     with pytest.raises(AttributeError):
         w.transform = 0
@@ -342,32 +342,26 @@ def _reference_decomposition(seq, n, right_whitelist=None):
                 y = -eps * p21 % n
                 v_first = (c[m - 1] - y) % n
                 v_last = (c[0] - x) % n
-                candidates.append((v_first, v_last, x, y, eps))
+                candidates.append((v_first, v_last, x, y))
             candidates.sort(key=lambda t: (t[0], t[1]))
-            for v_first, v_last, x, y, eps in candidates:
+            for v_first, v_last, x, y in candidates:
                 tail = mat_mul(
                     mat_mul(generator(v_last, n), suffix[m + 1], n),
                     generator(v_first, n), n)
-                right_sign = pm_identity_sign(tail, n)
-                if right_sign is None:
+                if pm_identity_sign(tail, n) is None:
                     continue
                 right = (v_first,) + c[m:] + (v_last,)
                 if whitelist is not None and canonicalize(right) not in whitelist:
                     continue
                 left = (x,) + c[1:m - 1] + (y,)
-                return Witness(left, right, eps, right_sign, idx)
+                return Witness(left, right, idx)
     return None
 
 
-def _fields(w):
-    if w is None:
-        return None
-    return (w.left, w.right, w.left_sign, w.right_sign, w.transform)
-
-
 def _agrees_with_reference(seq, n_mod, whitelist=None):
-    got = _fields(find_decomposition(seq, n_mod, whitelist))
-    assert got == _fields(_reference_decomposition(seq, n_mod, whitelist)), (n_mod, seq)
+    # a witness is its (left, right, transform)
+    got = find_decomposition(seq, n_mod, whitelist)
+    assert got == _reference_decomposition(seq, n_mod, whitelist), (n_mod, seq)
 
 
 def test_decomposition_matches_reference_on_classes():
@@ -398,7 +392,6 @@ def _unbounded_witnesses(seq, n):
     # every split the scan from m = 3 accepts, in scan order, with each
     # window product recomputed from scratch
     seq = normalize_seq(seq, n)
-    sign = solution_sign(seq, n)
     for idx in range(len(seq)):
         c = seq[idx:] + seq[:idx]
         if idx and c == seq:
@@ -410,7 +403,7 @@ def _unbounded_witnesses(seq, n):
                     x, y = eps * p12 % n, -eps * p21 % n
                     right = ((c[m - 1] - y) % n,) + c[m:] + ((c[0] - x) % n,)
                     left = (x,) + c[1:m - 1] + (y,)
-                    yield Witness(left, right, eps, -sign * eps if n > 2 else 1, idx)
+                    yield Witness(left, right, idx)
                     break
 
 
