@@ -24,7 +24,6 @@ from .solutions import (
     dihedral_images,
     entry_sum_mod3,
     find_decomposition,
-    integer_mode_irreducible,
     is_irreducible,
     is_solution,
     negate,

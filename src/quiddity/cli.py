@@ -30,7 +30,7 @@ from .dissections import (
     triangulate,
 )
 from .enumeration import SearchConfig, WorkLimitExceeded
-from .modmat import check_modular, check_modulus
+from .modmat import check_modulus
 from .solutions import (
     _decompose,
     _seq_text,
@@ -161,8 +161,7 @@ def cmd_canon(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    # integer mode is refused before the input is multiplied out over Z
-    n = check_modular(_modulus(args), "decomposition search")
+    n = _modulus(args)
     seq = as_solution(_parse_seq(args.seq), n)
     whitelist = None
     if args.right is not None:  # an empty --right is a usage error, not no restriction

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .modmat import check_modular, check_modulus, generator_product, pm_identity_sign, residue
+from .modmat import check_modulus, generator_product, pm_identity_sign, residue
 
 Seq = tuple[int, ...]
 
@@ -227,19 +227,18 @@ def find_decomposition(seq, n: int, right_whitelist=None) -> Witness | None:
     equivalence classes: the scan order stays the same, and a split whose
     right part is not listed is passed over.
 
-    Raises ValueError on a non-solution, which the criterion needs, and in
-    integer mode, where the junction entries range over all of Z.
+    In integer mode (n = 0) the same windows are tested for continuant
+    exactly +/-1.  Raises ValueError on a non-solution, which the criterion needs.
     """
-    # integer mode is refused before the input is multiplied out over Z
-    seq = as_solution(seq, check_modular(n, "decomposition search"))
+    seq = as_solution(seq, n)
     return _decompose(seq, n, right_whitelist)
 
 
 def _decompose(seq: Seq, n: int, right_whitelist=None) -> Witness | None:
     """``find_decomposition`` past its modulus and solution checks.
 
-    ``seq`` is a normalized solution mod n >= 2; the size check, the
-    whitelist and the scan are ``find_decomposition``'s.
+    ``seq`` is a normalized solution mod n (n = 0 over Z); the size check,
+    the whitelist and the scan are ``find_decomposition``'s.
     """
     if len(seq) < 3:
         raise ValueError("decomposition needs size >= 3")
@@ -250,14 +249,14 @@ def _decompose(seq: Seq, n: int, right_whitelist=None) -> Witness | None:
 
 
 def _split(seq: Seq, n: int, allowed=None) -> Witness | None:
-    """``find_decomposition``'s scan, for a normalized solution of size >= 3 mod n >= 2.
+    """``find_decomposition``'s scan, for a normalized solution of size >= 3 mod n.
 
     ``allowed`` is the set of right parts a whitelist allows (no
     restriction when None).  No sign is needed: the window's continuant
     gives the left part's, and the right part solves whatever its sign.
     Rotation 0 scans ``seq`` itself, and a later rotation is copied once,
     so a scan that stops at its first rotation copies nothing.  Window
-    products are multiplied out inline, as the modulus is known to be valid.
+    products are multiplied out inline (exactly at n = 0), as n is valid.
     """
     size = len(seq)
     minus_one = n - 1
@@ -271,47 +270,36 @@ def _split(seq: Seq, n: int, allowed=None) -> Witness | None:
         p11, p12, p21, p22 = 1, 0, 0, 1  # P for the empty window c_2..c_{m-1} at m = 2
         for m in range(3, size):
             a = c[m - 2]
-            p11, p12, p21, p22 = (a * p11 - p21) % n, (a * p12 - p22) % n, p11, p12
+            if n:
+                p11, p12, p21, p22 = (a * p11 - p21) % n, (a * p12 - p22) % n, p11, p12
+            else:
+                p11, p12, p21, p22 = a * p11 - p21, a * p12 - p22, p11, p12
             if p11 == minus_one:
                 eps = 1
             elif p11 == 1:
                 eps = -1
             else:
                 continue
-            x = eps * p12 % n
-            y = -eps * p21 % n
-            right = ((c[m - 1] - y) % n,) + c[m:] + ((c[0] - x) % n,)
+            if n:
+                x = eps * p12 % n
+                y = -eps * p21 % n
+                right = ((c[m - 1] - y) % n,) + c[m:] + ((c[0] - x) % n,)
+            else:
+                x, y = eps * p12, -eps * p21
+                right = (c[m - 1] - y,) + c[m:] + (c[0] - x,)
             if allowed is not None and right not in allowed:
                 continue
             return Witness((x,) + c[1:m - 1] + (y,), right, idx)
     return None
 
 
-# Irreducible solutions over Z (integer mode) form a known finite family:
-# the two constant sign triples plus the size-4 tuples (a, 0, -a, 0) with
-# a != +/-1.  Membership is checked against this family; there is no
-# integer-mode witness search.
-def integer_mode_irreducible(seq) -> bool:
-    seq = tuple(seq)
-    if solution_sign(seq, 0) is None:
-        raise ValueError(f"{_seq_text(seq)} is not an integer-mode solution")
-    if len(seq) == 3:
-        return seq in ((1, 1, 1), (-1, -1, -1))
-    if len(seq) == 4:
-        for img in dihedral_images(seq):
-            a = img[0]
-            if a not in (1, -1) and img == (a, 0, -a, 0):
-                return True
-    return False
-
-
 def is_irreducible(seq, n: int) -> bool:
     """Decide irreducibility of a solution: size >= 3 and no splitting witness.
 
     (0, 0) is not counted as irreducible.  Raises ValueError on a non-solution.
+    Over Z (n = 0) the tests check that (1, 1, 1), (-1, -1, -1) and
+    (a, 0, -a, 0) with a != +/-1 are the irreducible solutions.
     """
-    if n == 0:
-        return integer_mode_irreducible(seq)
     seq = as_solution(seq, n)
     return len(seq) >= 3 and _split(seq, n) is None
 
@@ -332,7 +320,6 @@ __all__ = [
     "dihedral_images",
     "entry_sum_mod3",
     "find_decomposition",
-    "integer_mode_irreducible",
     "is_irreducible",
     "is_reversal_symmetric",
     "is_solution",

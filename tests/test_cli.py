@@ -144,8 +144,8 @@ LIBRARY_REJECTIONS = [
      ("reduce", "-N", "5", "1,2")),
     ("reduce-long", find_decomposition, (LONG, 5), f"{LONG_SHOWN} is not a solution mod 5",
      ("reduce", "-N", "5", LONG_TEXT)),
-    ("reduce-integer", find_decomposition, ((1, 1, 1), 0),
-     "decomposition search needs a modulus >= 2", ("reduce", "-N", "0", "1,1,1")),
+    ("reduce-integer", find_decomposition, ((1, 2), 0), "1,2 is not a solution mod 0",
+     ("reduce", "-N", "0", "1,2")),
     ("dissect-long", build_dissection, (LONG, 3), f"{LONG_SHOWN} is not a solution mod 3",
      ("dissect", "-N", "3", LONG_TEXT)),
     ("triangulate-long", triangulate, (ZEROS, 4),
@@ -238,17 +238,57 @@ def test_reduce_multiplies_the_input_out_once(capsys, monkeypatch, seq):
     assert len(calls) == 2
 
 
-def test_integer_mode_is_refused_before_any_product(capsys, monkeypatch):
-    # 16,000 threes would be multiplied out over Z, with entries of thousands of digits
-    calls = []
-    real = solutions.generator_product
-    monkeypatch.setattr(solutions, "generator_product",
-                        lambda *args: calls.append(args) or real(*args))
-    with pytest.raises(ValueError, match="^decomposition search needs a modulus >= 2$"):
-        find_decomposition((3,) * 16000, 0)
-    message = "error: decomposition search needs a modulus >= 2\n"
+def _triangulation_quiddity(size: int, seed: int) -> list[int]:
+    # the triangle counts at the vertices of a triangulated polygon, grown
+    # from one triangle by gluing a triangle onto a random edge at a time
+    rng = random.Random(seed)
+    counts = [1, 1, 1]
+    while len(counts) < size:
+        i = rng.randrange(len(counts))
+        j = (i + 1) % len(counts)
+        counts[i] += 1
+        counts[j] += 1
+        counts.insert(i + 1, 1)
+    return counts
+
+
+def _integer_sign(seq) -> int | None:
+    # literal 2x2 products over Z, kept independent of the library
+    m11, m12, m21, m22 = 1, 0, 0, 1
+    for a in seq:
+        m11, m12, m21, m22 = a * m11 - m21, a * m12 - m22, m11, m12
+    if m12 or m21 or m11 != m22 or m11 not in (1, -1):
+        return None
+    return m11
+
+
+def test_reduce_in_integer_mode(capsys):
+    # integer mode runs the same window scan, with exact +/-1 tests
+    assert run(capsys, "reduce", "-N", "0", "1,1,1,1,1,1", "--format", "json") == (
+        0, '{"irreducible": false, "modulus": 0, "seq": [1, 1, 1, 1, 1, 1], "witness": '
+        '{"left": [1, 1, 1], "right": [0, 1, 1, 1, 0], "transform": 0}}\n', "")
+    # --right restricts the right part to one class, as it does mod N
+    assert run(capsys, "reduce", "-N", "0", "1,1,1,1,1,1", "--right", "1,1,1") == (
+        0, "(0,1,1,1,0) (+) (1,1,1)  [dihedral transform 0]\n", "")
+    assert run(capsys, "reduce", "-N", "0", "1,1,1,1,1,1", "--right", "-1,-1,-1") == (
+        0, "no splitting has its right part in the given class\n", "")
+    # 16,000 threes are multiplied out over Z, then refused in one line
+    message = "error: 3,3,3,3,3,3,3,3,... (16000 entries) is not a solution mod 0\n"
     assert run(capsys, "reduce", "-N", "0", ",".join(["3"] * 16000)) == (2, "", message)
-    assert calls == []
+    # a 16,000-vertex triangulation's quiddity solves M = -Id over Z (Conway
+    # and Coxeter), and splits into two integer solutions
+    seq = _triangulation_quiddity(16000, seed=7)
+    assert _integer_sign(seq) == -1
+    code, out, err = run(capsys, "reduce", "-N", "0", ",".join(map(str, seq)),
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    w = json.loads(out)["witness"]
+    left, right, t = w["left"], w["right"], w["transform"]
+    assert len(left) >= 3 and len(right) >= 3 and 0 <= t < len(seq)
+    # both parts solve, and their signs multiply to minus the whole's -1
+    assert (_integer_sign(left), _integer_sign(right)) in ((1, 1), (-1, -1))
+    image = seq[t:] + seq[:t]
+    assert image == [left[0] + right[-1], *left[1:-1], left[-1] + right[0], *right[1:-1]]
 
 
 @pytest.mark.parametrize("text, message", [

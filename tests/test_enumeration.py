@@ -55,6 +55,8 @@ from quiddity.solutions import (
     dihedral_images,
     find_decomposition,
     negate,
+    oplus,
+    rotations,
     size2_solutions,
     size3_solutions,
     size4_solutions,
@@ -351,6 +353,28 @@ def test_witness_parts_obey_the_oplus_sign_law(n_mod, capsys):
                 assert left * right == -solution_sign(rep, n_mod), (n_mod, rep)
 
 
+@pytest.mark.parametrize("n_mod, largest",
+                         [(2, 9), (3, 8), (4, 7), (5, 8), (6, 7), (7, 7), (11, 6)])
+def test_every_class_is_irreducible_or_glued(n_mod, largest):
+    # the generation theorem: every class of size n is irreducible or the
+    # class of a' (+) b', with a' any dihedral image of a class of size k and
+    # b' any rotation of a class of size n + 2 - k, for 3 <= k <= n - 1.
+    # Only oplus and canonicalize build the glued classes; b' must run over
+    # rotations, or (0, 3, 2, 3, 0, 3, 2, 3) at N = 5, n = 8 is missed
+    sizes = range(3, largest + 1)
+    config = SearchConfig(n_mod, sizes, work_limit=None)
+    classes = _class_leaves(config, sizes, prune=False)[0]
+    irreducible = _class_leaves(config, sizes)[0]
+    for n in sizes:
+        glued = {canonicalize(oplus(a, b, n_mod))
+                 for k in range(3, n)
+                 for left in classes[k] for a in dihedral_images(left)
+                 for right in classes[n + 2 - k] for b in rotations(right)}
+        assert glued | set(irreducible[n]) == set(classes[n]), (n_mod, n)
+        assert len(classes[n]) == count_classes(n_mod, n), (n_mod, n)
+        assert not glued & set(irreducible[n]), (n_mod, n)
+
+
 def test_class_counts_match_count_classes():
     # count_classes is _class_counts on one size, so this checks only that a
     # pass over many sizes adds each size's terms as one pass per size does;
@@ -613,6 +637,19 @@ def test_verify_passes_for_all_references():
         report = verify_expected(n_mod)
         assert report.passed, (n_mod, report.missing, report.extra)
         assert not report.missing and not report.extra
+
+
+@pytest.mark.parametrize("n_mod", range(2, 8))
+def test_packaged_lists_are_complete(n_mod):
+    # For N >= 3 an irreducible solution of size >= 5 has no letter 0, as a
+    # window (0, b) has continuant -1.  So it is a chordless cycle of the
+    # Farey graph mod N, and its size is at most the graph's |SL2(Z/NZ)|/(2N)
+    # vertices.  At N = 2 a solution of size >= 5 has a window 1 or (0, 0),
+    # with continuant +/-1.  Past these bounds no irreducible class is left.
+    bound = max(4, sl2_group_order(n_mod) // (2 * n_mod))
+    assert bound == {2: 4, 3: 4, 4: 6, 5: 12, 6: 12, 7: 24}[n_mod]
+    report = verify_expected(n_mod, range(3, bound + 1))
+    assert report.passed, (n_mod, report.missing, report.extra)
 
 
 def test_verify_diff_mechanics(monkeypatch):

@@ -28,7 +28,6 @@ from quiddity.solutions import (
     dihedral_images,
     entry_sum_mod3,
     find_decomposition,
-    integer_mode_irreducible,
     is_irreducible,
     is_solution,
     negate,
@@ -292,8 +291,7 @@ def test_decomposition_whitelist():
 def test_decomposition_rejections():
     with pytest.raises(ValueError):
         find_decomposition((0, 0), 5)
-    with pytest.raises(ValueError):
-        find_decomposition((1, 1, 1), 0)
+    assert find_decomposition((1, 1, 1), 0) is None
 
 
 def test_decomposition_rejects_non_solution():
@@ -307,7 +305,7 @@ def _reference_decomposition(seq, n, right_whitelist=None):
     # and whitelisted parts compared after canonicalization
     check_modulus(n)
     if n == 0:
-        raise ValueError("decomposition search needs a modulus >= 2")
+        raise ValueError("the reference scan works mod N >= 2 only")
     seq = normalize_seq(seq, n)
     size = len(seq)
     if size < 3:
@@ -489,17 +487,62 @@ def test_size3_always_irreducible():
 # integer mode
 
 
+def _integer_irreducible(seq) -> bool:
+    # the irreducible solutions over Z form a fixed family: the two constant
+    # sign triples and the size-4 tuples (a, 0, -a, 0) with a != +/-1
+    if len(seq) == 3:
+        return seq in ((1, 1, 1), (-1, -1, -1))
+    return len(seq) == 4 and any(img == (img[0], 0, -img[0], 0) and img[0] not in (1, -1)
+                                 for img in dihedral_images(seq))
+
+
+def _integer_solutions(size: int, box: range):
+    """Every solution over Z of the given size with entries in ``box``.
+
+    A prefix a1..a_{size-2} with product P ends a solution exactly when
+    P = eps*[[-1, b], [-a, ab - 1]], the inverse of G(b)G(a) up to the
+    sign eps, so the last two entries a, b are read off P.
+    """
+    for prefix in itertools.product(box, repeat=size - 2):
+        p11, p12, p21, p22 = generator_product(prefix, 0) if prefix else IDENTITY
+        if p11 not in (1, -1):
+            continue
+        eps = -p11
+        a, b = -eps * p21, eps * p12
+        if a in box and b in box and p22 == eps * (a * b - 1):
+            seq = prefix + (a, b)
+            assert solution_sign(seq, 0) == eps
+            yield seq
+
+
 def test_integer_mode_membership():
-    assert integer_mode_irreducible((1, 1, 1))
-    assert integer_mode_irreducible((-1, -1, -1))
+    # the same window scan decides irreducibility over Z, with exact +/-1
+    # tests: it agrees with the fixed family on a box of small entries, and
+    # every reducible solution gets a witness of two integer solutions
+    count = 0
+    for size, box in [*((size, range(-3, 4)) for size in range(3, 7)),
+                      *((size, range(-2, 3)) for size in (7, 8))]:
+        for seq in _integer_solutions(size, box):
+            count += 1
+            irreducible = _integer_irreducible(seq)
+            assert is_irreducible(seq, 0) == irreducible, seq
+            w = find_decomposition(seq, 0)
+            assert (w is None) == irreducible, seq
+            if w is None:
+                continue
+            left, right = solution_sign(w.left, 0), solution_sign(w.right, 0)
+            assert len(w.left) >= 3 and len(w.right) >= 3, seq
+            assert left is not None and right is not None, seq
+            assert oplus(w.left, w.right, 0) == apply_dihedral(seq, w.transform), seq
+            assert left * right == -solution_sign(seq, 0), seq
+    assert count == 3381
     for a in (0, 2, 3, -5, 17):
-        assert integer_mode_irreducible((a, 0, -a, 0))
-        assert integer_mode_irreducible((0, -a, 0, a))
-    assert not integer_mode_irreducible((1, 0, -1, 0))
-    assert not integer_mode_irreducible((1, 1, 1, 1, 1, 1))
-    assert is_irreducible((5, 0, -5, 0), 0)
-    with pytest.raises(ValueError, match="^2,2 is not an integer-mode solution$"):
-        integer_mode_irreducible((2, 2))
+        assert is_irreducible((a, 0, -a, 0), 0)
+        assert is_irreducible((0, -a, 0, a), 0)
+    assert not is_irreducible((1, 0, -1, 0), 0)
+    assert not is_irreducible((1, 1, 1, 1, 1, 1), 0)
+    with pytest.raises(ValueError, match="^2,2 is not a solution mod 0$"):
+        is_irreducible((2, 2), 0)
 
 
 # ---------------------------------------------------------------------------
