@@ -25,12 +25,7 @@ from math import cos, pi, sin
 from operator import itemgetter
 from typing import NamedTuple
 
-from .solutions import (
-    Seq,
-    _seq_text,
-    as_solution,
-    dihedral_images,
-)
+from .solutions import Seq, _seq_text, as_solution
 
 KIND_PLAIN = "plain-34"
 KIND_FIRST = "weighted-first"
@@ -313,53 +308,6 @@ def relabel(d: Dissection, transform: int) -> Dissection:
 
 
 @functools.cache
-def _base_cases(n_mod: int) -> dict[Seq, Dissection]:
-    """The realization table of the size-3 and 4 solutions, built once per modulus.
-
-    One dissection is written out per class, with the canonical form as its
-    quiddity.  Every dihedral image of that form keys relabel(dissection, t)
-    for the least t that maps the form onto it, so each entry's quiddity is
-    its key.
-    """
-    kind = MODULUS_KIND[n_mod]
-
-    def t(*cells, pairs=()):
-        n = max(v for vertices, _ in cells for v in vertices)
-        return Dissection(n, kind, tuple(Cell(v, w) for v, w in cells), pairs)
-
-    if n_mod == 2:
-        cores = (
-            t(((1, 2, 3), None)),
-            t(((1, 2, 3, 4), None)),
-            t(((1, 2, 3), None), ((1, 3, 4), None)),
-        )
-    elif n_mod == 3:
-        cores = (
-            t(((1, 2, 3), 1)),
-            t(((1, 2, 3), 2)),
-            t(((1, 2, 3, 4), 0)),
-            t(((1, 2, 4), 1), ((2, 3, 4), 1)),
-            t(((1, 2, 3), 1), ((1, 3, 4), 2)),
-        )
-    else:
-        cores = (
-            t(((1, 2, 3), 1)),
-            t(((1, 2, 3), 3)),
-            t(((1, 2, 3, 4), 0)),
-            t(((1, 2, 3, 4), 2)),
-            t(((1, 2, 3), 2), ((1, 3, 4), 2), pairs=((0, 1),)),
-            t(((1, 2, 4), 1), ((2, 3, 4), 1)),
-            t(((1, 2, 3), 1), ((1, 3, 4), 3)),
-            t(((1, 2, 3), 3), ((1, 3, 4), 3)),
-        )
-    table: dict[Seq, Dissection] = {}
-    for d in cores:
-        for k, image in enumerate(dihedral_images(_unchecked_quiddity(d))):
-            table.setdefault(image, relabel(d, k))
-    return table
-
-
-@functools.cache
 def _ears(n_mod: int):
     """The right parts a peel allows, by their middle letters: (quads, triangles).
 
@@ -425,21 +373,20 @@ def _moved(labels: list[int], t: int) -> list[int]:
     return rev[t - n:] + rev[:t - n]
 
 
-def _assemble(kind: str, levels, core: Seq) -> Dissection:
+def _assemble(kind: str, levels) -> Dissection:
     """The dissection the recursive builder makes from the peeled levels.
 
-    ``levels`` lists (n, spec, r) from the outside in: the peel split the
-    spec's cell off the n-letter target's rotation by t, and r = -t mod p,
-    p the target's least period, is the least transform back onto the
-    target; ``core`` is the innermost target, which keys its dissection in
-    the base table.  The recursion attaches each cell to the dissection of
-    the next target and relabels it by r.  Composed top-down, these give
-    one label map per level, a deque rotated by r and popped down to the
-    next level's.  Each cell is made once from its final labels, in the
-    recursion's cell and pair order: base cells, then the rest from the
+    ``levels`` lists (n, spec, r) from the outside in, down to the empty
+    2-gon: the peel split the spec's cell off the n-letter target's
+    rotation by t, and r = -t mod p, p the target's least period, is the
+    least transform back onto the target.  The recursion attaches each
+    cell to the dissection of the next target and relabels it by r.
+    Composed top-down, these give one label map per level, a deque rotated
+    by r and popped down to the next level's.  Each cell is made once from
+    its final labels, in the recursion's cell and pair order: from the
     inside out.
     """
-    size = levels[0][0] if levels else len(core)
+    size = levels[0][0]
     labels = deque(range(1, size + 1))
     outer = []
     for n, spec, r in levels:
@@ -448,10 +395,8 @@ def _assemble(kind: str, levels, core: Seq) -> Dissection:
         outer.append(_outer_cells(spec, labels, m))
         for _ in range(n - m):
             labels.pop()
-    base = _base_cases(KIND_MODULUS[kind])[core]
-    cells = [Cell(tuple(sorted(labels[v - 1] for v in c.vertices)), c.weight)
-             for c in base.cells]
-    pairs = list(base.pairs)
+    cells = []
+    pairs = []
     for new in reversed(outer):
         if len(new) == 2:  # a split quadrilateral's paired triangles
             pairs.append((len(cells), len(cells) + 1))
@@ -472,13 +417,15 @@ def _checked(d: Dissection, seq: Seq, what: str) -> Dissection:
 def build_dissection(seq, n_mod: int) -> Dissection:
     """A dissection whose quiddity is exactly the given solution.
 
-    Size 3/4 classes come from a fixed realization table.  A larger
-    solution is peeled in a loop down to the table: each step splits off
-    ``find_decomposition``'s whitelisted right part, an attachable cell,
-    at the first rotation t that ends in such a part's middle letters (see
-    ``_ears``).  The cells are then placed in one pass, and the result is
-    validated once against the input.  The split always exists for moduli
-    2..4, so a search failure is reported as a bug.
+    The solution is peeled in a loop down to the empty 2-gon (0, 0), the
+    neutral element of the gluing: each step splits off an attachable cell
+    at the first rotation t that ends in its part's middle letters (see
+    ``_ears``).  Above size 4 that part is ``find_decomposition``'s
+    whitelisted right part; at size 3 or 4 the word is itself a cell, or
+    splits into two triangles, and the last cell leaves (0, 0).  The cells
+    are then placed in one pass, and the result is validated once against
+    the input.  The split always exists for moduli 2..4, so a search
+    failure is reported as a bug.
     """
     kind = _modulus_kind(n_mod)
     seq = as_solution(seq, n_mod)
@@ -487,7 +434,7 @@ def build_dissection(seq, n_mod: int) -> Dissection:
     quads, triangles = _ears(n_mod)
     word = bytearray(seq)
     levels = []
-    while len(word) > 4:
+    while len(word) > 2:
         before, last = word[-2], word[-1]  # the rotation by t ends before, last
         for t, first in enumerate(word):
             ear = quads.get((before, last)) or triangles.get(last)
@@ -500,7 +447,7 @@ def build_dissection(seq, n_mod: int) -> Dissection:
                 "guarantees one, so this is a bug")
         spec, pops, head, tail = ear
         levels.append((len(word), spec, _cut(word, t, pops, head, tail, n_mod)))
-    return _checked(_assemble(kind, levels, tuple(word)), seq, "build_dissection")
+    return _checked(_assemble(kind, levels), seq, "build_dissection")
 
 
 def triangulate(seq, n_mod: int) -> Dissection:
@@ -508,10 +455,11 @@ def triangulate(seq, n_mod: int) -> Dissection:
 
     Preconditions: mod 2 and mod 3 need a nonzero entry, mod 4 an entry
     +/-1 (the all-twos square famously has no triangulation).  Works by
-    peeling one +/-1 entry as an outer triangle, in a loop down to a
-    triangle; the first rotation whose remainder keeps a +/-1 entry gives
-    the ear, which always exists for these moduli, and a running count of
-    those entries decides it from the three letters a peel changes.  A
+    peeling one +/-1 entry as an outer triangle, in a loop down to the
+    empty 2-gon (0, 0); the first rotation whose remainder keeps a +/-1
+    entry gives the ear, which always exists for these moduli, and a
+    running count of those entries decides it from the three letters a
+    peel changes.  The last triangle leaves (0, 0), which needs none.  A
     reflection peels the ear of the rotation ending at the same vertex, so
     rotations alone are scanned.  The result is validated once.
     """
@@ -524,13 +472,13 @@ def triangulate(seq, n_mod: int) -> Dissection:
         raise ValueError(f"{_seq_text(seq)} mod {n_mod} admits no all-triangle dissection")
     word = bytearray(seq)
     levels = []
-    while len(word) > 3:
+    while len(word) > 2:
         before, last = word[-2], word[-1]  # the rotation by t ends before, last
         for t, first in enumerate(word):  # and starts first
             if unit[last]:  # the rest is first - last, ..., before - last
                 rest = (good - 1 - unit[first] - unit[before]
                         + unit[(first - last) % n_mod] + unit[(before - last) % n_mod])
-                if rest:
+                if rest or len(word) == 3:
                     break
             before, last = last, first
         else:
@@ -539,7 +487,7 @@ def triangulate(seq, n_mod: int) -> Dissection:
                 "argument guarantees one, so this is a bug")
         levels.append((len(word), triangles[last][0], _cut(word, t, 1, last, last, n_mod)))
         good = rest
-    return _checked(_assemble(kind, levels, tuple(word)), seq, "triangulate")
+    return _checked(_assemble(kind, levels), seq, "triangulate")
 
 
 def eliminate_quads(d: Dissection) -> Dissection:

@@ -25,7 +25,6 @@ from .modmat import (
     IDENTITY,
     _factorize,
     check_modular,
-    check_modulus,
     generator_product,
     pm_identity_sign,
     residue,
@@ -385,8 +384,13 @@ def _class_counts(n_mod: int, sizes,
 
 
 def enumerate_naive(n_mod: int, size: int) -> list[Seq]:
-    """Plain N^size filter; the independent cross-check for the DFS search."""
-    check_modulus(n_mod)
+    """Plain N^size filter; the independent cross-check for the DFS search.
+
+    It refuses what ``enumerate_solutions`` refuses, in the same words.
+    """
+    check_modular(n_mod, "enumeration")
+    if size < 2:
+        raise ValueError("solutions exist only for size >= 2")
     out = [seq for seq in iter_product(range(n_mod), repeat=size)
            if pm_identity_sign(generator_product(seq, n_mod), n_mod) is not None]
     return out

@@ -15,7 +15,6 @@ from quiddity.dissections import (
     Cell,
     Dissection,
     _CELLS,
-    _base_cases,
     _cell_edges,
     _find_crossing,
     attach_cell,
@@ -41,8 +40,6 @@ from quiddity.solutions import (
     is_solution,
     normalize_seq,
     oplus,
-    size3_solutions,
-    size4_solutions,
     solution_sign,
 )
 
@@ -111,27 +108,6 @@ def test_cell_edges_in_boundary_order():
         for v in itertools.combinations(range(1, 8), k):
             want = [tuple(sorted((v[i], v[(i + 1) % k]))) for i in range(k)]
             assert _cell_edges(v) == want
-
-
-@pytest.mark.parametrize("n_mod", [2, 3, 4])
-def test_base_cases_built_once(n_mod):
-    table = _base_cases(n_mod)
-    assert _base_cases(n_mod) is table
-    for key, d in table.items():
-        assert d.modulus == n_mod
-        assert quiddity(d) == key
-
-
-@pytest.mark.parametrize("n_mod", [2, 3, 4])
-def test_base_cases_key_every_small_solution(n_mod):
-    # every size-3 and 4 solution keys its class's entry, relabelled by the
-    # least transform that takes the canonical form to it
-    table = _base_cases(n_mod)
-    assert sorted(table) == sorted(size3_solutions(n_mod) + size4_solutions(n_mod))
-    for key, d in table.items():
-        assert quiddity(d) == key
-        canonical = canonicalize(key)
-        assert d == relabel(table[canonical], dihedral_images(canonical).index(key)), key
 
 
 def _is_side(edge, n):
@@ -499,16 +475,17 @@ def _reference_build_dissection(seq, n_mod: int) -> Dissection:
         raise ValueError("dissections need size >= 3")
     if solution_sign(seq, n_mod) is None:
         raise ValueError(f"{_seq_text(seq)} is not a solution mod {n_mod}")
-    if len(seq) <= 4:
-        base = _base_cases(n_mod)[canonicalize(seq)]
-        return _reference_match_exact(base, seq)
     witness = find_decomposition(seq, n_mod, list(_CELLS[kind].values()))
     if witness is None:
-        raise RuntimeError(
-            f"no attachable split for {_seq_text(seq)} mod {n_mod}; the classification "
-            "guarantees one, so this is a bug")
-    inner = _reference_build_dissection(witness.left, n_mod)
-    grown = attach_cell(inner, _spec_of(witness.right, kind))
+        if len(seq) > 4:
+            raise RuntimeError(
+                f"no attachable split for {_seq_text(seq)} mod {n_mod}; the classification "
+                "guarantees one, so this is a bug")
+        # a cell: glued onto the empty 2-gon (0, 0), it comes out rotated by one place
+        grown = attach_cell(Dissection(2, kind, ()), _spec_of(seq[1:] + seq[:1], kind))
+    else:
+        inner = _reference_build_dissection(witness.left, n_mod)
+        grown = attach_cell(inner, _spec_of(witness.right, kind))
     return _reference_match_exact(grown, seq)
 
 
@@ -525,7 +502,9 @@ def _reference_triangulate(seq, n_mod: int) -> Dissection:
         raise ValueError(f"{_seq_text(seq)} mod {n_mod} admits no all-triangle dissection")
     n = len(seq)
     if n == 3:
-        return _reference_match_exact(_base_cases(n_mod)[canonicalize(seq)], seq)
+        grown = attach_cell(Dissection(2, kind, ()),
+                            ("triangle", None if kind == KIND_PLAIN else seq[0]))
+        return _reference_match_exact(grown, seq)
     for t in range(2 * n):
         c = apply_dihedral(seq, t)
         eps = c[-1]
@@ -570,6 +549,16 @@ def test_builders_match_recursive_reference(n_mod):
         assert triangulate(seq, n_mod) == _reference_triangulate(seq, n_mod)
 
 
+@pytest.mark.parametrize("n_mod", [2, 3, 4])
+def test_builders_match_recursive_reference_on_every_small_solution(n_mod):
+    # every size-3 and 4 word a peel ends on, each under every dihedral image
+    for size in range(3, 8):
+        for seq in enumerate_solutions(n_mod, size):
+            assert build_dissection(seq, n_mod) == _reference_build_dissection(seq, n_mod), seq
+            if _triangulable(seq, n_mod):
+                assert triangulate(seq, n_mod) == _reference_triangulate(seq, n_mod), seq
+
+
 def _periodic_solutions(n_mod):
     """Solutions of size 5..60 that repeat a block of length 1..4."""
     out = set()
@@ -603,7 +592,7 @@ def _replayed(seq, levels, n_mod):
 
     The peel's rotation t is below the target's least period p, so
     t = -r mod p; the spec's glued part ends that rotation with its middle
-    letters.  Returns the levels and the innermost target.
+    letters.  Returns the levels and the innermost target, (0, 0).
     """
     kind = MODULUS_KIND[n_mod]
     replay = []
@@ -621,13 +610,13 @@ def _replayed(seq, levels, n_mod):
 
 
 def _spy_levels(monkeypatch):
-    """The (levels, core) of every ``_assemble`` call, in call order."""
+    """The levels of every ``_assemble`` call, in call order."""
     seen = []
     assemble = dissections._assemble
 
-    def spy(kind, levels, core):
-        seen.append((levels, core))
-        return assemble(kind, levels, core)
+    def spy(kind, levels):
+        seen.append(levels)
+        return assemble(kind, levels)
 
     monkeypatch.setattr(dissections, "_assemble", spy)
     return seen
@@ -644,13 +633,15 @@ def test_peel_levels_are_the_whitelisted_splits(n_mod, monkeypatch):
         if not is_solution(seq, n_mod):
             continue
         build_dissection(seq, n_mod)
-        levels, core = seen.pop()
-        replay, inner = _replayed(seq, levels, n_mod)
-        assert inner == core
-        assert replay or len(seq) <= 4
-        lefts = [target for target, _, _ in replay[1:]] + [core]
+        replay, inner = _replayed(seq, seen.pop(), n_mod)
+        assert inner == (0, 0)
+        lefts = [target for target, _, _ in replay[1:]] + [inner]
         for (target, spec, t), left in zip(replay, lefts):
             witness = find_decomposition(target, n_mod, list(_CELLS[kind].values()))
+            if witness is None:  # the last level, a cell: (0, 0) glued with it
+                assert (target, left) == (replay[-1][0], (0, 0))
+                assert (spec, t) == (_spec_of(target[1:] + target[:1], kind), 0)
+                continue
             assert (spec, t) == (_spec_of(witness.right, kind), witness.transform)
             assert witness.left == left
             periodic += _period(target) < len(target)
@@ -695,8 +686,7 @@ def test_assembly_rotates_by_the_period(n_mod, monkeypatch):
             builds.append((triangulate, _reference_triangulate))
         for build, reference in builds:
             assert build(seq, n_mod) == reference(seq, n_mod)
-            levels, _ = seen.pop()
-            replay, _ = _replayed(seq, levels, n_mod)
+            replay, _ = _replayed(seq, seen.pop(), n_mod)
             periodic += sum(t > 0 and _period(target) < len(target)
                             for target, _, t in replay)
     assert periodic > 0
@@ -775,7 +765,7 @@ def _spy_cuts(monkeypatch):
 ROTATED = {
     (2, 200): [94, 25], (2, 1000): [480, 140],
     (3, 200): [67, 33], (3, 1000): [314, 157],
-    (4, 200): [100, 31], (4, 1000): [487, 140],
+    (4, 200): [100, 32], (4, 1000): [487, 140],
 }
 
 
@@ -788,16 +778,13 @@ def test_builders_cut_once_per_level(n_mod, size, monkeypatch):
     while not _triangulable(seq, n_mod):
         seq = _glued(rng, n_mod, size)
     rotations = _spy_cuts(monkeypatch)
-    seen = _spy_levels(monkeypatch)
     triangulate(seq, n_mod)
-    assert len(rotations) == size - 3  # one triangle off per level, down to a triangle
+    assert len(rotations) == size - 2  # one triangle off per level, down to (0, 0)
     rotated = [sum(rotations)]
     rotations.clear()
     d = build_dissection(seq, n_mod)
-    base = _base_cases(n_mod)[canonicalize(seen[-1][1])]
-    # one cut per cell outside the base case; a split quadrilateral, two
-    # cells and their pair, is one level
-    assert len(rotations) == len(d.cells) - len(d.pairs) - (len(base.cells) - len(base.pairs))
+    # one cut per cell; a split quadrilateral, two cells and their pair, is one level
+    assert len(rotations) == len(d.cells) - len(d.pairs)
     rotated.append(sum(rotations))
     assert rotated == ROTATED[n_mod, size]
 
@@ -921,3 +908,14 @@ def test_svg_output():
     root = ET.fromstring(svg)
     assert root.tag.endswith("svg")
     assert len(svg.splitlines()) > 5
+
+
+def test_svg_draws_each_edge_once():
+    # n sides and one diagonal between each two neighbouring cells
+    cases = [build_dissection((0, 2, 0, 2), 4), build_dissection((2, 0, 2, 0) * 3, 4)]
+    cases += [random_dissection(4 + seed, kind, seed)
+              for kind in KIND_MODULUS for seed in range(10)]
+    for d in cases:
+        lines = to_svg(d).count("<line")
+        assert lines == d.n + len(d.cells) - 1, d
+    assert any(d.pairs for d in cases)

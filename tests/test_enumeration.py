@@ -107,6 +107,16 @@ def test_tail_solving_matches_naive():
     assert enumerate_solutions(5, 5) == enumerate_naive(5, 5)
 
 
+@pytest.mark.parametrize("n_mod, size", [(0, 3), (1, 3), (5, 0), (5, 1)])
+def test_naive_refuses_what_the_search_refuses(n_mod, size):
+    messages = []
+    for enumerate_ in (enumerate_solutions, enumerate_naive):
+        with pytest.raises(ValueError) as refused:
+            enumerate_(n_mod, size)
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1], messages
+
+
 def test_small_examples():
     assert enumerate_solutions(3, 2) == [(0, 0)]
     sols = enumerate_solutions(2, 4)

@@ -4,6 +4,7 @@ from math import comb, gcd
 import pytest
 
 from quiddity.cli import main
+from quiddity.dissections import KIND_PLAIN, Cell, Dissection, random_dissection, relabel
 from quiddity.modmat import generator_product, is_prime, pm_identity_sign, psl2_order
 from quiddity.monomial import (
     TheoremCheck,
@@ -226,3 +227,22 @@ def test_minimal_monomial_matches_split_scan():
                 continue
             witness = find_decomposition((k,) * rec.minimal_size, n_mod)
             assert (rec.irreducible, rec.witness) == (witness is None, witness), (n_mod, k)
+
+
+_TRIANGLE = Dissection(3, KIND_PLAIN, (Cell((1, 2, 3)),))
+
+
+@pytest.mark.parametrize("refused, args, message", [
+    (relabel, (_TRIANGLE, 6), "transform index out of range"),
+    (random_dissection, (5, "bogus", 0), "unknown kind 'bogus'"),
+    (random_dissection, (2, KIND_PLAIN, 0), "need n >= 3"),
+    (square_constant_solution, (1,), "need l >= 2"),
+    (prime_power_constant_solution, (2, 1), "need l >= 2 and exponent >= 2"),
+    (all_twos_matrix, (0,), "need size >= 1"),
+    (boundary_pairs, (5, 1, 2), "boundary shape needs size >= 3"),
+], ids=["relabel", "random-kind", "random-size", "square", "prime-power", "all-twos",
+        "boundary"])
+def test_library_refusals_read_exactly(refused, args, message):
+    with pytest.raises(ValueError) as caught:
+        refused(*args)
+    assert str(caught.value) == message
