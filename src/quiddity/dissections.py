@@ -377,10 +377,11 @@ def _assemble(kind: str, levels) -> Dissection:
     """The dissection the recursive builder makes from the peeled levels.
 
     ``levels`` lists (n, spec, r) from the outside in, down to the empty
-    2-gon: the peel split the spec's cell off the n-letter target's
-    rotation by t, and r = -t mod p, p the target's least period, is the
-    least transform back onto the target.  The recursion attaches each
-    cell to the dissection of the next target and relabels it by r.
+    2-gon.  The recursion attaches each spec's cell to the next level's
+    dissection and relabels the n-gon by r, which may be any rotation of
+    the labels.  For the peel, the cell was split off the n-letter
+    target's rotation by t, and r = -t mod p, p the target's least period,
+    is the least transform back onto the target.
     Composed top-down, these give one label map per level, a deque rotated
     by r and popped down to the next level's.  Each cell is made once from
     its final labels, in the recursion's cell and pair order: from the
@@ -571,48 +572,25 @@ def _fan(tri: Cell, quad: Cell, shared) -> list[Cell]:
 
 
 def random_dissection(n: int, kind: str, seed: int) -> Dissection:
-    """Seed-deterministic valid dissection of an n-gon of the given kind, validated once."""
+    """Seed-deterministic valid dissection of an n-gon of the given kind, validated once.
+
+    Peel levels are drawn from the outside in, down to the empty 2-gon:
+    at each size a ``_CELLS`` spec (a triangle at size 3) and a rotation,
+    placed by ``_assemble`` as the builders' levels are.
+    """
     if kind not in KIND_MODULUS:
         raise ValueError(f"unknown kind {kind!r}")
     if n < 3:
         raise ValueError("need n >= 3")
     rng = random.Random(seed)
-    cells: list[Cell] = []
-    pairs: list[tuple[int, int]] = []
-
-    def fill(chain: list[int]):
-        k = len(chain)
-        if k < 3:
-            return
-        if k == 3 or rng.choice(["triangle", "quad"]) == "triangle":
-            i = rng.randrange(1, k - 1)
-            _emit_triangle((chain[0], chain[i], chain[-1]))
-            fill(chain[:i + 1])
-            fill(chain[i:])
-        else:
-            i, j = sorted(rng.sample(range(1, k - 1), 2))
-            _emit_quad((chain[0], chain[i], chain[j], chain[-1]))
-            fill(chain[:i + 1])
-            fill(chain[i:j + 1])
-            fill(chain[j:])
-
-    def _emit_triangle(v):
-        w = None if kind == KIND_PLAIN else rng.choice((1, KIND_MODULUS[kind] - 1))
-        cells.append(Cell(tuple(sorted(v)), w))
-
-    def _emit_quad(v):
-        v = tuple(sorted(v))
-        choice = rng.choice(("w0", "w2", "split")) if kind == KIND_SECOND else "w0"
-        if choice == "split":
-            a, b, c, e = v
-            t1, t2 = rng.choice((((a, b, c), (a, c, e)), ((a, b, e), (b, c, e))))
-            pairs.append((len(cells), len(cells) + 1))
-            cells.extend((Cell(t1, 2), Cell(t2, 2)))
-        else:
-            cells.append(Cell(v, None if kind == KIND_PLAIN else 0 if choice == "w0" else 2))
-
-    fill(list(range(1, n + 1)))
-    d = Dissection(n, kind, tuple(cells), tuple(pairs))
+    specs = list(_CELLS[kind])
+    triangles = [spec for spec in specs if spec[0] == "triangle"]
+    levels = []
+    while n > 2:
+        spec = rng.choice(specs if n > 3 else triangles)
+        levels.append((n, spec, rng.randrange(n)))
+        n -= len(_CELLS[kind][spec]) - 2
+    d = _assemble(kind, levels)
     return _checked(d, _unchecked_quiddity(d), "random_dissection")
 
 

@@ -386,11 +386,14 @@ def _class_counts(n_mod: int, sizes,
 def enumerate_naive(n_mod: int, size: int) -> list[Seq]:
     """Plain N^size filter; the independent cross-check for the DFS search.
 
-    It refuses what ``enumerate_solutions`` refuses, in the same words.
+    It refuses what ``enumerate_solutions`` refuses, in the same words, and
+    more than ``DEFAULT_WORK_LIMIT`` tuples; a large search runs through
+    ``enumerate_solutions(..., work_limit=None)``.
     """
     check_modular(n_mod, "enumeration")
     if size < 2:
         raise ValueError("solutions exist only for size >= 2")
+    _check_work(n_mod ** size, "tuples", DEFAULT_WORK_LIMIT)
     out = [seq for seq in iter_product(range(n_mod), repeat=size)
            if pm_identity_sign(generator_product(seq, n_mod), n_mod) is not None]
     return out

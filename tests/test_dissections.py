@@ -890,6 +890,23 @@ def test_random_deterministic_and_valid():
             assert is_solution(quiddity(d), n_mod), (kind, seed)
 
 
+def test_random_reaches_every_cell_and_more_than_fans():
+    # each spec's shape and weight, a split pair as its two weight-2 triangles;
+    # a dissection whose cells all share a vertex is a fan
+    for kind in KIND_MODULUS:
+        expected = {(3, 2, True) if shape == "split_quad" else
+                    (3 if shape == "triangle" else 4, arg, False)
+                    for shape, arg in _CELLS[kind]}
+        seen, fans = set(), 0
+        for seed in range(60):
+            d = random_dissection(4 + seed % 10, kind, seed)
+            paired = {i for pair in d.pairs for i in pair}
+            seen |= {(len(c.vertices), c.weight, i in paired) for i, c in enumerate(d.cells)}
+            fans += bool(set.intersection(*(set(c.vertices) for c in d.cells)))
+        assert seen == expected, kind
+        assert fans < 60, kind
+
+
 def test_random_triangle_base_case():
     for kind in KIND_MODULUS:
         d = random_dissection(3, kind, 5)

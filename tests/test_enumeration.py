@@ -117,6 +117,16 @@ def test_naive_refuses_what_the_search_refuses(n_mod, size):
     assert messages[0] == messages[1], messages
 
 
+def test_naive_refuses_over_the_budget_before_it_iterates(monkeypatch):
+    # 50^8 tuples would take years; the refusal comes before the first one
+    monkeypatch.setattr(enumeration, "iter_product", None)
+    with pytest.raises(WorkLimitExceeded) as refused:
+        enumerate_naive(50, 8)
+    assert str(refused.value) == (
+        "search needs at least 39062500000000 tuples, over the budget of 4000000; "
+        "pass the large-search override to run it anyway")
+
+
 def test_small_examples():
     assert enumerate_solutions(3, 2) == [(0, 0)]
     sols = enumerate_solutions(2, 4)

@@ -545,6 +545,44 @@ def test_integer_mode_membership():
         is_irreducible((2, 2), 0)
 
 
+def _triangulation_quiddities(n: int) -> set:
+    """The triangle counts at the vertices of every triangulated n-gon.
+
+    The side (1, n) lies in one triangle, whose apex j cuts the polygon into
+    the triangulated (1..j)- and (j..n)-gons; a 2-gon has no triangle.
+    """
+    if n == 2:
+        return {(0, 0)}
+    out = set()
+    for j in range(2, n):
+        for left in _triangulation_quiddities(j):
+            for right in _triangulation_quiddities(n + 1 - j):
+                counts = [*left[:-1], left[-1] + right[0], *right[1:]]
+                for v in (0, j - 1, n - 1):
+                    counts[v] += 1
+                out.add(tuple(counts))
+    return out
+
+
+def test_conway_coxeter_triangulations():
+    # Conway and Coxeter: among the n positive entries summing to 3(n - 2),
+    # M_n = -Id exactly on the quiddities of triangulated n-gons, C_(n-2) of
+    # them; each splits over Z by a single 1 from n = 4 on
+    counts = []
+    for n in range(3, 10):
+        triangulated = _triangulation_quiddities(n)
+        minus_id = set()
+        for cuts in itertools.combinations(range(1, 3 * (n - 2)), n - 1):
+            seq = tuple(b - a for a, b in zip((0, *cuts), (*cuts, 3 * (n - 2))))
+            if solution_sign(seq, 0) == -1:
+                minus_id.add(seq)
+        assert minus_id == triangulated, n
+        if n > 3:
+            assert not any(is_irreducible(seq, 0) for seq in triangulated), n
+        counts.append(len(triangulated))
+    assert counts == [1, 2, 5, 14, 42, 132, 429]
+
+
 # ---------------------------------------------------------------------------
 # the mod-3 entry sum
 
