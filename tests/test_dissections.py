@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import pickle
 import random
 import tracemalloc
@@ -557,6 +559,34 @@ def test_builders_match_recursive_reference_on_every_small_solution(n_mod):
             assert build_dissection(seq, n_mod) == _reference_build_dissection(seq, n_mod), seq
             if _triangulable(seq, n_mod):
                 assert triangulate(seq, n_mod) == _reference_triangulate(seq, n_mod), seq
+
+
+# one SHA-256 per modulus over the JSON of every dissection that
+# test_builders_keep_their_bytes_on_large_inputs builds
+BUILT_BYTES = {
+    2: "215cfa29748be77972a431b8212b313314cd691db9674d2b2354401496ba7451",
+    3: "787f322148f1f0b2a3cdc3de0467e00b7566309d15c8832a2bc5223d8ce434fc",
+    4: "f8bef16c3004214637b36d0c54e5f23040a46a88d4b0951e3eb82b289aa826ab",
+}
+
+
+@pytest.mark.parametrize("n_mod", [2, 3, 4])
+def test_builders_keep_their_bytes_on_large_inputs(n_mod):
+    # past the recursive references' sizes: build_dissection, triangulate
+    # and, mod 3, eliminate_quads (triangulate --via-rewrite) of seeded
+    # glued solutions, pinned byte for byte
+    rng = random.Random(1100 + n_mod)
+    digest = hashlib.sha256()
+    for size in [*range(60, 201, 10), 2000]:
+        seq = _glued(rng, n_mod, size)
+        while not _triangulable(seq, n_mod):
+            seq = _glued(rng, n_mod, size)
+        built = [build_dissection(seq, n_mod), triangulate(seq, n_mod)]
+        if n_mod == 3:
+            built.append(eliminate_quads(built[0]))
+        for d in built:
+            digest.update(json.dumps(d.to_dict(), sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == BUILT_BYTES[n_mod]
 
 
 def _periodic_solutions(n_mod):
