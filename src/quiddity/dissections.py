@@ -18,7 +18,6 @@ Kinds:
 
 from __future__ import annotations
 
-import functools
 import random
 from collections import Counter, deque
 from math import cos, pi, sin
@@ -241,7 +240,8 @@ def _unchecked_quiddity(d: Dissection) -> Seq:
 
 
 # Each kind's cells by spec, with the solution a cell glues on: every
-# dihedral image of a glued part is listed, so the peel reads its ears here.
+# dihedral image of a glued part is listed, so each ear the peel reads off
+# a word's letters has a spec in ``_SPECS``.
 _CELLS = {
     KIND_PLAIN: {("triangle", None): (1, 1, 1), ("quad", None): (0, 0, 0, 0)},
     KIND_FIRST: {("triangle", 1): (1, 1, 1), ("triangle", 2): (2, 2, 2),
@@ -250,6 +250,9 @@ _CELLS = {
                   ("quad", 0): (0, 0, 0, 0), ("quad", 2): (2, 2, 2, 2),
                   ("split_quad", 0): (0, 2, 0, 2), ("split_quad", 1): (2, 0, 2, 0)},
 }
+_SPECS = {kind: {part: spec for spec, part in cells.items()} for kind, cells in _CELLS.items()}
+# whether each letter is +/-1, the letters that end a triangle ear
+_UNITS = {n_mod: [a in (1, n_mod - 1) for a in range(n_mod)] for n_mod in MODULUS_KIND}
 
 
 def cell_base_solution(spec, kind: str) -> Seq:
@@ -305,22 +308,6 @@ def relabel(d: Dissection, transform: int) -> Dissection:
 
 # ---------------------------------------------------------------------------
 # constructive builders
-
-
-@functools.cache
-def _ears(n_mod: int):
-    """The right parts a peel allows, by their middle letters: (quads, triangles).
-
-    ``quads[(a, b)]`` and ``triangles[a]`` give (spec, middle length, first
-    letter, last letter) of the ``_CELLS`` part with those middle letters,
-    which a rotation splits off exactly when it ends in them (see README);
-    no two parts of one length share them.
-    """
-    quads, triangles = {}, {}
-    for spec, part in _CELLS[MODULUS_KIND[n_mod]].items():
-        table, key = (quads, part[1:3]) if len(part) == 4 else (triangles, part[1])
-        table[key] = (spec, len(part) - 2, part[0], part[-1])
-    return quads, triangles
 
 
 def _least_period(word: bytearray) -> int:
@@ -419,35 +406,31 @@ def build_dissection(seq, n_mod: int) -> Dissection:
     """A dissection whose quiddity is exactly the given solution.
 
     The solution is peeled in a loop down to the empty 2-gon (0, 0), the
-    neutral element of the gluing: each step splits off an attachable cell
-    at the first rotation t that ends in its part's middle letters (see
-    ``_ears``).  Above size 4 that part is ``find_decomposition``'s
-    whitelisted right part; at size 3 or 4 the word is itself a cell, or
-    splits into two triangles, and the last cell leaves (0, 0).  The cells
-    are then placed in one pass, and the result is validated once against
-    the input.  The split always exists for moduli 2..4, so a search
-    failure is reported as a bug.
+    neutral element of the gluing: each step splits off the ear of the
+    first rotation t whose last two letters (before, last) have one.  A
+    +/-1 ``last`` ends the triangle (last, last, last); otherwise a
+    ``before`` that is not +/-1 ends the quad (last, before, last, before),
+    whose middle window has continuant before * last - 1 = -1 and no
+    shorter +/-1 window (see README).  When rotation 0 has no ear, its
+    last letter is not +/-1 and is rotation 1's ``before``, so t is 0 or 1.
+    Above size 4 the ear is ``find_decomposition``'s whitelisted right
+    part; at size 3 or 4 the word is itself a cell, or splits into two
+    triangles, and the last cell leaves (0, 0).  The cells are then placed
+    in one pass, and the result is validated once against the input.
     """
     kind = _modulus_kind(n_mod)
     seq = as_solution(seq, n_mod)
     if len(seq) < 3:
         raise ValueError("dissections need size >= 3")
-    quads, triangles = _ears(n_mod)
+    unit, specs = _UNITS[n_mod], _SPECS[kind]
     word = bytearray(seq)
     levels = []
     while len(word) > 2:
-        before, last = word[-2], word[-1]  # the rotation by t ends before, last
-        for t, first in enumerate(word):
-            ear = quads.get((before, last)) or triangles.get(last)
-            if ear:
-                break
-            before, last = last, first
-        else:
-            raise RuntimeError(
-                f"no attachable split for {_seq_text(word)} mod {n_mod}; the classification "
-                "guarantees one, so this is a bug")
-        spec, pops, head, tail = ear
-        levels.append((len(word), spec, _cut(word, t, pops, head, tail, n_mod)))
+        t = 0 if unit[word[-1]] or not unit[word[-2]] else 1
+        before, last = word[t - 2], word[t - 1]  # the rotation by t ends before, last
+        part = (last,) * 3 if unit[last] else (last, before, last, before)
+        levels.append((len(word), specs[part],
+                       _cut(word, t, len(part) - 2, last, part[-1], n_mod)))
     return _checked(_assemble(kind, levels), seq, "build_dissection")
 
 
@@ -462,12 +445,12 @@ def triangulate(seq, n_mod: int) -> Dissection:
     running count of those entries decides it from the three letters a
     peel changes.  The last triangle leaves (0, 0), which needs none.  A
     reflection peels the ear of the rotation ending at the same vertex, so
-    rotations alone are scanned.  The result is validated once.
+    rotations alone are scanned.  Each ear (last, last, last) takes its
+    spec from ``_SPECS``.  The result is validated once.
     """
     kind = _modulus_kind(n_mod)
     seq = as_solution(seq, n_mod)
-    triangles = _ears(n_mod)[1]  # keyed by the +/-1 letters; mod 2 and 3, the nonzero ones
-    unit = [a in triangles for a in range(n_mod)]
+    unit, specs = _UNITS[n_mod], _SPECS[kind]  # mod 2 and 3 the +/-1 letters are the nonzero ones
     good = sum(unit[a] for a in seq)
     if not good:
         raise ValueError(f"{_seq_text(seq)} mod {n_mod} admits no all-triangle dissection")
@@ -486,7 +469,7 @@ def triangulate(seq, n_mod: int) -> Dissection:
             raise RuntimeError(
                 f"no peelable position in {_seq_text(word)} mod {n_mod}; the triangulation "
                 "argument guarantees one, so this is a bug")
-        levels.append((len(word), triangles[last][0], _cut(word, t, 1, last, last, n_mod)))
+        levels.append((len(word), specs[(last,) * 3], _cut(word, t, 1, last, last, n_mod)))
         good = rest
     return _checked(_assemble(kind, levels), seq, "triangulate")
 

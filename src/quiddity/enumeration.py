@@ -201,12 +201,12 @@ def _totient(m: int) -> int:
     return m
 
 
-def _check_work(count: int, unit: str, work_limit: int | None):
+def _check_work(count: int, unit: str, work_limit: int | None,
+                advice: str = "pass the large-search override to run it anyway"):
     """Refuse a search of ``count`` units over ``work_limit``; None is no budget."""
     if work_limit is not None and count > work_limit:
         raise WorkLimitExceeded(
-            f"search needs at least {count} {unit}, over the budget of {work_limit}; "
-            "pass the large-search override to run it anyway")
+            f"search needs at least {count} {unit}, over the budget of {work_limit}; {advice}")
 
 
 def _check_table(n_mod: int, work_limit: int | None):
@@ -393,7 +393,8 @@ def enumerate_naive(n_mod: int, size: int) -> list[Seq]:
     check_modular(n_mod, "enumeration")
     if size < 2:
         raise ValueError("solutions exist only for size >= 2")
-    _check_work(n_mod ** size, "tuples", DEFAULT_WORK_LIMIT)
+    _check_work(n_mod ** size, "tuples", DEFAULT_WORK_LIMIT,
+                advice="run enumerate_solutions(..., work_limit=None) instead")
     out = [seq for seq in iter_product(range(n_mod), repeat=size)
            if pm_identity_sign(generator_product(seq, n_mod), n_mod) is not None]
     return out

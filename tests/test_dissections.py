@@ -33,6 +33,7 @@ from quiddity.dissections import (
 )
 from quiddity import dissections, solutions
 from quiddity.enumeration import enumerate_solutions
+from quiddity.modmat import continuant
 from quiddity.solutions import (
     _seq_text,
     apply_dihedral,
@@ -723,17 +724,30 @@ def test_assembly_rotates_by_the_period(n_mod, monkeypatch):
 
 
 @pytest.mark.parametrize("n_mod", [2, 3, 4])
-def test_ear_tables_are_unambiguous(n_mod):
-    # no two attachable quads share their middle pair, and no two triangles
-    # their letter, so a rotation's last letters name at most one part
-    cells = _CELLS[MODULUS_KIND[n_mod]]
-    quads = {spec: part for spec, part in cells.items() if len(part) == 4}
-    triangles = {spec: part for spec, part in cells.items() if len(part) == 3}
-    assert len({part[1:3] for part in quads.values()}) == len(quads)
-    assert len({part[1] for part in triangles.values()}) == len(triangles)
-    assert dissections._ears(n_mod) == (
-        {part[1:3]: (spec, 2, part[0], part[-1]) for spec, part in quads.items()},
-        {part[1]: (spec, 1, part[0], part[-1]) for spec, part in triangles.items()})
+def test_ear_rule_reads_a_cell_off_two_letters(n_mod):
+    # a rotation ending (before, last) has the ear (last,) * 3 when last is
+    # +/-1, else (last, before, last, before) when before is not: a solving
+    # _CELLS part whose middle window alone is +/-1, and every part is one
+    kind = MODULUS_KIND[n_mod]
+    units = {1, n_mod - 1}
+    assert dissections._UNITS[n_mod] == [a in units for a in range(n_mod)]
+    reached = set()
+    for before, last in itertools.product(range(n_mod), repeat=2):
+        if last in units:
+            part = (last,) * 3
+        elif before not in units:
+            part = (last, before, last, before)
+        else:  # no ear; rotation t + 1 ends in (last, first), last not +/-1
+            continue
+        assert is_solution(part, n_mod)
+        assert dissections._SPECS[kind][part] == _spec_of(part, kind)
+        middle = part[1:-1]
+        assert continuant(middle, n_mod) in units
+        for i, j in itertools.combinations(range(len(middle) + 1), 2):
+            if j - i < len(middle):
+                assert continuant(middle[i:j], n_mod) not in units, (part, i, j)
+        reached.add(part)
+    assert reached == set(_CELLS[kind].values())
 
 
 def test_least_period_is_the_first_repeat():
@@ -815,6 +829,7 @@ def test_builders_cut_once_per_level(n_mod, size, monkeypatch):
     d = build_dissection(seq, n_mod)
     # one cut per cell; a split quadrilateral, two cells and their pair, is one level
     assert len(rotations) == len(d.cells) - len(d.pairs)
+    assert set(rotations) <= {0, 1}  # the ear of rotation 0, else of rotation 1
     rotated.append(sum(rotations))
     assert rotated == ROTATED[n_mod, size]
 

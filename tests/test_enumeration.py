@@ -124,7 +124,7 @@ def test_naive_refuses_over_the_budget_before_it_iterates(monkeypatch):
         enumerate_naive(50, 8)
     assert str(refused.value) == (
         "search needs at least 39062500000000 tuples, over the budget of 4000000; "
-        "pass the large-search override to run it anyway")
+        "run enumerate_solutions(..., work_limit=None) instead")
 
 
 def test_small_examples():
