@@ -56,10 +56,13 @@ def _parse_seq(text: str, where: str = "") -> tuple[int, ...]:
     so the error stays one short line whatever the input.
     """
     parts = text.strip().split(",")
-    seq = []
-    for i, part in enumerate(parts, 1):
+    try:
+        return tuple(map(int, parts))
+    except ValueError:
+        pass
+    for i, part in enumerate(parts, 1):  # name the first part that is not an integer
         try:
-            seq.append(int(part))
+            int(part)
         except ValueError:
             head = part[:16]
             while len(repr(head)) > 40:  # an escape takes up to 10 characters
@@ -67,7 +70,6 @@ def _parse_seq(text: str, where: str = "") -> tuple[int, ...]:
             shown = repr(part) if head == part else f"{head!r}... ({len(part)} characters)"
             raise UsageError(f"{where}expected comma-separated integers; "
                              f"entry {i} of {len(parts)} is {shown}") from None
-    return tuple(seq)
 
 
 def _modulus(args) -> int:

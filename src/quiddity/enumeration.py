@@ -27,14 +27,12 @@ from .modmat import (
     check_modular,
     generator_product,
     pm_identity_sign,
-    residue,
     sl2_group_order,
 )
 from .solutions import (
     Seq,
     _split,
     canonicalize,
-    is_reversal_symmetric,
     Witness,
 )
 
@@ -58,33 +56,46 @@ def _group_tables(n: int):
     generator(a) * elements[g], and ``tails[g]`` is the (a_{n-1}, a_n) pair
     completing any prefix whose product is elements[g] to a solution, or
     None.  There is at most one: the solution's sign eps needs
-    eps * p11 = -1, and both signs would need p11 = 1 = -1 (mod 2 only
-    eps = +1 is tried).
+    eps * p11 = -1, so the tail is (-p21, p12) when p11 = -1 and
+    (p21, -p12) when p11 = 1, and both would need p11 = 1 = -1 (mod 2 the
+    two tails agree).
 
-    S and T generate SL2(Z) (Serre, A Course in Arithmetic, VII.1), which
-    maps onto SL2(Z/NZ) (Shimura, Introduction to the Arithmetic Theory of
-    Automorphic Functions, Lemma 1.38): a BFS from the identity (index 0) along
-    S (r1; r2) = (-r2; r1) and T (r1; r2) = (r1 + r2; r2) reaches every
-    element.  As G(a) = T^a S, step[0] is the S row and step[a] = T step[a - 1].
+    The elements are laid out coset by coset: element r * N + t is
+    (f_r + t * (c, d); (c, d)), the left coset <T> g of second row (c, d)
+    with base row f_r, as T (r1; r2) = (r1 + r2; r2) steps t to t + 1 mod N.
+    The identity is index 0: row (0, 1), base (1, 0).  S and T generate
+    SL2(Z) (Serre, A Course in Arithmetic, VII.1), which maps onto SL2(Z/NZ)
+    (Shimura, Introduction to the Arithmetic Theory of Automorphic
+    Functions, Lemma 1.38), so a BFS over second rows along
+    S (a, b; c, d) = (-c, -d; a, b) reaches every coset: a new second row
+    (a, b) opens a coset with base (-c, -d).  In the coset of (a, b) with
+    base (g1, g2), which has determinant g1 b - g2 a = 1, the first row
+    (-c, -d) sits at t' = g2 c - g1 d.  As G(a) = T^a S, step[0] is the S
+    row and step[a] = T step[a - 1].
     """
-    index = {IDENTITY: 0}
-    elements = [IDENTITY]
-    s_row, t_row = [], []
-    for p11, p12, p21, p22 in elements:  # the list grows as the BFS finds elements
-        for row, child in ((s_row, (-p21 % n, -p22 % n, p11, p12)),
-                           (t_row, ((p11 + p21) % n, (p12 + p22) % n, p21, p22))):
-            j = index.get(child)
-            if j is None:
-                j = index[child] = len(elements)
-                elements.append(child)
-            row.append(j)
+    where = [-1] * (n * n)  # the coset of second row (a, b), at a * N + b
+    where[1] = 0
+    rows, bases = [(0, 1)], [(1, 0)]
+    elements, s_row = [], []
+    for r, (c, d) in enumerate(rows):  # the list grows as the BFS finds cosets
+        e1, e2 = bases[r]
+        for t in range(n):
+            a, b = (e1 + t * c) % n, (e2 + t * d) % n
+            elements.append((a, b, c, d))
+            j = where[a * n + b]
+            if j < 0:
+                j = where[a * n + b] = len(rows)
+                rows.append((a, b))
+                bases.append((-c % n, -d % n))
+            g1, g2 = bases[j]
+            s_row.append(j * n + (g2 * c - g1 * d) % n)
+    t_row = list(range(1, len(elements) + 1))
+    t_row[n - 1::n] = range(0, len(elements), n)
     step = [s_row]
     for _ in range(1, n):
         step.append([t_row[x] for x in step[-1]])
-    minus_one = residue(-1, n)
-    signs = (1,) if minus_one == 1 else (1, -1)
-    tails = [next((((-eps * p21) % n, (eps * p12) % n) for eps in signs
-                   if (eps * p11 - minus_one) % n == 0), None) for p11, p12, p21, _ in elements]
+    tails = [(-p21 % n, p12) if p11 == n - 1 else (p21, -p12 % n) if p11 == 1 else None
+             for p11, p12, p21, _ in elements]
     return elements, step, tails
 
 
@@ -96,29 +107,27 @@ def _window_masks(n: int):
     the window a_i..a_t has product P_t Q^-1 with Q = P_{i-1}, so its
     continuant is row1(P_t) . col1(Q^-1) = row1(P_t) . (q22, -q21).
     ``row_bit[P]`` is p11 * N + p12, the bit of row 1 of P, and ``masks[Q]``
-    has the bit of every row r with r . (q22, -q21) = +/-1.  As Q has
-    determinant 1, those rows are u * row1(Q) + s * row2(Q) for u = +/-1 and
-    s in Z/NZ, and elements with the same second row share one mask.
+    has the bit of every row r with r . (q22, -q21) = det(r; row2(Q)) = +/-1.
+    The rows of determinant 1 with row2(Q) are the first rows of Q's coset
+    in ``_group_tables``, and those of determinant -1 the first rows of the
+    coset of -row2(Q), S^2 Q: so the mask depends only on the coset and is
+    the OR of two blocks' row bits.
 
     ``letters[g]`` lists, in increasing order, the a whose child
     step[a][g] has a tail: the letters that end a leaf.  The child G(a) g
     has p11 = a g11 - g21, and it has a tail iff p11 = +/-1, so the letters
     depend only on the first column of g and are solved once per column.
     """
-    elements, _, _ = _group_tables(n)
+    elements, step, _ = _group_tables(n)
+    s_row = step[0]
     units = {1 % n, n - 1}
-    by_row: dict[tuple[int, int], int] = {}
-    masks = []
-    for q11, q12, q21, q22 in elements:
-        mask = by_row.get((q21, q22))
-        if mask is None:
-            mask = 0
-            for u in units:
-                for s in range(n):
-                    mask |= 1 << ((u * q11 + s * q21) % n * n + (u * q12 + s * q22) % n)
-            by_row[q21, q22] = mask
-        masks.append(mask)
     row_bit = [p11 * n + p12 for p11, p12, _, _ in elements]
+    starts = range(0, len(elements), n)
+    # a block's N first rows are distinct, so summing their bits ORs them
+    block_rows = [sum([1 << bit for bit in row_bit[g:g + n]]) for g in starts]
+    masks = []
+    for r, g in enumerate(starts):
+        masks += [block_rows[r] | block_rows[s_row[s_row[g]] // n]] * n
     by_column = [tuple(a for a in range(n) if (a * g11 - g21) % n in units)
                  for g11 in range(n) for g21 in range(n)]
     letters = [by_column[g11 * n + g21] for g11, _, g21, _ in elements]
@@ -127,18 +136,27 @@ def _window_masks(n: int):
 
 @lru_cache(maxsize=None)
 def _coset_tables(n: int):
-    """The rotation walk of ``_class_counts``, on the left cosets <T> g.
+    """The rotation walk of ``_class_counts``, on pairs of left cosets <T> g.
 
     Returns (rows, orders, step, by_order).  T adds the second row, which is
     unimodular, to the first, so each coset is the N elements with one
-    second row, and ``rows`` maps the second rows to the cosets.  With c_d(h)
-    the words of length d and product h, c_{d+1}(h) = sum over a of
-    c_d(S^-1 T^-a h), as G(a) = T^a S: past d = 0 it is constant on cosets,
-    T^-a h runs over h's coset, and S^-1 g has second row -row1(g).  So
-    ``step[r]`` gets, for ``_advance``, the cosets of -row1(g) for the N
-    elements g of coset r.  ``orders[g]`` is the order of element g of
-    ``_group_tables`` modulo +/-Id (least k >= 1 with g^k = +/-Id), and
-    ``by_order[k][r]`` counts the elements of order k in coset r.
+    second row: coset r is the block r * N .. r * N + N - 1 of
+    ``_group_tables``.  With c_d(h) the words of length d and product h,
+    c_{d+1}(h) = sum over a of c_d(S^-1 T^-a h), as G(a) = T^a S: past
+    d = 0 it is constant on cosets, T^-a h runs over h's coset, and
+    S^-1 g = S^2 (S g) has second row -row1(g).  S g is in coset
+    s_row[g] // N, and S^2 = -Id takes each coset to the coset of its
+    negated second row.
+
+    -Id is central, so h -> -h maps each coset to the negated one, commutes
+    with the walk's step and keeps the order modulo +/-Id: the walk runs on
+    the pairs {coset, negated coset}, one coset for N = 2 and two
+    otherwise, a pair counting the words of both its cosets.  ``rows`` maps
+    each second row to its pair,
+    ``step[p]`` gets, for ``_advance``, the pairs of -row1(g) for the N
+    elements g of one coset of pair p, ``orders[g]`` is the order of element
+    g of ``_group_tables`` modulo +/-Id (least k >= 1 with g^k = +/-Id), and
+    ``by_order[k][p]`` counts the elements of order k in one coset of pair p.
 
     By Cayley-Hamilton g^k = U_{k-1} g - U_{k-2} Id, with U_{-1} = 0, U_0 = 1
     and U_k = t U_{k-1} - U_{k-2} for the trace t.  That is +/-Id iff
@@ -146,13 +164,21 @@ def _coset_tables(n: int):
     U_{k-1} g11 - U_{k-2} = +/-1, which then depends only on g11 mod c: the
     order is found once per class (t, c, g11 mod c).
     """
-    elements, _, _ = _group_tables(n)
+    elements, group_step, _ = _group_tables(n)
+    s_row = group_step[0]
     units = {1 % n, n - 1}
-    rows: dict[tuple[int, int], int] = {}
-    cosets = [rows.setdefault(g[2:], len(rows)) for g in elements]
-    step: list[list[int]] = [[] for _ in rows]
-    for (g11, g12, _, _), r in zip(elements, cosets):
-        step[r].append(rows[-g11 % n, -g12 % n])
+    starts = range(0, len(elements), n)
+    negated = [s_row[s_row[g]] // n for g in starts]
+    pair_of, firsts = [], []  # the pair of each coset; the first element of each pair
+    for r, g in enumerate(starts):
+        if negated[r] < r:
+            pair_of.append(pair_of[negated[r]])
+        else:
+            pair_of.append(len(firsts))
+            firsts.append(g)
+    rows = {elements[g][2:]: pair_of[r] for r, g in enumerate(starts)}
+    step = [itemgetter(*[pair_of[negated[s_row[g] // n]] for g in range(g0, g0 + n)])
+            for g0 in firsts]
     by_class: dict[tuple[int, int, int], int] = {}
     orders = []
     for g11, g12, g21, g22 in elements:
@@ -165,28 +191,42 @@ def _coset_tables(n: int):
                 prev, cur, k = cur, (t * cur - prev) % n, k + 1
             by_class[t, c, r] = k
         orders.append(k)
-    by_order = {k: [0] * len(rows) for k in by_class.values()}
-    for k, r in zip(orders, cosets):
-        by_order[k][r] += 1
-    return rows, tuple(orders), [itemgetter(*pre) for pre in step], by_order
+    by_order = {k: [0] * len(firsts) for k in by_class.values()}
+    for p, g0 in enumerate(firsts):
+        for k in orders[g0:g0 + n]:
+            by_order[k][p] += 1
+    return rows, tuple(orders), step, by_order
 
 
 @lru_cache(maxsize=None)
 def _palindrome_tables(n: int):
     """The palindrome walks of ``_class_counts``, on the elements fixed by tau.
 
-    Returns (positions, mirror, ends).  ``positions`` numbers F, the elements
-    with p12 = -p21 (see ``count_classes``).  p -> G(a) p G(a) maps F to
-    itself, so ``mirror[q]`` gets, for ``_advance``, G(a)^-1 q G(a)^-1 for
-    each a.  G(e) p = +/-Id iff p = +/-G(e)^-1 = +/-[[0, 1], [-1, e]]:
-    ``ends`` lists those, once per letter e and sign.
+    Returns (positions, mirror, ends).  p -> G(a) p G(a) maps F, the
+    elements with p12 = -p21 (see ``count_classes``), to itself, and it
+    commutes with p -> -p, so the walks run on the pairs {p, -p} of F (one
+    element for N = 2), as the rotation walk does on cosets.
+    ``positions`` maps each element of F to its pair, and ``mirror[q]``
+    gets, for ``_advance``, the pairs of G(a)^-1 q G(a)^-1 for each a, q
+    one element of the pair.  G(e) p = +/-Id iff p = +/-G(e)^-1 =
+    +/-[[0, 1], [-1, e]]: ``ends`` lists those pairs, once per letter e.
     """
     elements, _, _ = _group_tables(n)
-    positions = {p: i for i, p in enumerate(g for g in elements if (g[1] + g[2]) % n == 0)}
+    positions: dict[tuple[int, int, int, int], int] = {}
+    firsts = []
+    at = [0] * (n * n * n)  # the pair of [[x, y], [-y, w]], at (x * N + y) * N + w
+    for p in elements:
+        x, y, z, w = p
+        if (y + z) % n == 0:
+            i = positions.get((-x % n, -y % n, -z % n, -w % n))
+            if i is None:
+                i = len(firsts)
+                firsts.append(p)
+            positions[p] = at[(x * n + y) * n + w] = i
     # G(a)^-1 [[x, y], [-y, w]] G(a)^-1 = [[-w, v], [-v, a (v - y) - x]], v = a w - y
-    mirror = [itemgetter(*[positions[-w % n, (v := a * w - y) % n, -v % n, (a * (v - y) - x) % n]
-                           for a in range(n)]) for x, y, _, w in positions]
-    ends = [positions[0, u, -u % n, u * e % n] for u in {1 % n, n - 1} for e in range(n)]
+    mirror = [itemgetter(*[at[(-w % n * n + (v := a * w - y) % n) * n + (a * (v - y) - x) % n]
+                           for a in range(n)]) for x, y, _, w in firsts]
+    ends = [positions[0, 1, n - 1, e] for e in range(n)]
     return positions, mirror, ends
 
 
@@ -281,7 +321,10 @@ def enumerate_solutions(n_mod: int, size: int, alphabet=None,
             dfs(remaining, row[g])
             path.pop()
 
-    dfs(size - 2, 0)
+    try:
+        dfs(size - 2, 0)
+    finally:
+        del dfs  # dfs reaches itself through its closure: drop the cycle now
     out.sort()
     return out
 
@@ -291,10 +334,11 @@ def count_classes(n_mod: int, size: int, work_limit: int | None = DEFAULT_WORK_L
 
     Counts without listing, by the Cauchy-Frobenius lemma: the class count
     is the number of solution words fixed by an element of the dihedral
-    group D_size, averaged over its 2 * size elements.  ``walk[r]`` counts
+    group D_size, averaged over its 2 * size elements.  ``walk[p]`` counts
     the words of the current length whose product is any one element with
-    second row r, grown one letter per step: past length 0 the count is the
-    same for the N elements of that row (``_coset_tables``).
+    second row r or -r, for the pair p of r, grown one letter per step:
+    past length 0 the count is the same for the N elements of each row
+    (``_coset_tables``).
 
     * Rotations: the rotations by k with gcd(k, size) = d, phi(size/d) of
       them, fix exactly the words u^(size/d) with |u| = d, and
@@ -307,12 +351,11 @@ def count_classes(n_mod: int, size: int, work_limit: int | None = DEFAULT_WORK_L
       palindrome: (w, c, reverse w) for the size reflections of odd size;
       for even size, (e, w, c, reverse w) for size/2 of them and
       (w, reverse w) for the other size/2.  Palindrome products are fixed
-      by tau and grown from the middle, p -> G(a) p G(a), over the elements
-      tau fixes alone (``_palindrome_tables``).
+      by tau and grown from the middle, p -> G(a) p G(a), over the pairs
+      {p, -p} of elements tau fixes alone (``_palindrome_tables``).
 
-    ``work_limit`` bounds the group table's step entries and the counts the
-    walks add (their table steps), each checked before it is spent; None is
-    no budget.
+    ``work_limit`` bounds the group table's step entries and the walks'
+    table steps, each checked before it is spent; None is no budget.
     """
     check_modular(n_mod, "counting")
     if size < 2:
@@ -326,11 +369,13 @@ def _class_counts(n_mod: int, sizes,
 
     The rotation walk runs once, up to the largest size, and the odd and the
     even palindrome DPs once each, up to the longest palindrome any size
-    needs; each size adds its terms as the walks pass its length.  The
-    group table is checked against the budget before it is built, and the
-    walks' table steps, the counts they add, before they start: a rotation
-    step adds one count per group element, a palindrome step N per element
-    of F.
+    needs; each size adds its terms as the walks pass its length, and the
+    rotation walk's count of each order at one length is summed once for
+    all the sizes that length divides.  The group table is checked against
+    the budget before it is built, and the walks' table steps, the counts
+    they add, before they start: a step adds N counts per pair, which for
+    N > 2 is half a count per group element in the rotation walk and N / 2
+    per element of F in a palindrome walk.
     """
     top = max(sizes)
     # palindrome steps: (size - 1) // 2 odd ones for every size, and size // 2
@@ -340,40 +385,41 @@ def _class_counts(n_mod: int, sizes,
     _check_table(n_mod, work_limit)
     rows, orders, step, by_order = _coset_tables(n_mod)
     positions, mirror, ends = _palindrome_tables(n_mod)
-    _check_work((top - 1) * len(orders) + (odd_steps + even_steps) * len(positions) * n_mod,
+    _check_work(((top - 1) * len(step) + (odd_steps + even_steps) * len(mirror)) * n_mod,
                 "table steps", work_limit)
     fixed = dict.fromkeys(sizes, 0)
 
-    walk = [0] * len(rows)
-    walk[rows[1, 0]] = 1  # the N words of length 1 fill the coset of S = G(0)
+    walk = [0] * len(step)
+    walk[rows[1, 0]] = 1  # the N words of length 1 fill the coset of S = G(0), in its pair
     for d in range(1, top + 1):
         if d > 1:
             walk = _advance(walk, step)
-        for size in fixed:
-            if size % d == 0:
-                m = size // d
-                fixed[size] += _totient(m) * sum(sum(map(mul, walk, per_coset))
-                                                 for k, per_coset in by_order.items() if m % k == 0)
+        powers = {size: size // d for size in fixed if size % d == 0}
+        # the words of length d whose product has order k, once for all sizes
+        by_k = {k: sum(map(mul, walk, per_pair)) for k, per_pair in by_order.items()
+                if any(m % k == 0 for m in powers.values())}
+        for size, m in powers.items():
+            fixed[size] += _totient(m) * sum(c for k, c in by_k.items() if m % k == 0)
 
-    plus_minus = [positions[u, 0, 0, u] for u in {1 % n_mod, n_mod - 1}]
-    odd = [0] * len(positions)
-    for a in range(n_mod):  # length-1 palindromes
+    identity = positions[IDENTITY]  # the pair {Id, -Id}
+    odd = [0] * len(mirror)
+    for a in range(n_mod):  # length-1 palindromes, each G(a) in a pair of its own
         odd[positions[a, n_mod - 1, 1, 0]] = 1
     for k in range(odd_steps + 1):
         if k:
             odd = _advance(odd, mirror)
         length = 2 * k + 1
         if length in fixed:
-            fixed[length] += length * sum(odd[t] for t in plus_minus)
+            fixed[length] += length * odd[identity]
         if length + 1 in fixed:
             # (e, palindrome p) solves iff G(e) p does: the two are conjugate
             fixed[length + 1] += (length + 1) // 2 * sum(odd[t] for t in ends)
-    even = [0] * len(positions)
-    even[positions[IDENTITY]] = 1
+    even = [0] * len(mirror)
+    even[identity] = 1
     for k in range(1, even_steps + 1):
         even = _advance(even, mirror)
         if 2 * k in fixed:
-            fixed[2 * k] += k * sum(even[t] for t in plus_minus)
+            fixed[2 * k] += k * even[identity]
 
     counts = {}
     for size, total in fixed.items():
@@ -566,22 +612,31 @@ def _split_depth(n_mod: int, shard_count: int, top: int) -> int:
     return split
 
 
-def _least_of_reversal(word: Seq) -> bool:
-    """True when the necklace ``word`` is <= every rotation of its reversal.
+def _reversal_order(word: Seq) -> int:
+    """Compare the necklace ``word`` with the least rotation of its reversal: -1, 0 or 1.
 
-    word[0] is the least letter of a necklace, so a rotation that starts
-    above it is larger: only the rotations at the occurrences of word[0]
-    are compared, and only those whose second letter is at most word[1].
+    0 when some rotation of the reversal is ``word`` and none is smaller,
+    -1 when ``word`` is smaller than every rotation, 1 when one is smaller.
+    So a canonical form (see ``canonicalize``) gives 0 exactly when its class
+    is one cyclic class, -1 when it is two.  word[0] is the least letter of
+    a necklace, so a rotation that starts above it is larger: only the
+    rotations at the occurrences of word[0] are compared, and only those
+    whose second letter is at most word[1].
     """
     size = len(word)
     mirrored = word[::-1] * 2
     least, second = word[0], word[1]
+    order = -1
     i = mirrored.index(least)
     while i < size:
-        if mirrored[i + 1] <= second and mirrored[i:i + size] < word:
-            return False
+        if mirrored[i + 1] <= second:
+            rotation = mirrored[i:i + size]
+            if rotation <= word:
+                if rotation < word:
+                    return 1
+                order = 0
         i = mirrored.index(least, i + 1)
-    return True
+    return order
 
 
 def _class_leaves(config: SearchConfig, sizes, prune: bool = True) -> tuple[dict[int, list], int]:
@@ -686,7 +741,7 @@ def _class_leaves(config: SearchConfig, sizes, prune: bool = True) -> tuple[dict
             if v < low:
                 return
             period = t + 2
-        if len(word) % period == 0 and _least_of_reversal(word):
+        if len(word) % period == 0 and _reversal_order(word) <= 0:
             out.append(word)
 
     def dfs(prefix: Seq, g: int, period: int, forbid: int):
@@ -724,8 +779,11 @@ def _class_leaves(config: SearchConfig, sizes, prune: bool = True) -> tuple[dict
 
     if outs[0] is not None and tails[0]:  # size 2: the tail of the empty prefix
         emit(outs[0], tails[0], 1)
-    if top:
-        dfs((), 0, 1, 0)
+    try:
+        if top:
+            dfs((), 0, 1, 0)
+    finally:
+        del dfs  # dfs reaches itself through its closure: drop the cycle now
     return found, visited
 
 
@@ -736,7 +794,9 @@ def _too_deep(size: int, deepest: int, search: str = "class search") -> ValueErr
 
 def _size_report(size: int, irreducible: list[Seq], total: int | None,
                  witnesses: dict[Seq, Witness] | None = None) -> SizeReport:
-    cyclic = sum(1 if is_reversal_symmetric(rep) else 2 for rep in irreducible)
+    # the classes are canonical forms: a class is one cyclic class when some
+    # rotation of its reversal is its canonical form
+    cyclic = sum(2 if _reversal_order(rep) else 1 for rep in irreducible)
     reducible = None if total is None else total - len(irreducible)
     return SizeReport(size, total, irreducible, reducible, cyclic, witnesses or {})
 

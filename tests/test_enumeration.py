@@ -1,3 +1,4 @@
+import gc
 import json
 import pickle
 from collections import Counter
@@ -16,8 +17,9 @@ from quiddity.enumeration import (
     _class_leaves,
     _coset_tables,
     _group_tables,
-    _least_of_reversal,
     _palindrome_tables,
+    _reversal_order,
+    _size_report,
     _split_depth,
     _window_masks,
     DEFAULT_WORK_LIMIT,
@@ -54,6 +56,7 @@ from quiddity.solutions import (
     canonicalize,
     dihedral_images,
     find_decomposition,
+    is_reversal_symmetric,
     negate,
     oplus,
     rotations,
@@ -480,35 +483,45 @@ def test_coset_walk_facts(n_mod):
     for g in elements:
         held[g[2:]] = held.get(g[2:], 0) + 1
     assert set(held.values()) == {n_mod} and set(held) == set(rows)
-    assert len(rows) * n_mod == len(elements)
-    # the element walk is constant on each coset, where it is the coset walk,
-    # so the coset walk is the element walk summed over a coset, over N
+    # a pair is a second row and its negation: two rows, one for N = 2
+    pairs = len(coset_step)
+    assert pairs * n_mod * (1 if n_mod == 2 else 2) == len(elements)
+    assert sorted(rows.values()) == sorted(list(range(pairs)) * (1 if n_mod == 2 else 2))
+    assert all(rows[c, d] == rows[-c % n_mod, -d % n_mod] for c, d in rows)
+    # the element walk is constant on each coset, and the pair walk is the
+    # element walk summed over the pair's cosets, over N
     cosets = [rows[g[2:]] for g in elements]
     by_element = [1] + [0] * (len(elements) - 1)
-    by_coset = [0] * len(rows)
-    by_coset[rows[1, 0]] = 1
+    by_pair = [0] * pairs
+    by_pair[rows[1, 0]] = 1
     for d in range(1, 7):
         by_element = _element_advance(by_element, step)
         if d > 1:
-            by_coset = _advance(by_coset, coset_step)
-        assert [by_coset[r] for r in cosets] == by_element, (n_mod, d)
-        summed = [0] * len(rows)
-        for r, c in zip(cosets, by_element):
-            summed[r] += c
-        assert summed == [n_mod * c for c in by_coset], (n_mod, d)
+            by_pair = _advance(by_pair, coset_step)
+        for g, count in enumerate(by_element):
+            assert count == by_element[g - g % n_mod], (n_mod, d, g)
+        summed = [0] * pairs
+        for p, c in zip(cosets, by_element):
+            summed[p] += c
+        assert summed == [n_mod * c for c in by_pair], (n_mod, d)
     # the closed-form ends are the letters e with G(e) p = +/-Id, for p in F
     index = {g: i for i, g in enumerate(elements)}
     plus_minus = {index[(x, 0, 0, x)] for x in {1 % n_mod, n_mod - 1}}
     assert list(positions) == [g for g in elements if (g[1] + g[2]) % n_mod == 0]
+    assert all(positions[p] == positions[tuple(-x % n_mod for x in p)] for p in positions)
+    assert len(set(positions.values())) == len(mirror)
     for p, i in positions.items():
         assert ends.count(i) == sum(row[index[p]] in plus_minus for row in step), (n_mod, p)
-    # mirror holds the predecessors of p -> G(a) p G(a) on F
-    pushed = [0] * len(positions)
-    for p in positions:
+    # mirror holds the predecessors of p -> G(a) p G(a) on the pairs of F
+    firsts = {}
+    for p, i in positions.items():
+        firsts.setdefault(i, p)
+    pushed = [0] * len(mirror)
+    for i, p in firsts.items():
         for a in range(n_mod):
             g = generator(a, n_mod)
-            pushed[positions[mat_mul(mat_mul(g, p, n_mod), g, n_mod)]] += 1 + positions[p]
-    assert _advance([1 + i for i in range(len(positions))], mirror) == pushed, n_mod
+            pushed[positions[mat_mul(mat_mul(g, p, n_mod), g, n_mod)]] += 1 + i
+    assert _advance([1 + i for i in range(len(mirror))], mirror) == pushed, n_mod
 
 
 def test_class_counts_checks_burnside_divisibility(monkeypatch):
@@ -562,10 +575,11 @@ def test_counting_report_matches_enumeration(n_mod):
 
 
 def test_count_classes_work_counts_table_steps():
-    # size 6 mod 5: 5 walk steps add one count per element of SL2(Z/5Z)
-    # (120), and 2 odd + 3 even palindrome steps 5 per tau-fixed element (30)
-    steps = 5 * 120 + (2 + 3) * 5 * 30
-    assert steps == 1350
+    # size 6 mod 5: 5 walk steps add one count per pair {g, -g} of SL2(Z/5Z)
+    # (60), and 2 odd + 3 even palindrome steps 5 per pair of tau-fixed
+    # elements (15)
+    steps = 5 * 60 + (2 + 3) * 5 * 15
+    assert steps == 675
     assert count_classes(5, 6, work_limit=steps) == 40
     with pytest.raises(WorkLimitExceeded, match="table steps"):
         count_classes(5, 6, work_limit=steps - 1)
@@ -745,7 +759,7 @@ def _list_window_candidates(config: SearchConfig, size: int, prune: bool = True)
                 if word[t] > low:
                     p = t + 1
             else:
-                if size % p == 0 and _least_of_reversal(word):
+                if size % p == 0 and _reversal_order(word) <= 0:
                     leaves.append(word)
             return
         low = path[depth - period] if depth else 0
@@ -1042,6 +1056,68 @@ def test_group_tables_match_oracles(n_mod):
                     if pm_identity_sign(elements[step[v][step[u][g]]], n_mod) is not None]
             assert tails[g] == (ends[0] if ends else None) and len(ends) <= 1, (n_mod, g)
     assert list(orders) == [_power_order(g, n_mod) for g in elements], n_mod
+
+
+@pytest.mark.parametrize("n_mod", [*range(2, 13), 16, 30])
+def test_group_tables_lay_out_cosets(n_mod):
+    # element r * N + t is (f_r + t * (c, d); (c, d)): the block of N elements
+    # from r * N is the coset <T> g of second row (c, d), with base row f_r
+    elements, _, _ = _group_tables(n_mod)
+    _, masks, _ = _window_masks(n_mod)
+    rows, _, _, _ = _coset_tables(n_mod)
+    assert elements[0] == IDENTITY and len(elements) % n_mod == 0
+    for g, (a, b, c, d) in enumerate(elements):
+        f1, f2, c0, d0 = elements[g - g % n_mod]
+        t = g % n_mod
+        assert (c, d) == (c0, d0), (n_mod, g)
+        assert (a, b) == ((f1 + t * c) % n_mod, (f2 + t * d) % n_mod), (n_mod, g)
+        # masks are constant on each block
+        assert masks[g] == masks[g - g % n_mod], (n_mod, g)
+    # the count's cosets are the blocks, one second row each
+    assert list(rows) == [g[2:] for g in elements[::n_mod]]
+
+
+def test_cyclic_counts_match_reversal_symmetry():
+    # the scan at the least letter against is_reversal_symmetric, on every
+    # class of sizes 3..9 mod 2..8 and through merging shards
+    for n_mod in range(2, 9):
+        config = SearchConfig(n_mod, range(3, 10), keep_witnesses=True)
+        leaves, _ = _class_leaves(config, config.sizes, prune=False)
+        for size, reps in leaves.items():
+            assert [_reversal_order(rep) for rep in reps] == \
+                [0 if is_reversal_symmetric(rep) else -1 for rep in reps], (n_mod, size)
+            want = sum(1 if is_reversal_symmetric(rep) else 2 for rep in reps)
+            assert _size_report(size, reps, None).cyclic_irreducible_count == want, (n_mod, size)
+        sharded = SearchConfig(n_mod, range(3, 10), shard_count=3)
+        merged = merge_shards(sharded, [classify(sharded._replace(shard_index=i)) for i in range(3)])
+        for report in merged.sizes:
+            assert report.cyclic_irreducible_count == sum(
+                1 if is_reversal_symmetric(rep) else 2 for rep in report.irreducible), n_mod
+
+
+def test_class_searches_leave_no_reference_cycles():
+    # the recursive DFS closures drop their self-reference, so a run, even one
+    # refused mid-search, leaves nothing for the cyclic collector
+    configs = [SearchConfig(6, range(3, 10), keep_witnesses=True), SearchConfig(7, range(3, 10)),
+               SearchConfig(9, range(3, 11), irreducible_only=True),
+               SearchConfig(11, range(3, 13), irreducible_only=True, work_limit=1000)]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        refused = []
+        for config in configs:
+            try:
+                classify(config)
+            except WorkLimitExceeded:
+                refused.append(config.modulus)
+            assert gc.collect() == 0, config
+        assert refused == [11]
+        enumerate_solutions(5, 6)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_group_table_budget_checked_before_build(monkeypatch):
