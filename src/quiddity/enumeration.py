@@ -22,7 +22,6 @@ from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .modmat import (
-    IDENTITY,
     _factorize,
     check_modular,
     generator_product,
@@ -136,9 +135,9 @@ def _window_masks(n: int):
 
 @lru_cache(maxsize=None)
 def _coset_tables(n: int):
-    """The rotation walk of ``_class_counts``, on pairs of left cosets <T> g.
+    """The walk of ``_class_counts``, on pairs of left cosets <T> g.
 
-    Returns (rows, orders, step, by_order).  T adds the second row, which is
+    Returns (rows, orders, step, weights).  T adds the second row, which is
     unimodular, to the first, so each coset is the N elements with one
     second row: coset r is the block r * N .. r * N + N - 1 of
     ``_group_tables``.  With c_d(h) the words of length d and product h,
@@ -154,15 +153,32 @@ def _coset_tables(n: int):
     otherwise, a pair counting the words of both its cosets.  ``rows`` maps
     each second row to its pair,
     ``step[p]`` gets, for ``_advance``, the pairs of -row1(g) for the N
-    elements g of one coset of pair p, ``orders[g]`` is the order of element
-    g of ``_group_tables`` modulo +/-Id (least k >= 1 with g^k = +/-Id), and
-    ``by_order[k][p]`` counts the elements of order k in one coset of pair p.
+    elements g of one coset of pair p, and ``orders[g]`` is the order of
+    element g of ``_group_tables`` modulo +/-Id (least k >= 1 with
+    g^k = +/-Id).
 
     By Cayley-Hamilton g^k = U_{k-1} g - U_{k-2} Id, with U_{-1} = 0, U_0 = 1
     and U_k = t U_{k-1} - U_{k-2} for the trace t.  That is +/-Id iff
     U_{k-1} = 0 mod N/c, c = gcd(g12, g21, g11 - g22, N), and
     U_{k-1} g11 - U_{k-2} = +/-1, which then depends only on g11 mod c: the
     order is found once per class (t, c, g11 mod c).
+
+    ``weights`` is (by_order, odd, edge, vertex), each summed over one
+    coset of pair p: ``by_order[k][p]`` counts its elements of order k, and
+    odd[p], edge[p] and vertex[p] add up the reflection weights O, E and V
+    of ``count_classes`` over its elements g = [[a, b], [c, d]]:
+
+    * O(g) = [a^2 = b^2 and bd - ac = +/-1], the number of letters x with
+      tau(g) G(x) g = +/-Id, as that is g tau(g) = +/-G(x)^-1;
+    * E(g) = [ab = cd and a^2 - c^2 = +/-1], whether tau(g) g = +/-Id, as
+      its determinant 1 then makes d^2 - b^2 = a^2 - c^2;
+    * V(g), the number of letters x with tau(g) G(x) g = +/-G(e)^-1 for
+      some e.  With y = xa - 2c that is ay = 0 and by - 1 = +/-1, as
+      ad + bc = 1 + 2bc.  So y is a multiple of N/h, h = gcd(a, N), with
+      by in {0, 2} and y = -2c mod h, and each such y is xa - 2c for h
+      letters x.  For h = 1 that leaves y = 0, which always solves.
+
+    All three are even under g -> -g, like the orders.
     """
     elements, group_step, _ = _group_tables(n)
     s_row = group_step[0]
@@ -192,42 +208,19 @@ def _coset_tables(n: int):
             by_class[t, c, r] = k
         orders.append(k)
     by_order = {k: [0] * len(firsts) for k in by_class.values()}
+    odd, edge, vertex = ([0] * len(firsts) for _ in range(3))
+    two = {0, 2 % n}
+    gcds = [gcd(a, n) for a in range(n)]
     for p, g0 in enumerate(firsts):
         for k in orders[g0:g0 + n]:
             by_order[k][p] += 1
-    return rows, tuple(orders), step, by_order
-
-
-@lru_cache(maxsize=None)
-def _palindrome_tables(n: int):
-    """The palindrome walks of ``_class_counts``, on the elements fixed by tau.
-
-    Returns (positions, mirror, ends).  p -> G(a) p G(a) maps F, the
-    elements with p12 = -p21 (see ``count_classes``), to itself, and it
-    commutes with p -> -p, so the walks run on the pairs {p, -p} of F (one
-    element for N = 2), as the rotation walk does on cosets.
-    ``positions`` maps each element of F to its pair, and ``mirror[q]``
-    gets, for ``_advance``, the pairs of G(a)^-1 q G(a)^-1 for each a, q
-    one element of the pair.  G(e) p = +/-Id iff p = +/-G(e)^-1 =
-    +/-[[0, 1], [-1, e]]: ``ends`` lists those pairs, once per letter e.
-    """
-    elements, _, _ = _group_tables(n)
-    positions: dict[tuple[int, int, int, int], int] = {}
-    firsts = []
-    at = [0] * (n * n * n)  # the pair of [[x, y], [-y, w]], at (x * N + y) * N + w
-    for p in elements:
-        x, y, z, w = p
-        if (y + z) % n == 0:
-            i = positions.get((-x % n, -y % n, -z % n, -w % n))
-            if i is None:
-                i = len(firsts)
-                firsts.append(p)
-            positions[p] = at[(x * n + y) * n + w] = i
-    # G(a)^-1 [[x, y], [-y, w]] G(a)^-1 = [[-w, v], [-v, a (v - y) - x]], v = a w - y
-    mirror = [itemgetter(*[at[(-w % n * n + (v := a * w - y) % n) * n + (a * (v - y) - x) % n]
-                           for a in range(n)]) for x, y, _, w in firsts]
-    ends = [positions[0, 1, n - 1, e] for e in range(n)]
-    return positions, mirror, ends
+        for a, b, c, d in elements[g0:g0 + n]:
+            odd[p] += (a * a - b * b) % n == 0 and (b * d - a * c) % n in units
+            edge[p] += (a * b - c * d) % n == 0 and (a * a - c * c) % n in units
+            h = gcds[a]
+            vertex[p] += 1 if h == 1 else h * sum(b * y % n in two and (y + 2 * c) % h == 0
+                                                  for y in range(0, n, n // h))
+    return rows, tuple(orders), step, (by_order, odd, edge, vertex)
 
 
 def _advance(counts: list[int], preds) -> list[int]:
@@ -348,13 +341,16 @@ def count_classes(n_mod: int, size: int, work_limit: int | None = DEFAULT_WORK_L
       and fixes every generator, so M(reverse u) = tau(M(u)).  A rotation of
       a solution is a solution (its product is a conjugate), so each
       reflection may be counted at the rotation of its fixed words that is a
-      palindrome: (w, c, reverse w) for the size reflections of odd size;
-      for even size, (e, w, c, reverse w) for size/2 of them and
-      (w, reverse w) for the other size/2.  Palindrome products are fixed
-      by tau and grown from the middle, p -> G(a) p G(a), over the pairs
-      {p, -p} of elements tau fixes alone (``_palindrome_tables``).
+      palindrome: (reverse w, x, w) for the size reflections of odd size;
+      for even size, (e, reverse w, x, w) for size/2 of them and
+      (reverse w, w) for the other size/2.  With g = M(w) = [[a, b], [c, d]],
+      tau(g) G(x) g = x [[a^2, ab], [-ab, -b^2]] + [[-2ac, -ad - bc],
+      [ad + bc, 2bd]], so the words w of product g add a weight of g alone:
+      O(g) middles x, E(g) in {0, 1} for no middle, and V(g) pairs (e, x)
+      that solve (``_coset_tables``).  Each weight is even under g -> -g,
+      so it is summed over one coset per pair and added times the walk.
 
-    ``work_limit`` bounds the group table's step entries and the walks'
+    ``work_limit`` bounds the group table's step entries and the walk's
     table steps, each checked before it is spent; None is no budget.
     """
     check_modular(n_mod, "counting")
@@ -367,27 +363,22 @@ def _class_counts(n_mod: int, sizes,
                   work_limit: int | None = DEFAULT_WORK_LIMIT) -> dict[int, int]:
     """``count_classes`` for every size in ``sizes`` (all >= 2), in one pass.
 
-    The rotation walk runs once, up to the largest size, and the odd and the
-    even palindrome DPs once each, up to the longest palindrome any size
-    needs; each size adds its terms as the walks pass its length, and the
-    rotation walk's count of each order at one length is summed once for
-    all the sizes that length divides.  The group table is checked against
-    the budget before it is built, and the walks' table steps, the counts
-    they add, before they start: a step adds N counts per pair, which for
-    N > 2 is half a count per group element in the rotation walk and N / 2
-    per element of F in a palindrome walk.
+    The walk runs once, up to the largest size, and each size adds its terms
+    as the walk passes their lengths: at length d, the rotation terms of the
+    sizes d divides, with the count of each order summed once for them all,
+    and the reflection terms of sizes 2d + 1, 2d and 2d + 2.  Length 0, the
+    empty word, adds only V(Id) = 1, the word (0, 0), to size 2.  The group
+    table is checked against the budget before it is built, and the walk's
+    table steps, the counts it adds, before it starts: a step adds N counts
+    per pair, which for N > 2 is half a count per group element.
     """
     top = max(sizes)
-    # palindrome steps: (size - 1) // 2 odd ones for every size, and size // 2
-    # even ones for an even size
-    odd_steps = (top - 1) // 2
-    even_steps = max((size // 2 for size in sizes if size % 2 == 0), default=0)
     _check_table(n_mod, work_limit)
-    rows, orders, step, by_order = _coset_tables(n_mod)
-    positions, mirror, ends = _palindrome_tables(n_mod)
-    _check_work(((top - 1) * len(step) + (odd_steps + even_steps) * len(mirror)) * n_mod,
-                "table steps", work_limit)
+    rows, orders, step, (by_order, odd, edge, vertex) = _coset_tables(n_mod)
+    _check_work((top - 1) * len(step) * n_mod, "table steps", work_limit)
     fixed = dict.fromkeys(sizes, 0)
+    if 2 in fixed:
+        fixed[2] = 1
 
     walk = [0] * len(step)
     walk[rows[1, 0]] = 1  # the N words of length 1 fill the coset of S = G(0), in its pair
@@ -400,26 +391,12 @@ def _class_counts(n_mod: int, sizes,
                 if any(m % k == 0 for m in powers.values())}
         for size, m in powers.items():
             fixed[size] += _totient(m) * sum(c for k, c in by_k.items() if m % k == 0)
-
-    identity = positions[IDENTITY]  # the pair {Id, -Id}
-    odd = [0] * len(mirror)
-    for a in range(n_mod):  # length-1 palindromes, each G(a) in a pair of its own
-        odd[positions[a, n_mod - 1, 1, 0]] = 1
-    for k in range(odd_steps + 1):
-        if k:
-            odd = _advance(odd, mirror)
-        length = 2 * k + 1
-        if length in fixed:
-            fixed[length] += length * odd[identity]
-        if length + 1 in fixed:
-            # (e, palindrome p) solves iff G(e) p does: the two are conjugate
-            fixed[length + 1] += (length + 1) // 2 * sum(odd[t] for t in ends)
-    even = [0] * len(mirror)
-    even[identity] = 1
-    for k in range(1, even_steps + 1):
-        even = _advance(even, mirror)
-        if 2 * k in fixed:
-            fixed[2 * k] += k * even[identity]
+        # the palindromes (reverse w, x, w), (reverse w, w) and (e, reverse w, x, w)
+        # with |w| = d, each times the reflections that fix words of its shape
+        for size, times, weight in ((2 * d + 1, 2 * d + 1, odd), (2 * d, d, edge),
+                                    (2 * d + 2, d + 1, vertex)):
+            if size in fixed:
+                fixed[size] += times * sum(map(mul, walk, weight))
 
     counts = {}
     for size, total in fixed.items():

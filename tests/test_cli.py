@@ -597,14 +597,14 @@ def _with_budget(monkeypatch, work_limit):
 
 
 def test_classify_count_work_guard(capsys, monkeypatch):
-    # the count needs 3,840 table steps (10 walk steps x 192 pairs of group
-    # elements + 5 palindrome steps x 8 letters x 48 pairs of tau-fixed
-    # ones) and stops the run before the DFS, which would try 537 nodes and fit
+    # the count needs 1,920 table steps (10 walk steps x 192 pairs of group
+    # elements) and stops the run before the DFS, which would try 537 nodes
+    # and fit
     _with_budget(monkeypatch, 600)
     code, out, err = run(capsys, "classify", "--modulus", "8", "--size", "11")
     assert code == 2
     assert out == ""
-    assert len(err.splitlines()) == 1 and "3840 table steps" in err
+    assert len(err.splitlines()) == 1 and "1920 table steps" in err
 
 
 def test_classify_irreducible_only_work_guard(capsys, monkeypatch):

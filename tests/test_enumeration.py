@@ -17,7 +17,6 @@ from quiddity.enumeration import (
     _class_leaves,
     _coset_tables,
     _group_tables,
-    _palindrome_tables,
     _reversal_order,
     _size_report,
     _split_depth,
@@ -473,11 +472,10 @@ def test_class_counts_match_element_dp():
         assert _class_counts(n_mod, sizes, None) == _element_class_counts(n_mod, sizes), n_mod
 
 
-@pytest.mark.parametrize("n_mod", range(2, 13))
+@pytest.mark.parametrize("n_mod", [*range(2, 13), 16, 18, 20, 24])
 def test_coset_walk_facts(n_mod):
     elements, step, _ = _group_tables(n_mod)
-    rows, _, coset_step, _ = _coset_tables(n_mod)
-    positions, mirror, ends = _palindrome_tables(n_mod)
+    rows, _, coset_step, (_, odd, edge, vertex) = _coset_tables(n_mod)
     # every second row holds exactly N elements
     held = {}
     for g in elements:
@@ -504,24 +502,31 @@ def test_coset_walk_facts(n_mod):
         for p, c in zip(cosets, by_element):
             summed[p] += c
         assert summed == [n_mod * c for c in by_pair], (n_mod, d)
-    # the closed-form ends are the letters e with G(e) p = +/-Id, for p in F
+    # the reflection weights, each summed over one coset per pair, against
+    # the products over every letter x: tau(g) G(x) g is +/-Id for O, and
+    # +/-G(e)^-1 for some e for V; tau(g) g is +/-Id for E
     index = {g: i for i, g in enumerate(elements)}
     plus_minus = {index[(x, 0, 0, x)] for x in {1 % n_mod, n_mod - 1}}
-    assert list(positions) == [g for g in elements if (g[1] + g[2]) % n_mod == 0]
-    assert all(positions[p] == positions[tuple(-x % n_mod for x in p)] for p in positions)
-    assert len(set(positions.values())) == len(mirror)
-    for p, i in positions.items():
-        assert ends.count(i) == sum(row[index[p]] in plus_minus for row in step), (n_mod, p)
-    # mirror holds the predecessors of p -> G(a) p G(a) on the pairs of F
-    firsts = {}
-    for p, i in positions.items():
-        firsts.setdefault(i, p)
-    pushed = [0] * len(mirror)
-    for i, p in firsts.items():
-        for a in range(n_mod):
-            g = generator(a, n_mod)
-            pushed[positions[mat_mul(mat_mul(g, p, n_mod), g, n_mod)]] += 1 + i
-    assert _advance([1 + i for i in range(len(mirror))], mirror) == pushed, n_mod
+    inverses = {index[(0, y, -y % n_mod, e)] for y in {1 % n_mod, n_mod - 1}
+                for e in range(n_mod)}
+    letters = [generator(x, n_mod) for x in range(n_mod)]
+    weights = []
+    for a, b, c, d in elements:
+        tau = (a, -c % n_mod, -b % n_mod, d)
+        middles = [index[mat_mul(mat_mul(tau, gx, n_mod), (a, b, c, d), n_mod)]
+                   for gx in letters]
+        weights.append((sum(m in plus_minus for m in middles),
+                         index[mat_mul(tau, (a, b, c, d), n_mod)] in plus_minus,
+                         sum(m in inverses for m in middles)))
+    # each weight is even under g -> -g
+    for g, (a, b, c, d) in enumerate(elements):
+        negated = index[tuple(-x % n_mod for x in (a, b, c, d))]
+        assert weights[g] == weights[negated], (n_mod, g)
+    # so a pair's sums are those of either of its cosets
+    for r in range(len(elements) // n_mod):
+        block = weights[r * n_mod:(r + 1) * n_mod]
+        p = rows[elements[r * n_mod][2:]]
+        assert [sum(w) for w in zip(*block)] == [odd[p], edge[p], vertex[p]], (n_mod, r)
 
 
 def test_class_counts_checks_burnside_divisibility(monkeypatch):
@@ -575,11 +580,10 @@ def test_counting_report_matches_enumeration(n_mod):
 
 
 def test_count_classes_work_counts_table_steps():
-    # size 6 mod 5: 5 walk steps add one count per pair {g, -g} of SL2(Z/5Z)
-    # (60), and 2 odd + 3 even palindrome steps 5 per pair of tau-fixed
-    # elements (15)
-    steps = 5 * 60 + (2 + 3) * 5 * 15
-    assert steps == 675
+    # size 6 mod 5: 5 walk steps add 5 counts per pair of cosets of
+    # SL2(Z/5Z) (12), one per pair {g, -g}; the reflections add no steps
+    steps = 5 * 12 * 5
+    assert steps == 300
     assert count_classes(5, 6, work_limit=steps) == 40
     with pytest.raises(WorkLimitExceeded, match="table steps"):
         count_classes(5, 6, work_limit=steps - 1)
