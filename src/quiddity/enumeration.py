@@ -51,13 +51,12 @@ class WorkLimitExceeded(RuntimeError):
 def _group_tables(n: int):
     """SL2(Z/NZ) as index tables, built from S = G(0) and T = [[1, 1], [0, 1]].
 
-    Returns (elements, step, tails): ``step[a][g]`` is the index of
-    generator(a) * elements[g], and ``tails[g]`` is the (a_{n-1}, a_n) pair
-    completing any prefix whose product is elements[g] to a solution, or
-    None.  There is at most one: the solution's sign eps needs
-    eps * p11 = -1, so the tail is (-p21, p12) when p11 = -1 and
-    (p21, -p12) when p11 = 1, and both would need p11 = 1 = -1 (mod 2 the
-    two tails agree).
+    Returns (elements, s_row, tails): ``s_row[g]`` is the index of
+    S * elements[g], and ``tails[g]`` is the (a_{n-1}, a_n) pair completing
+    any prefix whose product is elements[g] to a solution, or None.  There
+    is at most one: the solution's sign eps needs eps * p11 = -1, so the
+    tail is (-p21, p12) when p11 = -1 and (p21, -p12) when p11 = 1, and both
+    would need p11 = 1 = -1 (mod 2 the two tails agree).
 
     The elements are laid out coset by coset: element r * N + t is
     (f_r + t * (c, d); (c, d)), the left coset <T> g of second row (c, d)
@@ -69,8 +68,8 @@ def _group_tables(n: int):
     S (a, b; c, d) = (-c, -d; a, b) reaches every coset: a new second row
     (a, b) opens a coset with base (-c, -d).  In the coset of (a, b) with
     base (g1, g2), which has determinant g1 b - g2 a = 1, the first row
-    (-c, -d) sits at t' = g2 c - g1 d.  As G(a) = T^a S, step[0] is the S
-    row and step[a] = T step[a - 1].
+    (-c, -d) sits at t' = g2 c - g1 d.  As G(a) = T^a S, G(a) * elements[g]
+    is s - s % N + (s % N + a) % N for s = s_row[g] (``_children``).
     """
     where = [-1] * (n * n)  # the coset of second row (a, b), at a * N + b
     where[1] = 0
@@ -88,45 +87,51 @@ def _group_tables(n: int):
                 bases.append((-c % n, -d % n))
             g1, g2 = bases[j]
             s_row.append(j * n + (g2 * c - g1 * d) % n)
-    t_row = list(range(1, len(elements) + 1))
-    t_row[n - 1::n] = range(0, len(elements), n)
-    step = [s_row]
-    for _ in range(1, n):
-        step.append([t_row[x] for x in step[-1]])
     tails = [(-p21 % n, p12) if p11 == n - 1 else (p21, -p12 % n) if p11 == 1 else None
              for p11, p12, p21, _ in elements]
-    return elements, step, tails
+    return elements, s_row, tails
+
+
+@lru_cache(maxsize=None)
+def _children(n: int):
+    """Per element g, (block, turn, r): G(a) g = T^a (S g) is element block[turn[a]].
+
+    ``block`` lists coset r, that of S g, and turn[a] = (t + a) % N for its
+    offset t there: both shared, so a child is two lookups and no new int.
+    """
+    s_row = _group_tables(n)[1]
+    turns = [tuple((t + a) % n for a in range(n)) for t in range(n)]
+    blocks = [tuple(range(g, g + n)) for g in range(0, len(s_row), n)]
+    cosets = list(range(len(blocks)))  # one int object per coset, shared by its records
+    return [(blocks[s // n], turns[s % n], cosets[s // n]) for s in s_row]
 
 
 @lru_cache(maxsize=None)
 def _window_masks(n: int):
-    """Tables for the class DFS, indexed like ``_group_tables``' elements.
+    """Tables for the class DFS: row bits and tail letters per element, masks per coset.
 
     Returns (row_bit, masks, letters).  With P_t the product of a_1..a_t,
     the window a_i..a_t has product P_t Q^-1 with Q = P_{i-1}, so its
     continuant is row1(P_t) . col1(Q^-1) = row1(P_t) . (q22, -q21).
-    ``row_bit[P]`` is p11 * N + p12, the bit of row 1 of P, and ``masks[Q]``
-    has the bit of every row r with r . (q22, -q21) = det(r; row2(Q)) = +/-1.
-    The rows of determinant 1 with row2(Q) are the first rows of Q's coset
-    in ``_group_tables``, and those of determinant -1 the first rows of the
-    coset of -row2(Q), S^2 Q: so the mask depends only on the coset and is
-    the OR of two blocks' row bits.
+    ``row_bit[P]`` is p11 * N + p12, the bit of row 1 of P, and
+    ``masks[Q // N]`` has the bit of every row r with
+    r . (q22, -q21) = det(r; row2(Q)) = +/-1.  The rows of determinant 1
+    with row2(Q) are the first rows of Q's coset in ``_group_tables``, and
+    those of determinant -1 the first rows of the coset of -row2(Q), S^2 Q:
+    so the mask, the OR of two blocks' row bits, is kept once per coset.
 
-    ``letters[g]`` lists, in increasing order, the a whose child
-    step[a][g] has a tail: the letters that end a leaf.  The child G(a) g
-    has p11 = a g11 - g21, and it has a tail iff p11 = +/-1, so the letters
-    depend only on the first column of g and are solved once per column.
+    ``letters[g]`` lists, in increasing order, the a whose child G(a) g has
+    a tail: the letters that end a leaf.  The child has p11 = a g11 - g21,
+    and it has a tail iff p11 = +/-1, so the letters depend only on the
+    first column of g and are solved once per column.
     """
-    elements, step, _ = _group_tables(n)
-    s_row = step[0]
+    elements, s_row, _ = _group_tables(n)
     units = {1 % n, n - 1}
     row_bit = [p11 * n + p12 for p11, p12, _, _ in elements]
     starts = range(0, len(elements), n)
     # a block's N first rows are distinct, so summing their bits ORs them
     block_rows = [sum([1 << bit for bit in row_bit[g:g + n]]) for g in starts]
-    masks = []
-    for r, g in enumerate(starts):
-        masks += [block_rows[r] | block_rows[s_row[s_row[g]] // n]] * n
+    masks = [block_rows[r] | block_rows[s_row[s_row[g]] // n] for r, g in enumerate(starts)]
     by_column = [tuple(a for a in range(n) if (a * g11 - g21) % n in units)
                  for g11 in range(n) for g21 in range(n)]
     letters = [by_column[g11 * n + g21] for g11, _, g21, _ in elements]
@@ -137,8 +142,8 @@ def _window_masks(n: int):
 def _coset_tables(n: int):
     """The walk of ``_class_counts``, on pairs of left cosets <T> g.
 
-    Returns (rows, orders, step, weights).  T adds the second row, which is
-    unimodular, to the first, so each coset is the N elements with one
+    Returns (pair_of, orders, step, weights).  T adds the second row, which
+    is unimodular, to the first, so each coset is the N elements with one
     second row: coset r is the block r * N .. r * N + N - 1 of
     ``_group_tables``.  With c_d(h) the words of length d and product h,
     c_{d+1}(h) = sum over a of c_d(S^-1 T^-a h), as G(a) = T^a S: past
@@ -150,12 +155,11 @@ def _coset_tables(n: int):
     -Id is central, so h -> -h maps each coset to the negated one, commutes
     with the walk's step and keeps the order modulo +/-Id: the walk runs on
     the pairs {coset, negated coset}, one coset for N = 2 and two
-    otherwise, a pair counting the words of both its cosets.  ``rows`` maps
-    each second row to its pair,
-    ``step[p]`` gets, for ``_advance``, the pairs of -row1(g) for the N
-    elements g of one coset of pair p, and ``orders[g]`` is the order of
-    element g of ``_group_tables`` modulo +/-Id (least k >= 1 with
-    g^k = +/-Id).
+    otherwise, a pair counting the words of both its cosets.
+    ``pair_of[r]`` is the pair of coset r, ``step[p]`` gets, for
+    ``_advance``, the pairs of -row1(g) for the N elements g of one coset
+    of pair p, and ``orders[g]`` is the order of element g of
+    ``_group_tables`` modulo +/-Id (least k >= 1 with g^k = +/-Id).
 
     By Cayley-Hamilton g^k = U_{k-1} g - U_{k-2} Id, with U_{-1} = 0, U_0 = 1
     and U_k = t U_{k-1} - U_{k-2} for the trace t.  That is +/-Id iff
@@ -180,8 +184,7 @@ def _coset_tables(n: int):
 
     All three are even under g -> -g, like the orders.
     """
-    elements, group_step, _ = _group_tables(n)
-    s_row = group_step[0]
+    elements, s_row, _ = _group_tables(n)
     units = {1 % n, n - 1}
     starts = range(0, len(elements), n)
     negated = [s_row[s_row[g]] // n for g in starts]
@@ -192,7 +195,6 @@ def _coset_tables(n: int):
         else:
             pair_of.append(len(firsts))
             firsts.append(g)
-    rows = {elements[g][2:]: pair_of[r] for r, g in enumerate(starts)}
     step = [itemgetter(*[pair_of[negated[s_row[g] // n]] for g in range(g0, g0 + n)])
             for g0 in firsts]
     by_class: dict[tuple[int, int, int], int] = {}
@@ -220,7 +222,7 @@ def _coset_tables(n: int):
             h = gcds[a]
             vertex[p] += 1 if h == 1 else h * sum(b * y % n in two and (y + 2 * c) % h == 0
                                                   for y in range(0, n, n // h))
-    return rows, tuple(orders), step, (by_order, odd, edge, vertex)
+    return pair_of, tuple(orders), step, (by_order, odd, edge, vertex)
 
 
 def _advance(counts: list[int], preds) -> list[int]:
@@ -243,12 +245,12 @@ def _check_work(count: int, unit: str, work_limit: int | None,
 
 
 def _check_table(n_mod: int, work_limit: int | None):
-    """Refuse, before it is built, a group table over the budget.
+    """Refuse, before they are built, group tables over the budget.
 
-    The generators reach all of SL2(Z/NZ), so the table has
-    |SL2(Z/NZ)| * N step entries.  It is cached for the process and shared
-    by every later search mod N, so a budget below the default still lets
-    it build up to the default.
+    The generators reach all of SL2(Z/NZ), so the tables answer
+    |SL2(Z/NZ)| * N steps G(a) g, the price checked.  They are cached for
+    the process and shared by every later search mod N, so a budget below
+    the default still lets them build up to the default.
     """
     if work_limit is None:
         return
@@ -280,26 +282,20 @@ def enumerate_solutions(n_mod: int, size: int, alphabet=None,
     check_modular(n_mod, "enumeration")
     if size < 2:
         raise ValueError("solutions exist only for size >= 2")
-    if alphabet is None:
-        alphabet = tuple(range(n_mod))
-    else:
-        alphabet = tuple(sorted({a % n_mod for a in alphabet}))
-        if not alphabet:
-            return []
+    alphabet = tuple(sorted({a % n_mod for a in (range(n_mod) if alphabet is None else alphabet)}))
+    if not alphabet:
+        return []
     _check_work(len(alphabet) ** (size - 2), "prefix probes", work_limit)
     deepest = _recursion_headroom()
     if size - 2 > deepest:
         raise _too_deep(size, deepest, "prefix search")
     _check_table(n_mod, work_limit)
 
-    _, step, tails = _group_tables(n_mod)
-    allowed = None
-    if len(alphabet) != n_mod:
-        allowed = set(alphabet)
+    tails, kids = _group_tables(n_mod)[2], _children(n_mod)
+    allowed = set(alphabet) if len(alphabet) != n_mod else None
 
     out: list[Seq] = []
     path: list[int] = []
-    rows = [(a, step[a]) for a in alphabet]
 
     def dfs(remaining: int, g: int):
         if remaining == 0:
@@ -309,9 +305,10 @@ def enumerate_solutions(n_mod: int, size: int, alphabet=None,
                     out.append((*path, u, v))
             return
         remaining -= 1
-        for a, row in rows:
+        block, turn, _ = kids[g]
+        for a in alphabet:
             path.append(a)
-            dfs(remaining, row[g])
+            dfs(remaining, block[turn[a]])
             path.pop()
 
     try:
@@ -374,14 +371,14 @@ def _class_counts(n_mod: int, sizes,
     """
     top = max(sizes)
     _check_table(n_mod, work_limit)
-    rows, orders, step, (by_order, odd, edge, vertex) = _coset_tables(n_mod)
+    pair_of, _, step, (by_order, odd, edge, vertex) = _coset_tables(n_mod)
     _check_work((top - 1) * len(step) * n_mod, "table steps", work_limit)
     fixed = dict.fromkeys(sizes, 0)
     if 2 in fixed:
         fixed[2] = 1
 
     walk = [0] * len(step)
-    walk[rows[1, 0]] = 1  # the N words of length 1 fill the coset of S = G(0), in its pair
+    walk[pair_of[_group_tables(n_mod)[1][0] // n_mod]] = 1  # the N words of length 1: S's coset
     for d in range(1, top + 1):
         if d > 1:
             walk = _advance(walk, step)
@@ -418,9 +415,8 @@ def enumerate_naive(n_mod: int, size: int) -> list[Seq]:
         raise ValueError("solutions exist only for size >= 2")
     _check_work(n_mod ** size, "tuples", DEFAULT_WORK_LIMIT,
                 advice="run enumerate_solutions(..., work_limit=None) instead")
-    out = [seq for seq in iter_product(range(n_mod), repeat=size)
-           if pm_identity_sign(generator_product(seq, n_mod), n_mod) is not None]
-    return out
+    return [seq for seq in iter_product(range(n_mod), repeat=size)
+            if pm_identity_sign(generator_product(seq, n_mod), n_mod) is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -647,10 +643,11 @@ def _class_leaves(config: SearchConfig, sizes, prune: bool = True) -> tuple[dict
     +/-1, as no window of length 1..n-3 of an irreducible solution of size
     n has.  A node carries one int, the OR of ``_window_masks`` over the
     prefix products P_1..P_t, and a child whose row-1 bit is set there is
-    dropped.  The window of the whole prefix, the mask of P_0 = Id, has
-    length d = n - 2 for the leaves the child ends, so a child whose bit is
-    set only there may end a leaf but is not entered.  Unpruned, every mask
-    is 0.
+    dropped.  Its children G(a) g all lie in the coset of S g, so it ORs in
+    that coset's mask once for all it enters.  The window of the whole
+    prefix, the mask of P_0 = Id, has length d = n - 2 for the leaves the
+    child ends, so a child whose bit is set only there may end a leaf but
+    is not entered.  Unpruned, every mask is 0.
 
     The pruned leaves are exactly the irreducible classes.  In a solution,
     the window of length L at position i and the window of length
@@ -688,10 +685,10 @@ def _class_leaves(config: SearchConfig, sizes, prune: bool = True) -> tuple[dict
         if top > deepest:
             raise _too_deep(largest, deepest)
     _check_table(n_mod, budget)
-    _, step, tails = _group_tables(n_mod)
+    tails, kids = _group_tables(n_mod)[2], _children(n_mod)
     row_bit, masks, tail_letters = _window_masks(n_mod)
     if not prune:
-        masks = [0] * len(tails)
+        masks = [0] * len(masks)
     whole = masks[0]  # the window of the whole prefix
     limit = inf if budget is None else budget
     found: dict[int, list] = {size: [] for size in sizes}
@@ -733,13 +730,15 @@ def _class_leaves(config: SearchConfig, sizes, prune: bool = True) -> tuple[dict
         if visited > limit:
             _check_work(limit + 1, "search nodes", limit)
         out = outs[below]
-        # at the deepest level only leaves are left: walk the letters with a
-        # tail, which may start below low
-        letters = range(low, n_mod) if below < top else tail_letters[g]
+        block, turn, r = kids[g]
+        if below < top:  # the children share the coset of S g, and its mask
+            letters, inner = range(low, n_mod), forbid | masks[r]
+        else:  # only leaves are left: the letters with a tail, which may start below low
+            letters = tail_letters[g]
         for a in letters:
             if a < low:
                 continue
-            child = step[a][g]
+            child = block[turn[a]]
             bit = row_bit[child]
             if forbid >> bit & 1:
                 continue
@@ -752,7 +751,7 @@ def _class_leaves(config: SearchConfig, sizes, prune: bool = True) -> tuple[dict
                 u, v = tail
                 emit(out, prefix + (a, u, v), p)
             if below < top and not whole >> bit & 1:
-                dfs(prefix + (a,), child, p, forbid | masks[child])
+                dfs(prefix + (a,), child, p, inner)
 
     if outs[0] is not None and tails[0]:  # size 2: the tail of the empty prefix
         emit(outs[0], tails[0], 1)

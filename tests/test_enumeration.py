@@ -2,6 +2,7 @@ import gc
 import json
 import pickle
 from collections import Counter
+from functools import lru_cache
 from itertools import product
 from math import gcd
 from os.path import commonprefix
@@ -12,6 +13,7 @@ from quiddity import enumeration
 from quiddity.enumeration import (
     _advance,
     _check_table,
+    _children,
     _class_counts,
     _class_dfs_nodes,
     _class_leaves,
@@ -410,6 +412,19 @@ def test_class_counts_match_count_classes():
                                             13: count_classes(7, 13)}
 
 
+@lru_cache(maxsize=None)
+def _steps(n_mod: int) -> list[list[int]]:
+    """``_steps(N)[a][g]``, the index of G(a) * elements[g], from matrix products.
+
+    The oracle for every child lookup: it reads the element list and
+    ``generator`` alone, not the coset layout or the S row.
+    """
+    elements = _group_tables(n_mod)[0]
+    index = {g: i for i, g in enumerate(elements)}
+    return [[index[mat_mul(generator(a, n_mod), g, n_mod)] for g in elements]
+            for a in range(n_mod)]
+
+
 def _element_advance(counts, rows):
     """One step of the element-level DP: move every count at p to row[p], for each row."""
     out = [0] * len(counts)
@@ -427,7 +442,7 @@ def _element_class_counts(n_mod: int, sizes) -> dict[int, int]:
     palindromes grow through ``mirror`` over the whole group, and the
     with-end term scans every row for +/-Id.
     """
-    elements, step, _ = _group_tables(n_mod)
+    elements, step = _group_tables(n_mod)[0], _steps(n_mod)
     _, orders, _, _ = _coset_tables(n_mod)
     index = {g: i for i, g in enumerate(elements)}
     plus_minus = {index[(x, 0, 0, x)] for x in {1 % n_mod, n_mod - 1}}
@@ -474,8 +489,9 @@ def test_class_counts_match_element_dp():
 
 @pytest.mark.parametrize("n_mod", [*range(2, 13), 16, 18, 20, 24])
 def test_coset_walk_facts(n_mod):
-    elements, step, _ = _group_tables(n_mod)
-    rows, _, coset_step, (_, odd, edge, vertex) = _coset_tables(n_mod)
+    elements, step = _group_tables(n_mod)[0], _steps(n_mod)
+    pair_of, _, coset_step, (_, odd, edge, vertex) = _coset_tables(n_mod)
+    rows = {g[2:]: pair_of[r] for r, g in enumerate(elements[::n_mod])}
     # every second row holds exactly N elements
     held = {}
     for g in elements:
@@ -744,7 +760,7 @@ def _list_window_candidates(config: SearchConfig, size: int, prune: bool = True)
     and the number of prefixes tried.
     """
     n_mod = config.modulus
-    _, step, tails = _group_tables(n_mod)
+    tails, step = _group_tables(n_mod)[2], _steps(n_mod)
     depth_max, longest = size - 2, size - 3
     units = {1 % n_mod, n_mod - 1}
     leaves, path, visited = [], [], 0
@@ -899,7 +915,7 @@ def test_pruned_over_budget_message(n_mod, size, limit):
 
 def test_tail_letters_list_the_letters_with_tails():
     for n_mod in range(2, 10):
-        _, step, tails = _group_tables(n_mod)
+        tails, step = _group_tables(n_mod)[2], _steps(n_mod)
         _, _, letters = _window_masks(n_mod)
         assert len(letters) == len(tails)
         for g, row in enumerate(letters):
@@ -959,7 +975,7 @@ def test_window_masks_flag_unit_continuants():
             inverse = (q22, -q12 % n_mod, -q21 % n_mod, q11)
             for p, elem in enumerate(elements):
                 unit = mat_mul(elem, inverse, n_mod)[0] in units
-                assert (masks[q] >> row_bit[p] & 1) == unit, (n_mod, elem, elements[q])
+                assert (masks[q // n_mod] >> row_bit[p] & 1) == unit, (n_mod, elem, elements[q])
 
 
 def test_pruned_leaves_need_no_split_check():
@@ -1042,18 +1058,20 @@ def _power_order(g, n_mod: int) -> int:
 
 @pytest.mark.parametrize("n_mod", [*range(2, 17), 18, 20, 24])
 def test_group_tables_match_oracles(n_mod):
-    # the two-generator BFS, the tails and the order classes against the
-    # N-generator products, a scan of the last two letters and the power loop
-    elements, step, tails = _group_tables(n_mod)
+    # the two-generator BFS, the children read off the coset layout, the
+    # tails and the order classes against the N-generator products, a scan
+    # of the last two letters and the power loop
+    elements, s_row, tails = _group_tables(n_mod)
     _, orders, _, _ = _coset_tables(n_mod)
     assert elements[0] == IDENTITY
     assert len(elements) == len(set(elements)) == sl2_group_order(n_mod)
     assert all(mat_det(g, n_mod) == 1 % n_mod for g in elements)
-    index = {g: i for i, g in enumerate(elements)}
-    assert len(step) == n_mod
+    step = _steps(n_mod)
+    assert s_row == step[0]
+    kids = _children(n_mod)
     for a, row in enumerate(step):
-        gen = generator(a, n_mod)
-        assert row == [index[mat_mul(gen, g, n_mod)] for g in elements], (n_mod, a)
+        assert row == [s - s % n_mod + (s % n_mod + a) % n_mod for s in s_row], (n_mod, a)
+        assert row == [block[turn[a]] for block, turn, _ in kids], (n_mod, a)
     if n_mod <= 12:
         for g in range(len(elements)):
             ends = [(u, v) for u in range(n_mod) for v in range(n_mod)
@@ -1062,23 +1080,66 @@ def test_group_tables_match_oracles(n_mod):
     assert list(orders) == [_power_order(g, n_mod) for g in elements], n_mod
 
 
+@pytest.mark.parametrize("q, largest", [(3, 13), (5, 9), (7, 9), (11, 7), (13, 7)])
+def test_prime_field_counts_match_morier_genoud(q, largest):
+    # Morier-Genoud ("Counting Coxeter's friezes over a finite field via
+    # moduli spaces", Algebraic Combinatorics 4, 2021): over F_q, M_n = -Id
+    # has (q^(n-1) - 1)/(q^2 - 1) solutions for odd n, and negating every
+    # entry gives as many of M_n = +Id
+    for size in range(3, largest + 1, 2):
+        signs = Counter(pm_identity_sign(generator_product(seq, q), q)
+                        for seq in enumerate_solutions(q, size))
+        want = (q ** (size - 1) - 1) // (q * q - 1)
+        assert signs == {1: want, -1: want}, (q, size)
+
+
+def _lists(table) -> list[list]:
+    """Every distinct list reachable from ``table`` through tuples, lists and dict values."""
+    seen, todo = {}, [table]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, dict):
+            todo.extend(x.values())
+        elif isinstance(x, (list, tuple)) and id(x) not in seen:
+            seen[id(x)] = x
+            todo.extend(x)
+    return [x for x in seen.values() if isinstance(x, list)]
+
+
+@pytest.mark.parametrize("n_mod", [*range(2, 13), 16, 30, 43])
+def test_tables_hold_entries_per_element(n_mod):
+    # the N children of an element are read off the coset of S g, so the
+    # tables keep a few entries per element and one mask per coset, and no
+    # table of |SL2(Z/NZ)| * N steps
+    order = sl2_group_order(n_mod)
+    tables = (_group_tables(n_mod), _children(n_mod), _window_masks(n_mod),
+              _coset_tables(n_mod))
+    (elements, s_row, tails), kids, (row_bit, masks, letters), (pair_of, orders, _, _) = tables
+    for table in (elements, s_row, tails, kids, row_bit, letters, orders):
+        assert len(table) == order, n_mod
+    assert len(masks) == len(pair_of) == order // n_mod
+    for table in _lists(tables):
+        held = len(table) + sum(len(x) for x in table if isinstance(x, list))
+        assert held < order * n_mod, (n_mod, held)
+
+
 @pytest.mark.parametrize("n_mod", [*range(2, 13), 16, 30])
 def test_group_tables_lay_out_cosets(n_mod):
     # element r * N + t is (f_r + t * (c, d); (c, d)): the block of N elements
     # from r * N is the coset <T> g of second row (c, d), with base row f_r
     elements, _, _ = _group_tables(n_mod)
     _, masks, _ = _window_masks(n_mod)
-    rows, _, _, _ = _coset_tables(n_mod)
+    pair_of, _, _, _ = _coset_tables(n_mod)
     assert elements[0] == IDENTITY and len(elements) % n_mod == 0
     for g, (a, b, c, d) in enumerate(elements):
         f1, f2, c0, d0 = elements[g - g % n_mod]
         t = g % n_mod
         assert (c, d) == (c0, d0), (n_mod, g)
         assert (a, b) == ((f1 + t * c) % n_mod, (f2 + t * d) % n_mod), (n_mod, g)
-        # masks are constant on each block
-        assert masks[g] == masks[g - g % n_mod], (n_mod, g)
-    # the count's cosets are the blocks, one second row each
-    assert list(rows) == [g[2:] for g in elements[::n_mod]]
+    # one mask per block, and the count's cosets are the blocks, one second
+    # row each
+    assert len(masks) == len(pair_of) == len({g[2:] for g in elements[::n_mod]})
+    assert len(pair_of) * n_mod == len(elements)
 
 
 def test_cyclic_counts_match_reversal_symmetry():
