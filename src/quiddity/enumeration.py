@@ -142,35 +142,35 @@ def _window_masks(n: int):
 def _coset_tables(n: int):
     """The walk of ``_class_counts``, on pairs of left cosets <T> g.
 
-    Returns (pair_of, orders, step, weights).  T adds the second row, which
+    Returns (pair_of, step, weights).  T adds the second row, which
     is unimodular, to the first, so each coset is the N elements with one
     second row: coset r is the block r * N .. r * N + N - 1 of
     ``_group_tables``.  With c_d(h) the words of length d and product h,
     c_{d+1}(h) = sum over a of c_d(S^-1 T^-a h), as G(a) = T^a S: past
     d = 0 it is constant on cosets, T^-a h runs over h's coset, and
-    S^-1 g = S^2 (S g) has second row -row1(g).  S g is in coset
-    s_row[g] // N, and S^2 = -Id takes each coset to the coset of its
-    negated second row.
+    S^-1 g = S^2 (S g) has second row -row1(g).  S g, of second row
+    row1(g), is in coset s_row[g] // N.
 
     -Id is central, so h -> -h maps each coset to the negated one, commutes
     with the walk's step and keeps the order modulo +/-Id: the walk runs on
     the pairs {coset, negated coset}, one coset for N = 2 and two
     otherwise, a pair counting the words of both its cosets.
-    ``pair_of[r]`` is the pair of coset r, ``step[p]`` gets, for
-    ``_advance``, the pairs of -row1(g) for the N elements g of one coset
-    of pair p, and ``orders[g]`` is the order of element g of
-    ``_group_tables`` modulo +/-Id (least k >= 1 with g^k = +/-Id).
+    ``pair_of[r]`` is the pair of coset r, and ``step[p]`` gets, for
+    ``_advance``, the pairs of row1(g), that is of -row1(g), for the N
+    elements g of one coset of pair p.
+
+    ``weights`` is (by_order, odd, edge, vertex), each summed over the first
+    coset of pair p: ``by_order[k][p]`` counts its elements of order k
+    modulo +/-Id (least k >= 1 with g^k = +/-Id), and odd[p], edge[p] and
+    vertex[p] add up the reflection weights O, E and V of ``count_classes``
+    over its elements g = [[a, b], [c, d]].  All four are even under
+    g -> -g, so one pass over one coset per pair finds them.
 
     By Cayley-Hamilton g^k = U_{k-1} g - U_{k-2} Id, with U_{-1} = 0, U_0 = 1
     and U_k = t U_{k-1} - U_{k-2} for the trace t.  That is +/-Id iff
-    U_{k-1} = 0 mod N/c, c = gcd(g12, g21, g11 - g22, N), and
-    U_{k-1} g11 - U_{k-2} = +/-1, which then depends only on g11 mod c: the
-    order is found once per class (t, c, g11 mod c).
-
-    ``weights`` is (by_order, odd, edge, vertex), each summed over one
-    coset of pair p: ``by_order[k][p]`` counts its elements of order k, and
-    odd[p], edge[p] and vertex[p] add up the reflection weights O, E and V
-    of ``count_classes`` over its elements g = [[a, b], [c, d]]:
+    U_{k-1} = 0 mod N/m, m = gcd(b, c, a - d, N), and
+    U_{k-1} a - U_{k-2} = +/-1, which then depends only on a mod m: the
+    order is found once per class (t, m, a mod m).  The weights:
 
     * O(g) = [a^2 = b^2 and bd - ac = +/-1], the number of letters x with
       tau(g) G(x) g = +/-Id, as that is g tau(g) = +/-G(x)^-1;
@@ -181,48 +181,41 @@ def _coset_tables(n: int):
       ad + bc = 1 + 2bc.  So y is a multiple of N/h, h = gcd(a, N), with
       by in {0, 2} and y = -2c mod h, and each such y is xa - 2c for h
       letters x.  For h = 1 that leaves y = 0, which always solves.
-
-    All three are even under g -> -g, like the orders.
     """
     elements, s_row, _ = _group_tables(n)
     units = {1 % n, n - 1}
-    starts = range(0, len(elements), n)
-    negated = [s_row[s_row[g]] // n for g in starts]
     pair_of, firsts = [], []  # the pair of each coset; the first element of each pair
-    for r, g in enumerate(starts):
-        if negated[r] < r:
-            pair_of.append(pair_of[negated[r]])
+    for r, g in enumerate(range(0, len(elements), n)):
+        negated = s_row[s_row[g]] // n  # S^2 g = -g
+        if negated < r:
+            pair_of.append(pair_of[negated])
         else:
             pair_of.append(len(firsts))
             firsts.append(g)
-    step = [itemgetter(*[pair_of[negated[s_row[g] // n]] for g in range(g0, g0 + n)])
-            for g0 in firsts]
+    step = [itemgetter(*[pair_of[s // n] for s in s_row[g0:g0 + n]]) for g0 in firsts]
     by_class: dict[tuple[int, int, int], int] = {}
-    orders = []
-    for g11, g12, g21, g22 in elements:
-        c = gcd(g12, g21, g11 - g22, n)
-        t, r = (g11 + g22) % n, g11 % c
-        k = by_class.get((t, c, r))
-        if k is None:
-            prev, cur, k = 0, 1, 1  # U_{k-2}, U_{k-1}
-            while cur % (n // c) or (cur * r - prev) % n not in units:
-                prev, cur, k = cur, (t * cur - prev) % n, k + 1
-            by_class[t, c, r] = k
-        orders.append(k)
-    by_order = {k: [0] * len(firsts) for k in by_class.values()}
+    by_order: dict[int, list[int]] = {}
     odd, edge, vertex = ([0] * len(firsts) for _ in range(3))
     two = {0, 2 % n}
     gcds = [gcd(a, n) for a in range(n)]
     for p, g0 in enumerate(firsts):
-        for k in orders[g0:g0 + n]:
-            by_order[k][p] += 1
         for a, b, c, d in elements[g0:g0 + n]:
+            m = gcd(b, c, a - d, n)
+            t, r = (a + d) % n, a % m
+            k = by_class.get((t, m, r))
+            if k is None:
+                prev, cur, k = 0, 1, 1  # U_{k-2}, U_{k-1}
+                while cur % (n // m) or (cur * r - prev) % n not in units:
+                    prev, cur, k = cur, (t * cur - prev) % n, k + 1
+                by_class[t, m, r] = k
+                by_order.setdefault(k, [0] * len(firsts))
+            by_order[k][p] += 1
             odd[p] += (a * a - b * b) % n == 0 and (b * d - a * c) % n in units
             edge[p] += (a * b - c * d) % n == 0 and (a * a - c * c) % n in units
             h = gcds[a]
             vertex[p] += 1 if h == 1 else h * sum(b * y % n in two and (y + 2 * c) % h == 0
                                                   for y in range(0, n, n // h))
-    return pair_of, tuple(orders), step, (by_order, odd, edge, vertex)
+    return pair_of, step, (by_order, odd, edge, vertex)
 
 
 def _advance(counts: list[int], preds) -> list[int]:
@@ -371,7 +364,7 @@ def _class_counts(n_mod: int, sizes,
     """
     top = max(sizes)
     _check_table(n_mod, work_limit)
-    pair_of, _, step, (by_order, odd, edge, vertex) = _coset_tables(n_mod)
+    pair_of, step, (by_order, odd, edge, vertex) = _coset_tables(n_mod)
     _check_work((top - 1) * len(step) * n_mod, "table steps", work_limit)
     fixed = dict.fromkeys(sizes, 0)
     if 2 in fixed:

@@ -438,12 +438,13 @@ def _element_advance(counts, rows):
 def _element_class_counts(n_mod: int, sizes) -> dict[int, int]:
     """The Burnside count walked on every group element with N letters per step.
 
-    The rotation walk moves each element's count along every generator, the
-    palindromes grow through ``mirror`` over the whole group, and the
-    with-end term scans every row for +/-Id.
+    The rotation walk moves each element's count along every generator and
+    takes its orders from matrix powers, the palindromes grow through
+    ``mirror`` over the whole group, and the with-end term scans every row
+    for +/-Id.  It shares no table with ``_coset_tables``.
     """
     elements, step = _group_tables(n_mod)[0], _steps(n_mod)
-    _, orders, _, _ = _coset_tables(n_mod)
+    orders = [_power_order(g, n_mod) for g in elements]
     index = {g: i for i, g in enumerate(elements)}
     plus_minus = {index[(x, 0, 0, x)] for x in {1 % n_mod, n_mod - 1}}
     # tau(G(a) p) = p G(a) when tau(p) = p, so G(a) p G(a) = G(a) tau(G(a) p)
@@ -480,17 +481,31 @@ def _element_class_counts(n_mod: int, sizes) -> dict[int, int]:
 
 
 def test_class_counts_match_element_dp():
-    # the walk on second rows and the palindromes on tau-fixed elements give
-    # the counts of the DP on every group element
+    # the walk on pairs of cosets, with its order counts and reflection
+    # weights, gives the counts of the DP on every group element
     for n_mod in [*range(2, 17), 18, 20, 24, 30]:
         sizes = tuple(range(2, 15 if n_mod <= 16 else 9))
         assert _class_counts(n_mod, sizes, None) == _element_class_counts(n_mod, sizes), n_mod
 
 
+def test_class_counts_at_a_large_prime():
+    # at N = 61 the orders fall in many classes and the element DP is too
+    # slow, so the unpruned class DFS lists sizes 2..5 (79,483 nodes), and
+    # the count over sizes 2..12 is pinned
+    config = SearchConfig(61, range(2, 6), work_limit=None)
+    leaves, nodes = _class_leaves(config, config.sizes, prune=False)
+    assert nodes == 79_483
+    assert {size: count_classes(61, size, work_limit=None) for size in config.sizes} == \
+        {size: len(found) for size, found in leaves.items()} == {2: 1, 3: 2, 4: 61, 5: 806}
+    assert _class_counts(61, range(2, 13), None) == {
+        2: 1, 3: 2, 4: 61, 5: 806, 6: 40_351, 7: 1_982_170, 8: 105_744_542, 9: 5_726_249_042,
+        10: 314_367_063_193, 11: 17_432_636_097_176, 12: 974_774_632_192_459}
+
+
 @pytest.mark.parametrize("n_mod", [*range(2, 13), 16, 18, 20, 24])
 def test_coset_walk_facts(n_mod):
     elements, step = _group_tables(n_mod)[0], _steps(n_mod)
-    pair_of, _, coset_step, (_, odd, edge, vertex) = _coset_tables(n_mod)
+    pair_of, coset_step, (_, odd, edge, vertex) = _coset_tables(n_mod)
     rows = {g[2:]: pair_of[r] for r, g in enumerate(elements[::n_mod])}
     # every second row holds exactly N elements
     held = {}
@@ -1059,10 +1074,10 @@ def _power_order(g, n_mod: int) -> int:
 @pytest.mark.parametrize("n_mod", [*range(2, 17), 18, 20, 24])
 def test_group_tables_match_oracles(n_mod):
     # the two-generator BFS, the children read off the coset layout, the
-    # tails and the order classes against the N-generator products, a scan
-    # of the last two letters and the power loop
+    # tails and the order counts against the N-generator products, a scan
+    # of the last two letters and the power loop on each coset
     elements, s_row, tails = _group_tables(n_mod)
-    _, orders, _, _ = _coset_tables(n_mod)
+    pair_of, _, (by_order, _, _, _) = _coset_tables(n_mod)
     assert elements[0] == IDENTITY
     assert len(elements) == len(set(elements)) == sl2_group_order(n_mod)
     assert all(mat_det(g, n_mod) == 1 % n_mod for g in elements)
@@ -1077,7 +1092,11 @@ def test_group_tables_match_oracles(n_mod):
             ends = [(u, v) for u in range(n_mod) for v in range(n_mod)
                     if pm_identity_sign(elements[step[v][step[u][g]]], n_mod) is not None]
             assert tails[g] == (ends[0] if ends else None) and len(ends) <= 1, (n_mod, g)
-    assert list(orders) == [_power_order(g, n_mod) for g in elements], n_mod
+    # each coset of a pair has the histogram of orders counted for the pair
+    for r, g0 in enumerate(range(0, len(elements), n_mod)):
+        powers = Counter(_power_order(g, n_mod) for g in elements[g0:g0 + n_mod])
+        counted = {k: c for k, per_pair in by_order.items() if (c := per_pair[pair_of[r]])}
+        assert powers == counted, (n_mod, r)
 
 
 @pytest.mark.parametrize("q, largest", [(3, 13), (5, 9), (7, 9), (11, 7), (13, 7)])
@@ -1093,8 +1112,8 @@ def test_prime_field_counts_match_morier_genoud(q, largest):
         assert signs == {1: want, -1: want}, (q, size)
 
 
-def _lists(table) -> list[list]:
-    """Every distinct list reachable from ``table`` through tuples, lists and dict values."""
+def _lists(table, kinds=list) -> list:
+    """Every distinct ``kinds`` reachable from ``table`` through tuples, lists and dict values."""
     seen, todo = {}, [table]
     while todo:
         x = todo.pop()
@@ -1103,7 +1122,7 @@ def _lists(table) -> list[list]:
         elif isinstance(x, (list, tuple)) and id(x) not in seen:
             seen[id(x)] = x
             todo.extend(x)
-    return [x for x in seen.values() if isinstance(x, list)]
+    return [x for x in seen.values() if isinstance(x, kinds)]
 
 
 @pytest.mark.parametrize("n_mod", [*range(2, 13), 16, 30, 43])
@@ -1114,13 +1133,22 @@ def test_tables_hold_entries_per_element(n_mod):
     order = sl2_group_order(n_mod)
     tables = (_group_tables(n_mod), _children(n_mod), _window_masks(n_mod),
               _coset_tables(n_mod))
-    (elements, s_row, tails), kids, (row_bit, masks, letters), (pair_of, orders, _, _) = tables
-    for table in (elements, s_row, tails, kids, row_bit, letters, orders):
+    (elements, s_row, tails), kids, (row_bit, masks, letters), (pair_of, _, _) = tables
+    for table in (elements, s_row, tails, kids, row_bit, letters):
         assert len(table) == order, n_mod
     assert len(masks) == len(pair_of) == order // n_mod
     for table in _lists(tables):
         held = len(table) + sum(len(x) for x in table if isinstance(x, list))
         assert held < order * n_mod, (n_mod, held)
+
+
+@pytest.mark.parametrize("n_mod", [*range(2, 13), 16, 30, 43])
+def test_count_tables_hold_nothing_per_element(n_mod):
+    # the count reads one coset per pair: its orders and weights are summed
+    # there, so no list or tuple it keeps has an entry per group element
+    order = sl2_group_order(n_mod)
+    held = [len(x) for x in _lists(_coset_tables(n_mod), (list, tuple))]
+    assert order not in held, (n_mod, held)
 
 
 @pytest.mark.parametrize("n_mod", [*range(2, 13), 16, 30])
@@ -1129,7 +1157,7 @@ def test_group_tables_lay_out_cosets(n_mod):
     # from r * N is the coset <T> g of second row (c, d), with base row f_r
     elements, _, _ = _group_tables(n_mod)
     _, masks, _ = _window_masks(n_mod)
-    pair_of, _, _, _ = _coset_tables(n_mod)
+    pair_of, _, _ = _coset_tables(n_mod)
     assert elements[0] == IDENTITY and len(elements) % n_mod == 0
     for g, (a, b, c, d) in enumerate(elements):
         f1, f2, c0, d0 = elements[g - g % n_mod]
