@@ -315,9 +315,7 @@ def _dissect_common(args, d, q) -> int:
     if args.format == "svg":
         print(_svg(d, q))
     elif args.format == "json":
-        payload = d.to_dict()
-        payload["quiddity"] = list(q)
-        _emit(args, payload, [])
+        print(d._json(q))
     else:
         lines = [f"{d.kind} dissection of an {d.n}-gon; quiddity " + ",".join(map(str, q))]
         for c in d.cells:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import random
 from collections import Counter, deque
 from math import cos, pi, sin
-from operator import itemgetter
 from typing import NamedTuple
 
 from .solutions import Seq, _seq_text, as_solution
@@ -65,6 +64,17 @@ class Dissection(NamedTuple):
             "pairs": [list(p) for p in self.pairs],
         }
 
+    def _json(self, q: Seq) -> str:
+        """``json.dumps({**self.to_dict(), "quiddity": list(q)}, sort_keys=True)``,
+        written as text: one ``%``-format per cell, no dict or list."""
+        shapes = {3: '{"vertices": [%d, %d, %d], "weight": %s}',
+                  4: '{"vertices": [%d, %d, %d, %d], "weight": %s}'}
+        cells = ", ".join([shapes[len(v)] % (*v, "null" if w is None else w)
+                           for v, w in self.cells])
+        return '{"cells": [%s], "kind": "%s", "n": %d, "pairs": [%s], "quiddity": [%s]}' % (
+            cells, self.kind, self.n, ", ".join(["[%d, %d]" % p for p in self.pairs]),
+            ", ".join(map(str, q)))
+
 
 def from_dict(d: dict) -> Dissection:
     return Dissection(
@@ -90,9 +100,11 @@ def validate(d: Dissection) -> list[str]:
     inside 1..n: one chained comparison says they are distinct, sorted and
     in range, and the cell's edges join one flat list.  Only a cell that
     fails runs the three separate checks, in order, to pick its message.
-    One Counter then counts the edges, and the polygon sides among them are
-    counted as they are classified; the sides are looked up one by one only
-    when fewer than n were seen, to name the uncovered ones.
+    An edge (a, b) is the int key a * (n + 1) - b, which sorts in (a, -b)
+    order, and turns back into (a, b) only for a message.  One Counter
+    counts the keys, and the sides among them are counted as they are
+    classified; the sides are looked up one by one only when fewer than n
+    were seen, to name the uncovered ones.
     """
     bad: list[str] = []
     if d.kind not in KIND_MODULUS:
@@ -100,7 +112,8 @@ def validate(d: Dissection) -> list[str]:
     n = d.n
     if n < 3:
         bad.append(f"polygon needs at least 3 vertices, got {n}")
-    edges: list[tuple[int, int]] = []
+    s = n + 1
+    edges: list[int] = []
     cover = 0
     for i, c in enumerate(d.cells):
         v = c.vertices
@@ -108,13 +121,15 @@ def validate(d: Dissection) -> list[str]:
         if k == 3:
             a, b, e = v
             if 1 <= a < b < e <= n:
-                edges += ((a, b), (b, e), (a, e))
+                a *= s
+                edges += (a - b, b * s - e, a - e)
                 cover += 1
                 continue
         elif k == 4:
             a, b, e, f = v
             if 1 <= a < b < e < f <= n:
-                edges += ((a, b), (b, e), (e, f), (a, f))
+                a *= s
+                edges += (a - b, b * s - e, e * s - f, a - f)
                 cover += 2
                 continue
         if k not in (3, 4) or len(set(v)) != k:
@@ -131,46 +146,55 @@ def validate(d: Dissection) -> list[str]:
         diagonals = []
         sides = 0
         for e, count in edge_use.items():
-            a, b = e
-            if b - a == 1 or (a == 1 and b == n):
+            if (e + 1) % n == 0 or e == 1:  # side (a, a + 1) is keyed a * n - 1, (1, n) 1
                 sides += 1
                 if count != 1:
-                    wrong.append((e, "side", count, 1))
+                    wrong.append((_edge(e, n), "side", count, 1))
             else:
                 diagonals.append(e)
                 if count != 2:
-                    wrong.append((e, "diagonal", count, 2))
+                    wrong.append((_edge(e, n), "diagonal", count, 2))
         for e, what, count, want in sorted(wrong):
             bad.append(f"{what} {e} borders {count} cells, expected {want}")
         if sides < n:  # every label lies in 1..n, so each side seen is a distinct one
             for v in range(1, n + 1):
-                side = (v, v + 1) if v < n else (1, n)
+                side = v * n - 1 if v < n else 1
                 if side not in edge_use:
-                    bad.append(f"polygon side {side} not covered by any cell")
-        crossing = _find_crossing(diagonals)
+                    bad.append(f"polygon side {_edge(side, n)} not covered by any cell")
+        crossing = _find_crossing(diagonals, n)
         if crossing:
             bad.append(f"diagonals {crossing[0]} and {crossing[1]} cross")
     bad.extend(_check_weights(d))
     return bad
 
 
-def _find_crossing(diagonals):
-    """Two crossing diagonals, or None when they are pairwise non-crossing.
+def _edge(key: int, n: int) -> tuple[int, int]:
+    """The edge (a, b) of an n-gon that ``validate`` keys a * (n + 1) - b."""
+    a, r = divmod(key + n, n + 1)
+    return a, n - r
 
-    Sorted by (a, -b), non-crossing diagonals nest like parentheses: every
-    diagonal still open at a must contain (a, b).  The open ones sit on a
-    stack, innermost on top, so only the top needs comparing.
+
+def _find_crossing(keys: list[int], n: int):
+    """Two crossing diagonals of an n-gon, or None when they are pairwise non-crossing.
+
+    Sorted, the keys of ``validate`` list the diagonals by (a, -b), and
+    non-crossing diagonals nest like parentheses: every diagonal still open
+    at a must contain (a, b).  The open ones sit on a stack over (0, n + 1),
+    innermost on top, so only the top needs comparing.
     """
-    # two stable sorts by C-level keys give the (a, -b) order
-    ordered = sorted(diagonals, key=itemgetter(1), reverse=True)
-    ordered.sort(key=itemgetter(0))
+    keys.sort()
+    s = n + 1
     open_: list[tuple[int, int]] = []
-    for a, b in ordered:
-        while open_ and open_[-1][1] <= a:
-            open_.pop()
-        if open_ and open_[-1][1] < b:
-            return open_[-1], (a, b)
-        open_.append((a, b))
+    top_a, top_b = 0, s
+    for k in keys:
+        a, b = divmod(k + n, s)  # _edge(k, n), inline
+        b = n - b
+        while top_b <= a:
+            top_a, top_b = open_.pop()
+        if top_b < b:
+            return (top_a, top_b), (a, b)
+        open_.append((top_a, top_b))
+        top_a, top_b = a, b
     return None
 
 
@@ -372,33 +396,46 @@ def _assemble(kind: str, levels) -> Dissection:
     Composed top-down, these give one label map per level, a deque rotated
     by r and popped down to the next level's.  Each cell is made once from
     its final labels, in the recursion's cell and pair order: from the
-    inside out.
+    inside out, so they are listed from the outside in and reversed.  The
+    deque stays a rotation of an increasing list, so a triangle ear's
+    vertices last, new, one hold one descent at most: two comparisons sort them.
     """
     size = levels[0][0]
     labels = deque(range(1, size + 1))
-    outer = []
-    for n, spec, r in levels:
-        labels.rotate(r)
-        m = n - (1 if spec[0] == "triangle" else 2)
-        outer.append(_outer_cells(spec, labels, m))
-        for _ in range(n - m):
-            labels.pop()
     cells = []
-    pairs = []
-    for new in reversed(outer):
-        if len(new) == 2:  # a split quadrilateral's paired triangles
-            pairs.append((len(cells), len(cells) + 1))
-        cells.extend(new)
-    return Dissection(size, kind, tuple(cells), tuple(pairs))
+    split = []  # where each split quadrilateral's halves start in ``cells``
+    for n, spec, r in levels:
+        if r:
+            labels.rotate(r)
+        if spec[0] == "triangle":
+            new = labels.pop()
+            one, last = labels[0], labels[-1]
+            if one > last:
+                v = (last, new, one)
+            else:
+                v = (one, last, new) if last < new else (new, one, last)
+            cells.append(tuple.__new__(Cell, (v, spec[1])))  # Cell(v, w), minus a Python call
+        else:
+            if spec[0] == "split_quad":
+                split.append(len(cells))
+            cells += reversed(_outer_cells(spec, labels, n - 2))
+            labels.pop()
+            labels.pop()
+    cells.reverse()
+    end = len(cells)
+    pairs = tuple((end - i - 2, end - i - 1) for i in reversed(split))
+    return Dissection(size, kind, tuple(cells), pairs)
 
 
-def _checked(d: Dissection, seq: Seq, what: str) -> Dissection:
+def _checked(d: Dissection, seq: Seq | None, what: str) -> Dissection:
+    """d, validated once; its quiddity must be seq unless seq is None."""
     bad = validate(d)
-    if not bad and _unchecked_quiddity(d) != seq:
+    if not bad and seq is not None and _unchecked_quiddity(d) != seq:
         bad = ["its quiddity differs from the input"]
     if bad:
-        raise RuntimeError(f"{what} of {_seq_text(seq)} built an invalid dissection, "
-                           "so this is a bug: " + "; ".join(bad))
+        what += "" if seq is None else f" of {_seq_text(seq)}"
+        raise RuntimeError(f"{what} built an invalid dissection, so this is a bug: "
+                           + "; ".join(bad))
     return d
 
 
@@ -557,9 +594,9 @@ def _fan(tri: Cell, quad: Cell, shared) -> list[Cell]:
 def random_dissection(n: int, kind: str, seed: int) -> Dissection:
     """Seed-deterministic valid dissection of an n-gon of the given kind, validated once.
 
-    Peel levels are drawn from the outside in, down to the empty 2-gon:
-    at each size a ``_CELLS`` spec (a triangle at size 3) and a rotation,
-    placed by ``_assemble`` as the builders' levels are.
+    The caller sums its quiddity.  Peel levels are drawn from the outside
+    in, down to the empty 2-gon: at each size a ``_CELLS`` spec (a triangle
+    at size 3) and a rotation, placed by ``_assemble`` as the builders' are.
     """
     if kind not in KIND_MODULUS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -574,7 +611,7 @@ def random_dissection(n: int, kind: str, seed: int) -> Dissection:
         levels.append((n, spec, rng.randrange(n)))
         n -= len(_CELLS[kind][spec]) - 2
     d = _assemble(kind, levels)
-    return _checked(d, _unchecked_quiddity(d), "random_dissection")
+    return _checked(d, None, f"random_dissection of a {d.n}-gon")
 
 
 def to_svg(d: Dissection) -> str:

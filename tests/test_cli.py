@@ -746,6 +746,32 @@ def test_dissection_jobs_validate_once_per_build(capsys, monkeypatch, fmt, argv,
         assert from_dict(json.loads(out)) == calls[-1]
 
 
+@pytest.mark.parametrize("argv, sums", [
+    (("dissect", QUADS_32, "-N", "3"), 1),
+    (("dissect", "--random", "30", "-N", "2"), 1),
+    (("dissect", "--random", "30", "-N", "3"), 1),
+    (("dissect", "--random", "30", "-N", "4"), 1),
+    (("triangulate", QUADS_32, "-N", "3"), 1),
+    (("triangulate", "--via-rewrite", QUADS_32, "-N", "3"), 2),  # the build, then the rewrite
+])
+@pytest.mark.parametrize("fmt", ["json", "text", "svg"])
+def test_dissection_jobs_sum_the_quiddity_once_per_build(capsys, monkeypatch, fmt, argv, sums):
+    calls = []
+    unchecked = dissections._unchecked_quiddity
+
+    def spy(d):
+        calls.append(d)
+        return unchecked(d)
+
+    monkeypatch.setattr(dissections, "_unchecked_quiddity", spy)
+    monkeypatch.setattr(cli, "_unchecked_quiddity", spy)
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert len(calls) == sums
+    if fmt == "json":
+        assert json.loads(out)["quiddity"] == list(unchecked(calls[-1]))
+
+
 def test_evidence(capsys):
     code, out, _ = run(capsys, "evidence", "--modulus", "6", "--format", "json")
     assert code == 0

@@ -4,6 +4,8 @@ import json
 import pickle
 import random
 import tracemalloc
+from collections import Counter
+from operator import itemgetter
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -18,7 +20,6 @@ from quiddity.dissections import (
     Dissection,
     _CELLS,
     _cell_edges,
-    _find_crossing,
     attach_cell,
     build_dissection,
     cell_base_solution,
@@ -175,6 +176,161 @@ def test_validate_crossings_match_all_pairs_oracle():
     assert moved_copies > 1000
 
 
+# The tuple-keyed validator and its crossing scan, from before edges were
+# keyed as ints, kept verbatim as an oracle for the message lists.
+
+def _tuple_keyed_validate(d: Dissection) -> list[str]:
+    """All invariant violations, empty when the dissection is well formed."""
+    bad: list[str] = []
+    if d.kind not in KIND_MODULUS:
+        return [f"unknown kind {d.kind!r}"]
+    n = d.n
+    if n < 3:
+        bad.append(f"polygon needs at least 3 vertices, got {n}")
+    edges: list[tuple[int, int]] = []
+    cover = 0
+    for i, c in enumerate(d.cells):
+        v = c.vertices
+        k = len(v)
+        if k == 3:
+            a, b, e = v
+            if 1 <= a < b < e <= n:
+                edges += ((a, b), (b, e), (a, e))
+                cover += 1
+                continue
+        elif k == 4:
+            a, b, e, f = v
+            if 1 <= a < b < e < f <= n:
+                edges += ((a, b), (b, e), (e, f), (a, f))
+                cover += 2
+                continue
+        if k not in (3, 4) or len(set(v)) != k:
+            bad.append(f"cell {i} must list 3 or 4 distinct vertices: {v}")
+        elif list(v) != sorted(v):
+            bad.append(f"cell {i} vertices must be sorted (convex cyclic order): {v}")
+        else:
+            bad.append(f"cell {i} has labels outside 1..{n}: {v}")
+    if not bad:
+        if cover != n - 2:
+            bad.append(f"cells cover {cover} triangle-equivalents, polygon needs {n - 2}")
+        edge_use = Counter(edges)
+        wrong = []
+        diagonals = []
+        sides = 0
+        for e, count in edge_use.items():
+            a, b = e
+            if b - a == 1 or (a == 1 and b == n):
+                sides += 1
+                if count != 1:
+                    wrong.append((e, "side", count, 1))
+            else:
+                diagonals.append(e)
+                if count != 2:
+                    wrong.append((e, "diagonal", count, 2))
+        for e, what, count, want in sorted(wrong):
+            bad.append(f"{what} {e} borders {count} cells, expected {want}")
+        if sides < n:  # every label lies in 1..n, so each side seen is a distinct one
+            for v in range(1, n + 1):
+                side = (v, v + 1) if v < n else (1, n)
+                if side not in edge_use:
+                    bad.append(f"polygon side {side} not covered by any cell")
+        crossing = _reference_find_crossing(diagonals)
+        if crossing:
+            bad.append(f"diagonals {crossing[0]} and {crossing[1]} cross")
+    bad.extend(dissections._check_weights(d))
+    return bad
+
+
+def _reference_find_crossing(diagonals):
+    """Two crossing diagonals, or None when they are pairwise non-crossing.
+
+    Sorted by (a, -b), non-crossing diagonals nest like parentheses: every
+    diagonal still open at a must contain (a, b).  The open ones sit on a
+    stack, innermost on top, so only the top needs comparing.
+    """
+    # two stable sorts by C-level keys give the (a, -b) order
+    ordered = sorted(diagonals, key=itemgetter(1), reverse=True)
+    ordered.sort(key=itemgetter(0))
+    open_: list[tuple[int, int]] = []
+    for a, b in ordered:
+        while open_ and open_[-1][1] <= a:
+            open_.pop()
+        if open_ and open_[-1][1] < b:
+            return open_[-1], (a, b)
+        open_.append((a, b))
+    return None
+
+
+def _crossed(d, rng):
+    """d with one vertex of one cell moved so that two diagonals cross, or None."""
+    for _ in range(20):
+        moved = _moved_endpoint(d, rng)
+        if moved is not None and _reference_crossings(moved):
+            return moved
+    return None
+
+
+def _damaged(d, rng):
+    """Broken copies of d, one or more per kind of damage the validator names."""
+    cells = list(d.cells)
+    i = rng.randrange(len(cells))
+    c = cells[i]
+
+    def with_cell(cell):
+        return d._replace(cells=tuple(cells[:i] + [cell] + cells[i + 1:]))
+
+    yield d._replace(cells=tuple(cells[:i] + cells[i + 1:]))  # dropped: cover and sides
+    yield d._replace(cells=tuple(cells[:i + 1] + cells[i:]))  # duplicated: edge counts
+    yield _crossed(d, rng)
+    v = c.vertices
+    yield with_cell(Cell(v[:-1] + (d.n + 1,), c.weight))  # a label past n
+    yield with_cell(Cell((0,) + v[1:], c.weight))  # a label below 1
+    yield with_cell(Cell(v[::-1], c.weight))  # unsorted
+    yield d._replace(n=d.n + 1)  # a wrong cover count and an uncovered side
+    yield d._replace(n=d.n - 1) if d.n > 3 else None  # labels past the smaller n
+    ears = [j for j, cell in enumerate(cells)
+            if any(_is_side(e, d.n) for e in _cell_edges(cell.vertices))]
+    j = rng.choice(ears)
+    yield d._replace(cells=tuple(cells[:j] + cells[j + 1:]))  # an uncovered side
+    for illegal in ((1, 2) if d.kind == KIND_PLAIN else (None, 0, 1, 2, 3, 4)):
+        yield with_cell(Cell(v, illegal))
+    j = rng.randrange(len(cells))
+    for pair in ((i, len(cells)), (i, i), (i, j), (-1, i)):
+        yield d._replace(pairs=d.pairs + (pair,))
+    if d.pairs:
+        a, b = d.pairs[0]
+        yield d._replace(pairs=d.pairs + d.pairs[:1])
+        yield d._replace(pairs=((b, a),) + d.pairs[1:])
+        yield d._replace(pairs=((a, (b + 1) % len(cells)),) + d.pairs[1:])
+        yield d._replace(cells=tuple(Cell(x.vertices, 1) if k == a else x
+                                     for k, x in enumerate(cells)))
+
+
+def test_validate_matches_tuple_keyed_oracle():
+    # int edge keys against the tuple-keyed validator, message for message
+    rng = random.Random(17)
+    broken = crossings = 0
+    for kind, n_mod in KIND_MODULUS.items():
+        for seed in range(40):
+            d = random_dissection(3 + (seed * 37) % 398, kind, 900 + seed)
+            assert validate(d) == _tuple_keyed_validate(d) == [], (kind, seed)
+            for bad in _damaged(d, rng):
+                if bad is not None:
+                    want = _tuple_keyed_validate(bad)
+                    assert validate(bad) == want, (kind, seed, bad)
+                    broken += bool(want)
+                    crossings += any(m.endswith(" cross") for m in want)
+        for size in (5, 60, 200, 400):
+            seq = _glued(rng, n_mod, size)
+            d = build_dissection(seq, n_mod)
+            assert validate(d) == _tuple_keyed_validate(d) == []
+            if n_mod == 3 and any(seq):
+                d = eliminate_quads(d)
+                assert validate(d) == _tuple_keyed_validate(d) == []
+    assert broken > 2000
+    assert crossings > 50
+
+
 # The validator before its per-edge sorts were dropped, kept verbatim as an
 # oracle for the message lists.
 
@@ -213,7 +369,7 @@ def _reference_validate(d: Dissection) -> list[str]:
             side = tuple(sorted((v, v % d.n + 1)))
             if side not in edge_use:
                 bad.append(f"polygon side {side} not covered by any cell")
-        crossing = _find_crossing(e for e in edge_use if not _is_side(e, d.n))
+        crossing = _reference_find_crossing(e for e in edge_use if not _is_side(e, d.n))
         if crossing:
             bad.append(f"diagonals {crossing[0]} and {crossing[1]} cross")
     bad.extend(_reference_check_weights(d))
@@ -962,6 +1118,25 @@ def test_random_triangle_base_case():
 def test_json_round_trip():
     d = random_dissection(9, KIND_SECOND, 11)
     assert from_dict(d.to_dict()) == d
+
+
+def _dumped(d, q):
+    return json.dumps({**d.to_dict(), "quiddity": list(q)}, sort_keys=True)
+
+
+def test_json_text_writer_writes_what_json_dumps_writes():
+    # compared as a bool: pytest's diff of two long strings would take minutes
+    cases = [random_dissection(size, kind, seed)
+             for kind in KIND_MODULUS for seed in range(3) for size in range(3 + seed, 401, 3)]
+    rewritten = [eliminate_quads(d) for d in cases if d.kind == KIND_FIRST and any(quiddity(d))]
+    cases += rewritten
+    assert len(rewritten) > 100
+    assert any(d.pairs for d in cases)
+    assert {c.weight for d in cases if d.kind == KIND_PLAIN for c in d.cells} == {None}
+    for d in cases:
+        q = quiddity(d)
+        ok = d._json(q) == _dumped(d, q)
+        assert ok, (d.n, d.kind)
 
 
 def test_svg_output():
